@@ -4,9 +4,9 @@
 
 Runs run.py once per workload and seed with the run length of
 BENCHMARK.json (untraced), then once traced with the first seed, and
-writes bench/results/<label>.json: every run's result line and
-environment, and per end-to-end metric the median, the quartiles and
-the spread (quartile distance over median) the acceptance rule uses.
+writes bench/results/<label>.json: every run's result line, environment
+and operation times, and per end-to-end metric the median, the quartiles
+and the spread (quartile distance over median) the acceptance rule uses.
 """
 
 from __future__ import annotations
@@ -35,7 +35,10 @@ def run_once(workload: str, seed: int, seconds: int, trace: int) -> dict:
     lines = proc.stdout.strip().splitlines()
     env = next(json.loads(line.split(" ", 2)[2]) for line in lines
                if line.startswith("# environment "))
-    return {"seed": seed, "trace": trace, "environment": env, "result": json.loads(lines[-1])}
+    op_s = next(json.loads(line.split(" ", 2)[2]) for line in lines
+                if line.startswith("# op_s "))
+    return {"seed": seed, "trace": trace, "environment": env, "op_s": op_s,
+            "result": json.loads(lines[-1])}
 
 
 def spread(values: list[float]) -> dict:

@@ -110,6 +110,7 @@ def measure(name: str, seed: int, seconds: float, trace: int, corrupt: bool, dea
 def report(name: str, result: dict) -> None:
     main = result["main"]
     print(f"# environment {json.dumps(result['environment'], sort_keys=True)}")
+    print(f"# op_s {json.dumps([round(t, 6) for t in main['op_s']])}")
     for metric, (value, unit) in result["metrics"].items():
         note = result["notes"].get(metric, "")
         print(f"{name:18s} {metric:48s} {value:14.6g} {unit:6s} {note}")
