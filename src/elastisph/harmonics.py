@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from math import isqrt, sqrt, pi
 
 import numpy as np
@@ -91,9 +92,55 @@ def norm_sq(ell: int, family: Family) -> float:
     return float(ell * (ell + 1))
 
 
+def per_degree(table: np.ndarray) -> np.ndarray:
+    """Expand per-degree rows (N+1, ...) over the 2l+1 orders of each degree.
+
+    Row p of the result is row l of ``table`` for the scalar mode p of
+    degree l, so the result is aligned with ``sh_index``.
+    """
+    table = np.asarray(table)
+    return np.repeat(table, 2 * np.arange(table.shape[0]) + 1, axis=0)
+
+
+@lru_cache(maxsize=None)
+def norm_sq_table(max_degree: int) -> np.ndarray:
+    """Squared norms of all vector harmonics as a read-only ((max_degree+1)^2, 3).
+
+    Columns are the (V, W, X) families; the degenerate (l=0, W/X)
+    entries are zero, as ``norm_sq`` gives them.
+    """
+    ells = np.arange(max_degree + 1, dtype=float)
+    out = per_degree(np.stack(
+        [(ells + 1.0) * (2.0 * ells + 1.0), ells * (2.0 * ells + 1.0), ells * (ells + 1.0)],
+        axis=1,
+    ))
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _mode_indices(max_degree: int) -> tuple[np.ndarray, ...]:
+    """Per scalar mode p = (l, m), as read-only arrays: l; the packed
+    Legendre row; the normalisation c_m (sqrt(2) for m != 0) as a column;
+    (C/S row, power) index pairs of the tangential factor T(x, y), which
+    is C[|m|], or S[|m|] for m < 0, and of the two factors C/S[|m| - 1]
+    of its x and y derivatives; and those derivatives' integer factors
+    |m| and -m as a (2, L2, 1) array."""
+    ells = per_degree(np.arange(max_degree + 1))
+    ms = np.arange(ells.size) - ells * ells - ells
+    am = np.abs(ms)
+    neg = (ms < 0).astype(int)
+    out = (ells, _tri_index(ells, am), np.where(ms == 0, 1.0, sqrt(2.0))[:, None],
+           np.stack([neg, neg, 1 - neg]), np.stack([am, am - 1, am - 1]),
+           np.stack([am, -ms]).astype(float)[:, :, None])
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def _check_unit(s: np.ndarray) -> None:
-    r = np.linalg.norm(s, axis=-1)
-    if np.any(np.abs(r - 1.0) > UNIT_TOL):
+    r = np.sqrt(np.einsum("...c,...c->...", s, s))
+    if (np.abs(r - 1.0) > UNIT_TOL).any():
         raise ValueError("evaluation points must be unit vectors (|s| = 1 within 1e-12)")
 
 
@@ -102,39 +149,64 @@ def _tri_index(ell: int, m: int) -> int:
     return ell * (ell + 1) // 2 + m
 
 
-def _legendre_tables(z: np.ndarray, max_degree: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def _legendre_factors(max_degree: int) -> tuple:
+    """Constants of the recurrences in ``_legendre_tables``.
+
+    The packed rows of the diagonal entries Q[l,l] and their values (as a
+    column); the rows of the first off-diagonal Q[l+1,l] = c z Q[l,l] and
+    the factors c and c Q[l,l] (columns); per degree l, the three-term
+    factors (a, b) of the orders m <= l - 2 (columns).
+    """
+    diag, first, a, b = [], [], [], []
+    d = 1.0 / sqrt(4.0 * pi)
+    for m in range(max_degree + 1):
+        if m > 0:
+            d *= sqrt((2.0 * m + 1.0) / (2.0 * m))
+        diag.append(d)
+        first.append(sqrt(2.0 * m + 3.0))
+    for ell in range(max_degree + 1):
+        ms = range(max(ell - 1, 0))
+        a.append(np.array([
+            sqrt((2.0 * ell - 1.0) * (2.0 * ell + 1.0) / ((ell - m) * (ell + m))) for m in ms
+        ])[:, None])
+        b.append(np.array([
+            sqrt((2.0 * ell + 1.0) * (ell - 1.0 - m) * (ell - 1.0 + m)
+                 / ((2.0 * ell - 3.0) * (ell - m) * (ell + m))) for m in ms
+        ])[:, None])
+    ms = np.arange(max_degree)
+    diag, first = np.array(diag)[:, None], np.array(first[:-1])[:, None]
+    return (_tri_index(np.arange(max_degree + 1), np.arange(max_degree + 1)), diag,
+            _tri_index(ms + 1, ms), first, first * diag[:-1], a, b)
+
+
+def _legendre_tables(z: np.ndarray, max_degree: int) -> np.ndarray:
     """Normalized associated Legendre values with sin^m factored out.
 
-    Returns arrays (Q, dQ) of shape (n_pairs, len(z)) packed by
-    ``_tri_index`` such that the orthonormal harmonic is
-    ``c_m * Q[l,m](z) * Re/Im[(x+iy)^m]`` with c_m = sqrt(2) for m > 0.
-    dQ is the derivative in z.
+    Returns one array (2, n_pairs, len(z)) holding Q and its derivative
+    in z, dQ, packed by ``_tri_index`` such that the orthonormal harmonic
+    is ``c_m * Q[l,m](z) * Re/Im[(x+iy)^m]`` with c_m = sqrt(2) for m > 0.
+    The diagonal and first off-diagonal entries are set for all degrees
+    at once; each further degree l is one contiguous block of rows,
+    filled from the two blocks before it for all orders at once.
     """
     z = np.asarray(z, dtype=float)
     n = max_degree + 1
-    npairs = n * (n + 1) // 2
-    Q = np.zeros((npairs, z.size))
-    dQ = np.zeros((npairs, z.size))
-
-    diag = 1.0 / sqrt(4.0 * pi)
-    for m in range(0, n):
-        if m > 0:
-            diag *= sqrt((2.0 * m + 1.0) / (2.0 * m))
-        Q[_tri_index(m, m)] = diag
-        if m + 1 <= max_degree:
-            c = sqrt(2.0 * m + 3.0)
-            Q[_tri_index(m + 1, m)] = c * z * diag
-            dQ[_tri_index(m + 1, m)] = c * diag
-        for ell in range(m + 2, n):
-            a = sqrt((2.0 * ell - 1.0) * (2.0 * ell + 1.0) / ((ell - m) * (ell + m)))
-            b = sqrt(
-                (2.0 * ell + 1.0) * (ell - 1.0 - m) * (ell - 1.0 + m)
-                / ((2.0 * ell - 3.0) * (ell - m) * (ell + m))
-            )
-            i0, i1, i2 = _tri_index(ell, m), _tri_index(ell - 1, m), _tri_index(ell - 2, m)
-            Q[i0] = a * z * Q[i1] - b * Q[i2]
-            dQ[i0] = a * (Q[i1] + z * dQ[i1]) - b * dQ[i2]
-    return Q, dQ
+    QdQ = np.zeros((2, n * (n + 1) // 2, z.size))
+    Q, dQ = QdQ
+    diag_rows, diag, first_rows, first, first_diag, a, b = _legendre_factors(max_degree)
+    Q[diag_rows] = diag
+    Q[first_rows] = first * z * diag[:-1]
+    dQ[first_rows] = first_diag
+    for ell in range(2, n):
+        cur = slice(_tri_index(ell, 0), _tri_index(ell, 0) + ell - 1)
+        q1 = slice(_tri_index(ell - 1, 0), _tri_index(ell - 1, 0) + ell - 1)
+        q2 = slice(_tri_index(ell - 2, 0), _tri_index(ell - 2, 0) + ell - 1)
+        np.multiply(a[ell] * z, Q[q1], out=Q[cur])
+        Q[cur] -= b[ell] * Q[q2]
+        np.multiply(a[ell], Q[q1] + z * dQ[q1], out=dQ[cur])
+        dQ[cur] -= b[ell] * dQ[q2]
+    return QdQ
 
 
 def scalar_basis(points: np.ndarray, max_degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -156,41 +228,36 @@ def scalar_basis(points: np.ndarray, max_degree: int) -> tuple[np.ndarray, np.nd
     T = s.shape[0]
     n = max_degree + 1
 
-    Q, dQ = _legendre_tables(z, max_degree)
+    QdQ = _legendre_tables(z, max_degree)
 
-    # C[m] + i S[m] = (x + i y)^m
-    C = np.zeros((n, T))
-    S = np.zeros((n, T))
+    # C[m] + i S[m] = (x + i y)^m, stacked as CS = (C, S)
+    CS = np.zeros((2, n, T))
+    C, S = CS
     C[0] = 1.0
     for m in range(1, n):
-        C[m] = x * C[m - 1] - y * S[m - 1]
-        S[m] = x * S[m - 1] + y * C[m - 1]
+        np.multiply(x, C[m - 1], out=C[m])
+        C[m] -= y * S[m - 1]
+        np.multiply(x, S[m - 1], out=S[m])
+        S[m] += y * C[m - 1]
 
-    L2 = num_scalar_modes(max_degree)
-    Y = np.zeros((L2, T))
-    grad = np.zeros((L2, T, 3))
-    sqrt2 = sqrt(2.0)
-
-    for ell in range(n):
-        for m in range(-ell, ell + 1):
-            am = abs(m)
-            q = Q[_tri_index(ell, am)]
-            dq = dQ[_tri_index(ell, am)]
-            c = 1.0 if m == 0 else sqrt2
-            if m >= 0:
-                tangent, dtx, dty = C[am], am * C[am - 1], -am * S[am - 1]
-            else:
-                tangent, dtx, dty = S[am], am * S[am - 1], am * C[am - 1]
-            p = sh_index(ell, m)
-            Y[p] = c * q * tangent
-            # gradient of the polynomial extension c * Q(z) * T(x, y)
-            grad[p, :, 0] = c * q * dtx
-            grad[p, :, 1] = c * q * dty
-            grad[p, :, 2] = c * dq * tangent
+    # Y = c Q(z) T(x, y); the m = 0 modes index C[-1] for the derivative
+    # factors, which only ever meets their zero factor |m|
+    _, tri, cq, cs_rows, cs_cols, factors = _mode_indices(max_degree)
+    q, dq = cq * QdQ[:, tri]
+    tangents = CS[cs_rows, cs_cols]
+    Y = q * tangents[0]
+    # gradient of the polynomial extension c * Q(z) * T(x, y), one
+    # component at a time to keep the temporaries small
+    grad = np.empty(Y.shape + (3,))
+    for c in range(2):
+        np.multiply(q, factors[c] * tangents[1 + c], out=grad[:, :, c])
+    np.multiply(dq, tangents[0], out=grad[:, :, 2])
+    del q, dq, tangents, QdQ
 
     # project out the radial component: grad_s = (I - s s^T) grad
     radial = np.einsum("ptc,tc->pt", grad, s)
-    grad -= radial[:, :, None] * s[None, :, :]
+    for c in range(3):
+        grad[:, :, c] -= radial * s[:, c]
     return Y, grad
 
 
@@ -213,13 +280,54 @@ def vsh_basis(points: np.ndarray, max_degree: int) -> VshBasis:
     """Evaluate all three vector families at the given unit points."""
     s = np.atleast_2d(np.asarray(points, dtype=float))
     Y, grad = scalar_basis(s, max_degree)
-    L2 = Y.shape[0]
-    ells = np.array([sh_degree_order(p)[0] for p in range(L2)], dtype=float)
-    Yn = Y[:, :, None] * s[None, :, :]
-    V = grad - (ells + 1.0)[:, None, None] * Yn
-    W = grad + ells[:, None, None] * Yn
-    X = np.cross(np.broadcast_to(s[None, :, :], grad.shape), grad)
+    # X = s x grad, written out: np.cross costs more than the products at
+    # the few points of one quadrature rule.  In-place steps keep the
+    # temporaries to one component.
+    X = np.empty_like(grad)
+    for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(s[:, i], grad[:, :, j], out=X[:, :, c])
+        X[:, :, c] -= s[:, j] * grad[:, :, i]
+    ells = _mode_indices(max_degree)[0][:, None, None]
+    Yn = Y[:, :, None] * s
+    W = ells * Yn
+    W += grad  # grad + l Y n
+    Yn *= ells + 1.0
+    V = np.subtract(grad, Yn, out=grad)  # grad - (l+1) Y n
     return VshBasis(max_degree=max_degree, points=s, Y=Y, V=V, W=W, X=X)
+
+
+# Weighted bases up to this size stay cached (degree 8 and below at the
+# assembly rule).  Larger ones are rebuilt per call: a cached degree-16 or
+# degree-20 basis (9 MB and 19 MB) raised the peak memory of a three-sphere
+# solve by as much, while rebuilding it costs little next to that solve.
+_CACHED_BASIS_BYTES = 2**20
+
+
+def weighted_basis(rule: LebedevRule, max_degree: int) -> np.ndarray:
+    """Weighted basis at the rule's nodes as a read-only (3 L2, 3 T) matrix.
+
+    Row 3 p + k holds w_t Y^k_p(s_t) flattened over (node t, component
+    c), so a product with a field sampled at the nodes (flattened the
+    same way) gives its unnormalised Galerkin moments.  Projection, the
+    assembly's test side and the matrix-free product share one cached
+    copy per (rule, degree) when it is small.
+    """
+    if 9 * num_scalar_modes(max_degree) * rule.size * 8 <= _CACHED_BASIS_BYTES:
+        return _cached_weighted_basis(rule, max_degree)
+    return _weighted_basis(rule, max_degree)
+
+
+def _weighted_basis(rule: LebedevRule, max_degree: int) -> np.ndarray:
+    basis = vsh_basis(rule.points, max_degree)
+    rows = np.empty((basis.V.shape[0], 3) + basis.V.shape[1:])  # (L2, 3, T, 3)
+    for k, fam in enumerate((basis.V, basis.W, basis.X)):
+        np.multiply(fam, rule.weights[:, None], out=rows[:, k])
+    rows = rows.reshape(3 * rows.shape[0], -1)
+    rows.setflags(write=False)
+    return rows
+
+
+_cached_weighted_basis = lru_cache(maxsize=8)(_weighted_basis)
 
 
 def eval_Y(ell: int, m: int, s) -> float:
@@ -366,12 +474,7 @@ class VshExpansion:
 
     def norm_weights(self) -> np.ndarray:
         """Squared basis norms aligned with ``coeffs``; zero on degenerate modes."""
-        w = np.zeros_like(self.coeffs)
-        for p in range(self.coeffs.shape[0]):
-            ell, _ = sh_degree_order(p)
-            for k in Family:
-                w[p, int(k)] = norm_sq(ell, k)
-        return w
+        return norm_sq_table(self.max_degree).copy()
 
     def l2_norm(self) -> float:
         """Surface L2 norm of the represented field."""
@@ -393,18 +496,10 @@ def project(fn, frame: SphereFrame, max_degree: int, rule: LebedevRule) -> VshEx
     values = np.asarray(fn(frame.surface_points(rule)), dtype=float)
     if values.shape != (rule.size, 3):
         raise ValueError(f"field returned shape {values.shape}, expected {(rule.size, 3)}")
-    basis = vsh_basis(rule.points, max_degree)
-    wvals = values * rule.weights[:, None]
-    out = VshExpansion.zeros(sphere_id=-1, max_degree=max_degree)
-    for k in Family:
-        fam = basis.family(k)
-        raw = np.einsum("ptc,tc->p", fam, wvals)
-        for p in range(raw.size):
-            ell, _ = sh_degree_order(p)
-            if ell == 0 and k != Family.V:
-                continue
-            out.coeffs[p, int(k)] = raw[p] / norm_sq(ell, k)
-    return out
+    raw = (weighted_basis(rule, max_degree) @ values.reshape(-1)).reshape(-1, 3)
+    norms = norm_sq_table(max_degree)
+    coeffs = np.divide(raw, norms, out=np.zeros_like(raw), where=norms > 0.0)
+    return VshExpansion(sphere_id=-1, max_degree=max_degree, coeffs=coeffs)
 
 
 def reconstruct(expansion: VshExpansion, directions: np.ndarray) -> np.ndarray:

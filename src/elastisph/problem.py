@@ -22,7 +22,7 @@ import numpy as np
 
 from .harmonics import Family, VshExpansion, num_scalar_modes, project, sh_index
 from .materials import LameParams, lambda_to_poisson, poisson_to_lambda  # noqa: F401
-from .quadrature import LebedevRule, SphereFrame, rule_for_degree
+from .quadrature import MAX_DEGREE, LebedevRule, SphereFrame, rule_for_degree
 
 ROLE_TRANSMISSION = "transmission"
 ROLE_NEUMANN = "neumann"
@@ -192,6 +192,13 @@ def validate(config: ProblemConfig, net_load_tol: float = 1e-8) -> ProblemConfig
             errors.append(f"Neumann sphere {s.id} must not carry a material")
     if config.degree < 1:
         errors.append("expansion degree must be at least 1")
+    needed = 2 * config.degree + max(config.quad_margin, 0)
+    if needed > MAX_DEGREE:
+        errors.append(
+            f"expansion degree {config.degree} needs a quadrature rule of degree "
+            f"{needed} (2N + quad_margin), above the largest Lebedev rule "
+            f"(degree {MAX_DEGREE})"
+        )
     if errors:
         raise ValidationError(errors)
 

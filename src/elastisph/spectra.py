@@ -50,20 +50,12 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown spectra mode {mode!r}; expected one of {MODES}")
 
 
-@dataclass(frozen=True)
-class LayerEigs:
-    """Eigenvalues of the boundary operators at one degree."""
-
-    ell: int
-    tau_single: tuple[float, float, float]
-    tau_adjdouble: tuple[float, float, float]
-
-
 def single_layer_eigs(ell: int, params: LameParams) -> tuple[float, float, float]:
     """Diagonal of the single layer boundary operator at degree ell.
 
     The W and X entries at ell = 0 are returned for completeness but
-    correspond to identically-zero harmonics and are never used.
+    correspond to identically-zero harmonics and are never used.  An
+    integer array of degrees gives arrays of eigenvalues.
     """
     mu, lam = params.mu, params.lam
     denom = mu * (2.0 * mu + lam)
@@ -83,7 +75,7 @@ def adjoint_double_eigs(
     The first two entries follow the published closed form; the toroidal
     entry is -3/(2(2l+1)) in self-consistent mode (forced by the
     traction traces of the single layer) versus the published
-    1/(2 mu (2l+1)).
+    1/(2 mu (2l+1)).  An integer array of degrees gives arrays.
     """
     _check_mode(mode)
     mu, lam = params.mu, params.lam
@@ -101,14 +93,6 @@ def adjoint_double_eigs(
     return t1, t2, t3
 
 
-def layer_eigs(ell: int, params: LameParams, mode: str = DEFAULT_MODE) -> LayerEigs:
-    return LayerEigs(
-        ell=ell,
-        tau_single=single_layer_eigs(ell, params),
-        tau_adjdouble=adjoint_double_eigs(ell, params, mode),
-    )
-
-
 def _sl_coupling_in(ell: int, params: LameParams) -> float:
     # coefficient of (rho^{l+1} - rho^{l-1}) in the interior W row, V column
     mu, lam = params.mu, params.lam
@@ -121,41 +105,59 @@ def _sl_coupling_out(ell: int, params: LameParams) -> float:
     return ell * (mu + lam) / (2.0 * (2.0 * ell + 1.0) * mu * (2.0 * mu + lam))
 
 
-def single_layer_matrix(ell: int, params: LameParams, rho, side: str) -> np.ndarray:
+@lru_cache(maxsize=256)
+def _single_layer_table(params: LameParams, max_degree: int) -> np.ndarray:
+    """Coefficients of ``single_layer_matrix`` for degrees 0..max_degree.
+
+    Rows: t1, t2, t3, the interior and the exterior coupling.  The rows
+    of entries that exist only from degree 1 on are zero at degree 0.
+    Read-only.
+    """
+    ells = np.arange(max_degree + 1)
+    table = np.array([*single_layer_eigs(ells, params),
+                      _sl_coupling_in(ells, params), _sl_coupling_out(ells, params)])
+    table[1:, 0] = 0.0
+    table.setflags(write=False)
+    return table
+
+
+def single_layer_matrix(ell, params: LameParams, rho, side: str) -> np.ndarray:
     """Radius-dependent matrix of the single layer potential.
 
     ``rho`` is the scaled radius |x - x0| / r (scalar or array); columns
     are the density family, rows the component family of the result.
     ``side`` must match rho ('in': rho <= 1, 'out': rho >= 1).  At
-    ell = 0 the degenerate W/X rows and columns are zeroed.
+    ell = 0 the degenerate W/X rows and columns are zeroed.  ``ell`` is
+    one degree or an integer array of degrees; the result has shape
+    ``np.shape(ell) + rho.shape + (3, 3)``.
     """
     rho = np.asarray(rho, dtype=float)
     if side == "in":
-        if np.any(rho > 1.0 + 1e-12):
+        if (rho > 1.0 + 1e-12).any():
             raise ValueError("side='in' requires rho <= 1")
     elif side == "out":
-        if np.any(rho < 1.0 - 1e-12):
+        if (rho < 1.0 - 1e-12).any():
             raise ValueError("side='out' requires rho >= 1")
     else:
         raise ValueError(f"side must be 'in' or 'out', got {side!r}")
-    t1, t2, t3 = single_layer_eigs(ell, params)
-    out = np.zeros(rho.shape + (3, 3))
+    ells = np.asarray(ell)
+    ell = ells.reshape(ells.shape + (1,) * rho.ndim)
+    t1, t2, t3, c_in, c_out = _single_layer_table(params, int(ells.max()))[:, ell]
+    out = np.zeros(ells.shape + rho.shape + (3, 3))
     if side == "in":
-        out[..., 0, 0] = t1 * rho ** (ell + 1)
-        if ell >= 1:
-            out[..., 1, 0] = _sl_coupling_in(ell, params) * (
-                rho ** (ell + 1) - rho ** (ell - 1)
-            )
-            out[..., 1, 1] = t2 * rho ** (ell - 1)
-            out[..., 2, 2] = t3 * rho ** ell
+        # the exponent l - 1 is clipped at 0 so that the degree-0 powers,
+        # which meet zero coefficients, stay finite at rho = 0
+        hi, lo = rho ** (ell + 1), rho ** np.maximum(ell - 1, 0)
+        out[..., 0, 0] = t1 * hi
+        out[..., 1, 0] = c_in * (hi - lo)
+        out[..., 1, 1] = t2 * lo
+        out[..., 2, 2] = t3 * rho ** ell
     else:
-        out[..., 0, 0] = t1 * rho ** (-ell - 2)
-        if ell >= 1:
-            out[..., 0, 1] = _sl_coupling_out(ell, params) * (
-                rho ** (-ell - 2) - rho ** (-ell)
-            )
-            out[..., 1, 1] = t2 * rho ** (-ell)
-            out[..., 2, 2] = t3 * rho ** (-ell - 1)
+        hi, lo = rho ** (-ell - 2), rho ** (-ell)
+        out[..., 0, 0] = t1 * hi
+        out[..., 0, 1] = c_out * (hi - lo)
+        out[..., 1, 1] = t2 * lo
+        out[..., 2, 2] = t3 * rho ** (-ell - 1)
     return out
 
 
@@ -382,7 +384,7 @@ def single_layer_profiles(ell: int, params: LameParams, side: str) -> np.ndarray
     rows = np.zeros((3, 6))
     if side == "in":
         cin = _sl_coupling_in(ell, params) if ell >= 1 else 0.0
-        rows[0] = [t1, (ell + 1.0) * t1, cin * 0.0, 2.0 * cin, 0.0, 0.0]
+        rows[0] = [t1, (ell + 1.0) * t1, 0.0, 2.0 * cin, 0.0, 0.0]
         if ell >= 1:
             rows[1] = [0.0, 0.0, t2, (ell - 1.0) * t2, 0.0, 0.0]
             rows[2] = [0.0, 0.0, 0.0, 0.0, t3, ell * t3]
@@ -390,7 +392,7 @@ def single_layer_profiles(ell: int, params: LameParams, side: str) -> np.ndarray
         cout = _sl_coupling_out(ell, params) if ell >= 1 else 0.0
         rows[0] = [t1, -(ell + 2.0) * t1, 0.0, 0.0, 0.0, 0.0]
         if ell >= 1:
-            rows[1] = [-2.0 * cout * 0.0, -2.0 * cout, t2, -ell * t2, 0.0, 0.0]
+            rows[1] = [0.0, -2.0 * cout, t2, -ell * t2, 0.0, 0.0]
             rows[2] = [0.0, 0.0, 0.0, 0.0, t3, -(ell + 1.0) * t3]
     return rows
 

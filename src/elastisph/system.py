@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import pi, sqrt
 
 import numpy as np
 from scipy.linalg import lstsq as _lstsq
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .harmonics import Family, VshExpansion, norm_sq, num_scalar_modes, sh_degree_order, vsh_basis
+from .harmonics import Family, VshExpansion, norm_sq_table, num_scalar_modes, per_degree, vsh_basis, weighted_basis
 from .materials import LameParams
 from .problem import ProblemConfig, ROLE_TRANSMISSION, SphereSpec, build_sigma
 from .quadrature import LebedevRule
@@ -35,6 +36,14 @@ from .spectra import DEFAULT_MODE, MODE_SELF_CONSISTENT, adjoint_double_eigs, si
 
 class SolverError(RuntimeError):
     """Raised when the linear solver cannot produce a usable solution."""
+
+
+@lru_cache(maxsize=None)
+def _active_mask(degree: int) -> np.ndarray:
+    mask = np.ones(3 * num_scalar_modes(degree), dtype=bool)
+    mask[[1, 2]] = False
+    mask.setflags(write=False)
+    return mask
 
 
 @dataclass(frozen=True)
@@ -64,9 +73,8 @@ class DofMap:
         return 3 * num_scalar_modes(self.degree) * len(self.sphere_ids)
 
     def active_mask(self) -> np.ndarray:
-        mask = np.ones(3 * num_scalar_modes(self.degree), dtype=bool)
-        mask[[1, 2]] = False
-        return mask
+        """Read-only boolean mask of the active modes in the canonical order."""
+        return _active_mask(self.degree)
 
     def sphere_slice(self, position: int) -> slice:
         n = self.modes_per_sphere
@@ -121,6 +129,22 @@ class Solution:
         return {sid: self.trace(sid) for sid in self.dofmap.sphere_ids}
 
 
+def _c_rows(role: str, material: LameParams | None, sign: int, background: LameParams,
+            ells, mode: str) -> np.ndarray:
+    """(V, W, X) eigenvalues of the local trace-to-density operator.
+
+    ``ells`` is one degree or an integer array of them; the result has
+    shape ``np.shape(ells) + (3,)``.
+    """
+    tau0_v = np.stack(single_layer_eigs(ells, background), axis=-1)
+    tau0_k = np.stack(adjoint_double_eigs(ells, background, mode), axis=-1)
+    if role == ROLE_TRANSMISSION:
+        tauj_v = np.stack(single_layer_eigs(ells, material), axis=-1)
+        tauj_k = np.stack(adjoint_double_eigs(ells, material, mode), axis=-1)
+        return 0.5 * (1.0 / tau0_v - 1.0 / tauj_v) + (tau0_k / tau0_v - tauj_k / tauj_v)
+    return (0.5 + sign * tau0_k) / tau0_v
+
+
 def c_coefficient(
     sphere: SphereSpec,
     background: LameParams,
@@ -134,97 +158,123 @@ def c_coefficient(
     double-layer eigenvalues of both materials; Neumann spheres use the
     background ones with the orientation sign.
     """
-    k = int(family)
-    tau0_v = single_layer_eigs(ell, background)[k]
-    tau0_k = adjoint_double_eigs(ell, background, mode)[k]
-    if sphere.role == ROLE_TRANSMISSION:
-        tauj_v = single_layer_eigs(ell, sphere.material)[k]
-        tauj_k = adjoint_double_eigs(ell, sphere.material, mode)[k]
-        return 0.5 * (1.0 / tau0_v - 1.0 / tauj_v) + (tau0_k / tau0_v - tauj_k / tauj_v)
-    return (0.5 + sphere.sign * tau0_k) / tau0_v
+    rows = _c_rows(sphere.role, sphere.material, sphere.sign, background, ell, mode)
+    return float(rows[int(family)])
 
 
-def _c_vector(sphere: SphereSpec, background: LameParams, degree: int, mode: str) -> np.ndarray:
-    """C coefficients over the full (mode, family) layout, flat (3 L2,)."""
-    L2 = num_scalar_modes(degree)
-    out = np.zeros((L2, 3))
-    for ell in range(degree + 1):
-        fams = (Family.V,) if ell == 0 else (Family.V, Family.W, Family.X)
-        vals = [c_coefficient(sphere, background, ell, f, mode) for f in fams]
-        for p in range(ell * ell, (ell + 1) * (ell + 1)):
-            for f, v in zip(fams, vals):
-                out[p, int(f)] = v
-    return out.reshape(-1)
+@lru_cache(maxsize=64)
+def _c_vector(role: str, material: LameParams | None, sign: int, background: LameParams,
+              degree: int, mode: str) -> np.ndarray:
+    """C coefficients of one kind of sphere over the active modes, (n_a,)."""
+    table = _c_rows(role, material, sign, background, np.arange(degree + 1), mode)
+    return _active_read_only(per_degree(table).reshape(-1), degree)
 
 
-def _norms_vector(degree: int) -> np.ndarray:
-    L2 = num_scalar_modes(degree)
-    out = np.zeros((L2, 3))
-    for p in range(L2):
-        ell, _ = sh_degree_order(p)
-        for k in Family:
-            out[p, int(k)] = norm_sq(ell, k)
-    return out.reshape(-1)
+@lru_cache(maxsize=64)
+def _norms_tau0(background: LameParams, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squared basis norms and background single-layer eigenvalues over the
+    active modes, (n_a,) each."""
+    tau0 = np.stack(single_layer_eigs(np.arange(degree + 1), background), axis=-1)
+    return (_active_read_only(norm_sq_table(degree).reshape(-1), degree),
+            _active_read_only(per_degree(tau0).reshape(-1), degree))
 
 
-def _tau_v_vector(params: LameParams, degree: int) -> np.ndarray:
-    L2 = num_scalar_modes(degree)
-    out = np.zeros((L2, 3))
-    for ell in range(degree + 1):
-        taus = single_layer_eigs(ell, params)
-        for p in range(ell * ell, (ell + 1) * (ell + 1)):
-            out[p] = taus
-    out[0, 1] = out[0, 2] = 0.0
-    return out.reshape(-1)
+def _active_read_only(flat: np.ndarray, degree: int) -> np.ndarray:
+    out = flat[_active_mask(degree)]
+    out.setflags(write=False)
+    return out
 
 
-def _basis_stack(points: np.ndarray, degree: int) -> np.ndarray:
-    """All families at the given directions as one ((3 L2), T, 3) stack.
+# Bound on one chunk's working set.  Its measured peak (basis evaluation,
+# single-layer factors, fields, blocks and their temporaries) is about
+# _PAIR_DOUBLES doubles per pair, source mode and node.  From degree 6 on,
+# at the assembly rule, one pair alone exceeds the bound and runs as a
+# chunk of one.
+_CHUNK_BYTES = 5 * 2**18
+_PAIR_DOUBLES = 28
 
-    Flat index 3 p + k matches the canonical coefficient order.
+
+def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap):
+    """Raw Galerkin coupling blocks of all ordered sphere pairs, in chunks.
+
+    Yields ``(ipos, jpos, raw)`` for consecutive chunks of the pairs
+    (target ``ipos[n]``, source ``jpos[n]``) of distinct spheres; the pairs
+    whose source is the enclosing sphere come first.  ``raw[n]`` is the
+    (n_a, n_a) block coupling source ``jpos[n]``'s densities (columns,
+    active modes) into the test modes of target ``ipos[n]`` (rows).
+    Entry ((p,k), (p',k')) is
+
+        sum_t w_t Y^k_p(s_t) . [Ybar_p'(y/|y|) A_S(|y|/r_src)]_k'
+
+    with y = x_tgt + r_tgt s_t - x_src; the single-layer matrices use the
+    'in' side exactly on the nodes whose source is the enclosing sphere.
+    No C factors and no radius factors.  Each chunk takes one basis
+    evaluation over the mapped nodes of all its pairs, one single-layer
+    evaluation over all degrees per side, and one product against the
+    test rows, which are the same for every target.
     """
-    basis = vsh_basis(points, degree)
-    stacked = np.stack([basis.V, basis.W, basis.X], axis=1)  # (L2, 3, T, 3)
-    L2 = stacked.shape[0]
-    return stacked.reshape(3 * L2, stacked.shape[2], 3)
+    rows = weighted_basis(rule, dofmap.degree)[dofmap.active_mask()]
+    M = len(config.spheres)
+    centers = np.array([s.frame.center for s in config.spheres], dtype=float)
+    radii = np.array([s.frame.radius for s in config.spheres])
+    enclosing = np.array([s.enclosing for s in config.spheres])
+    targets, sources = np.nonzero(~np.eye(M, dtype=bool))
+    first = np.argsort(~enclosing[sources], kind="stable")
+    targets, sources = targets[first], sources[first]
+    pair_bytes = _PAIR_DOUBLES * num_scalar_modes(dofmap.degree) * rule.size * 8
+    per_chunk = max(1, _CHUNK_BYTES // pair_bytes)
+    for c0 in range(0, targets.size, per_chunk):
+        ipos, jpos = targets[c0:c0 + per_chunk], sources[c0:c0 + per_chunk]
+        y = centers[ipos][:, None, :] + radii[ipos][:, None, None] * rule.points
+        y = (y - centers[jpos][:, None, :]).reshape(-1, 3)
+        yield ipos, jpos, _chunk_blocks(config.background, rule, dofmap.degree, rows, y,
+                                        radii[jpos], int(enclosing[jpos].sum()))
 
 
-def _pair_matrix(
-    target: SphereSpec,
-    source: SphereSpec,
-    background: LameParams,
-    degree: int,
-    rule: LebedevRule,
-    test_rows: np.ndarray,
-) -> np.ndarray:
-    """Raw Galerkin coupling of source-sphere densities into target modes.
+def _chunk_blocks(background: LameParams, rule: LebedevRule, degree: int, rows: np.ndarray,
+                  y: np.ndarray, src_radii: np.ndarray, n_in: int) -> np.ndarray:
+    """Raw blocks of one chunk of pairs, (pairs, n_a, n_a); see ``_pair_blocks``.
 
-    Entry ((p,k), (p',k')) is  sum_t w_t Y^k_p(s_t) . [Ybar_p'(y/|y|)
-    A_S(y/r_src)]_k'  with y = x_tgt + r_tgt s_t - x_src; the
-    single-layer eigen-matrices use the 'in' side exactly when the
-    source is the enclosing sphere.  No C factors and no radius factors.
+    ``y`` holds x_tgt + r_tgt s_t - x_src pair-major, and the first
+    ``n_in`` pairs take the 'in' side.  A function of its own so that the
+    chunk's temporaries are freed before the next one.
     """
-    y = target.frame.center_array + target.frame.radius * rule.points - source.frame.center_array
-    dist = np.linalg.norm(y, axis=1)
-    rho = dist / source.frame.radius
-    dirs = y / dist[:, None]
-    side = "in" if source.enclosing else "out"
-    src_basis = vsh_basis(dirs, degree)
-    fams = np.stack([src_basis.V, src_basis.W, src_basis.X], axis=0)  # (3, L2, T, 3)
-    L2 = num_scalar_modes(degree)
-    G = np.zeros((L2, 3, rule.size, 3))
+    L2, T, n = num_scalar_modes(degree), rule.size, src_radii.size
+    ells = np.arange(degree + 1)
+    dist = np.sqrt((y * y).sum(axis=1))
+    basis = vsh_basis(y / dist[:, None], degree)
+    V, W, X = basis.V, basis.W, basis.X
+    del basis
+    rho = dist / np.repeat(src_radii, T)
+    A = np.empty((degree + 1, rho.size, 3, 3))
+    for side, nodes in (("in", slice(None, n_in * T)), ("out", slice(n_in * T, None))):
+        if rho[nodes].size:
+            A[:, nodes] = single_layer_matrix(ells, background, rho[nodes], side)
+    # the field of density family q at each node is sum_k (V, W, X)_k A_kq
+    G = np.empty((L2, 3, rho.size, 3))  # (source mode, density family, node, component)
     for ell in range(degree + 1):
-        A = single_layer_matrix(ell, background, rho, side)  # (T, 3, 3)
         sl = slice(ell * ell, (ell + 1) * (ell + 1))
-        G[sl] = np.einsum("kptc,tkq->pqtc", fams[:, sl], A)
-    Gf = G.reshape(3 * L2, rule.size * 3)
-    return test_rows @ Gf.T
+        G[sl] = np.einsum("kptc,tkq->pqtc", np.stack([V[sl], W[sl], X[sl]]), A[ell])
+    del V, W, X
+    raw = (rows @ G.reshape(3 * L2 * n, 3 * T).T).reshape(rows.shape[0], 3 * L2, n)
+    return raw[:, _active_mask(degree)].transpose(2, 0, 1)
 
 
-def _test_rows(rule: LebedevRule, degree: int) -> np.ndarray:
-    """Weighted test basis as a (3 L2, 3 T) matrix."""
-    stack = _basis_stack(rule.points, degree)  # (3L2, T, 3)
-    return (stack * rule.weights[None, :, None]).reshape(stack.shape[0], -1)
+def _diag_coupling(config: ProblemConfig, dofmap: DofMap, mode: str):
+    """Tables shared by assembly and the product, over the active modes.
+
+    Returns the squared norms <Y, Y> (n_a,), the background single-layer
+    eigenvalues tau0 (n_a,), the C vectors of all spheres (M, n_a) and
+    the exact diagonal blocks of N, C tau0 <Y, Y> (M, n_a).
+    """
+    norms, tau0 = _norms_tau0(config.background, dofmap.degree)
+    C = np.array([_c_vector(s.role, s.material, s.sign, config.background, dofmap.degree, mode)
+                  for s in config.spheres])
+    return norms, tau0, C, C * tau0 * norms
+
+
+def _dofmap(config: ProblemConfig) -> DofMap:
+    return DofMap(degree=config.degree, sphere_ids=tuple(s.id for s in config.spheres))
 
 
 def assemble(
@@ -243,32 +293,24 @@ def assemble(
         )
     if sigma is None:
         sigma = build_sigma(config, degree, rule)
-    dofmap = DofMap(degree=degree, sphere_ids=tuple(s.id for s in config.spheres))
+    dofmap = _dofmap(config)
     mask = dofmap.active_mask()
-    norms = _norms_vector(degree)
-    tau0 = _tau_v_vector(config.background, degree)
-    n = dofmap.size
-    D = np.tile(norms[mask], len(config.spheres))
-    Nmat = np.zeros((n, n))
-    F = np.zeros(n)
-
-    rows = _test_rows(rule, degree)
-    cvecs = {s.id: _c_vector(s, config.background, degree, mode) for s in config.spheres}
-
-    for ipos, tgt in enumerate(config.spheres):
-        rsl = dofmap.sphere_slice(ipos)
-        # exact diagonal block: C * tau0 * <Y, Y>
-        diag = (cvecs[tgt.id] * tau0 * norms)[mask]
-        np.fill_diagonal(Nmat[rsl, rsl], diag)
-        F[rsl] += (tgt.frame.radius * sigma[tgt.id].flat * tau0 * norms)[mask]
-        for jpos, src in enumerate(config.spheres):
-            if jpos == ipos:
-                continue
-            raw = _pair_matrix(tgt, src, config.background, degree, rule, rows)
-            Nmat[rsl, dofmap.sphere_slice(jpos)] = (raw * cvecs[src.id][None, :])[np.ix_(mask, mask)]
-            sig = sigma[src.id].flat
-            if np.any(sig):
-                F[rsl] += (src.frame.radius * (raw @ sig))[mask]
+    M, na = len(config.spheres), dofmap.modes_per_sphere
+    norms, tau0, C, diag = _diag_coupling(config, dofmap, mode)
+    sig = np.array([sigma[s.id].flat[mask] for s in config.spheres])
+    radii = np.array([s.frame.radius for s in config.spheres])
+    D = np.tile(norms, M)
+    Nmat = np.zeros((dofmap.size, dofmap.size))
+    # the diagonal blocks are exactly diagonal by orthogonality
+    Nmat.reshape(-1)[::dofmap.size + 1] = diag.reshape(-1)
+    blocks = Nmat.reshape(M, na, M, na)  # (target, target mode, source, source mode)
+    F = (radii[:, None] * sig * tau0 * norms).reshape(-1)
+    loaded = np.any(sig != 0.0, axis=1)
+    for ipos, jpos, raw in _pair_blocks(config, rule, dofmap):
+        blocks[ipos, :, jpos] = raw * C[jpos][:, None, :]
+        for n in np.flatnonzero(loaded[jpos]):
+            i, j = ipos[n], jpos[n]
+            F[dofmap.sphere_slice(i)] += radii[j] * (raw[n] @ sig[j])
     return DenseSystem(
         dofmap=dofmap, D=D, Nmat=Nmat, F=F, sigma=sigma,
         rule_degree=rule.degree, mode=mode,
@@ -284,36 +326,53 @@ def apply_operator(
 ) -> np.ndarray:
     """Matrix-free product (D - N) Lambda; never materializes N.
 
-    Block generation follows the same code path as ``assemble`` so the
+    The coupling blocks come from the same generator ``assemble`` reads,
+    one chunk at a time, and are dropped after their product, so the
     result agrees with the dense product to rounding error.
     """
     rule = config.rule() if rule is None else rule
-    degree = config.degree
-    dofmap = DofMap(degree=degree, sphere_ids=tuple(s.id for s in config.spheres))
-    mask = dofmap.active_mask()
-    norms = _norms_vector(degree)
-    tau0 = _tau_v_vector(config.background, degree)
-    rows = _test_rows(rule, degree)
-    cvecs = {s.id: _c_vector(s, config.background, degree, mode) for s in config.spheres}
-    out = np.tile(norms[mask], len(config.spheres)) * lam
-    for ipos, tgt in enumerate(config.spheres):
-        rsl = dofmap.sphere_slice(ipos)
-        acc = (cvecs[tgt.id] * tau0 * norms)[mask] * lam[rsl]
-        for jpos, src in enumerate(config.spheres):
-            if jpos == ipos:
-                continue
-            raw = _pair_matrix(tgt, src, config.background, degree, rule, rows)
-            block = (raw * cvecs[src.id][None, :])[np.ix_(mask, mask)]
-            acc = acc + block @ lam[dofmap.sphere_slice(jpos)]
-        out[rsl] -= acc
-    return out
+    dofmap = _dofmap(config)
+    norms, _tau0, C, diag = _diag_coupling(config, dofmap, mode)
+    lam = lam.reshape(len(config.spheres), -1)
+    scaled = C * lam
+    out = norms * lam - diag * lam
+    for ipos, jpos, raw in _pair_blocks(config, rule, dofmap):
+        np.subtract.at(out, ipos, np.einsum("nab,nb->na", raw, scaled[jpos]))
+    return out.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
 # rigid-motion null space and gauge
 # ---------------------------------------------------------------------------
 
-_AXIS_ORDER = (1, -1, 0)  # W/X order m for the x, y, z axes
+# active offsets of the degree-1 W and X modes of order m = 1, -1, 0, i.e.
+# of the x, y and z axes: 3 sh_index(1, m) + family, less the two
+# degenerate (l=0, W/X) slots that precede them
+_AXIS_W = np.array([3 * 3 + 1, 3 * 1 + 1, 3 * 2 + 1]) - 2
+_AXIS_X = _AXIS_W + 1
+# Levi-Civita symbol: (e_a x v)_b = eps[b, a, k] v_k
+_EPS = np.zeros((3, 3, 3))
+_EPS[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+_EPS[[0, 1, 2], [2, 0, 1], [1, 2, 0]] = -1.0
+
+
+def _rigid_traces(config: ProblemConfig, dofmap: DofMap, mode: str) -> np.ndarray:
+    """Traces of the rigid motions that (D - N) annihilates, (size, 3 or 6).
+
+    Column a < 3 is the translation along e_a, column 3 + a the rotation
+    about e_a; not orthonormalized.
+    """
+    c = sqrt(4.0 * pi / 3.0)
+    M = len(config.spheres)
+    rotations = mode == MODE_SELF_CONSISTENT
+    Z = np.zeros((M, dofmap.modes_per_sphere, 6 if rotations else 3))  # (sphere, mode, column)
+    Z[:, _AXIS_W, :3] = c * np.eye(3)
+    if rotations:
+        centers = np.array([s.frame.center for s in config.spheres], dtype=float)
+        radii = np.array([s.frame.radius for s in config.spheres])
+        Z[:, _AXIS_W, 3:] = c * (_EPS @ centers.T).transpose(2, 0, 1)  # c (e_a x center)
+        Z[:, _AXIS_X, 3 + np.arange(3)] = -c * radii[:, None]
+    return Z.reshape(M * dofmap.modes_per_sphere, -1)
 
 
 def rigid_trace_vectors(config: ProblemConfig, dofmap: DofMap, mode: str) -> np.ndarray:
@@ -326,40 +385,15 @@ def rigid_trace_vectors(config: ProblemConfig, dofmap: DofMap, mode: str) -> np.
     degree 1, so they are deflated only in that mode.  Returns a
     (size, 3 or 6) orthonormalized basis.
     """
-    c = sqrt(4.0 * pi / 3.0)
-    cols = []
-
-    def translation(vec: np.ndarray) -> dict[int, VshExpansion]:
-        out = {}
-        for s in config.spheres:
-            e = VshExpansion.zeros(s.id, dofmap.degree)
-            for axis, m in enumerate(_AXIS_ORDER):
-                e.set(1, m, Family.W, c * vec[axis])
-            out[s.id] = e
-        return out
-
-    for axis in range(3):
-        vec = np.eye(3)[axis]
-        cols.append(dofmap.insert(translation(vec)))
-    if mode == MODE_SELF_CONSISTENT:
-        for axis in range(3):
-            omega = np.eye(3)[axis]
-            exps = {}
-            for s in config.spheres:
-                const = np.cross(omega, s.frame.center_array)
-                e = VshExpansion.zeros(s.id, dofmap.degree)
-                for ax2, m in enumerate(_AXIS_ORDER):
-                    e.set(1, m, Family.W, c * const[ax2])
-                e.set(1, _AXIS_ORDER[axis], Family.X, -c * s.frame.radius)
-                exps[s.id] = e
-            cols.append(dofmap.insert(exps))
-    Z = np.stack(cols, axis=1)
-    q, _ = np.linalg.qr(Z)
+    q, _ = np.linalg.qr(_rigid_traces(config, dofmap, mode))
     return q
 
 
 def _gauge_project(x: np.ndarray, Z: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Remove rigid-trace components in the D-weighted inner product."""
+    """Remove rigid-trace components in the D-weighted inner product.
+
+    Any basis Z of the rigid traces gives the same projection.
+    """
     if Z.size == 0:
         return x
     G = Z.T @ (D[:, None] * Z)
@@ -396,6 +430,20 @@ def solve_direct(system: DenseSystem, config: ProblemConfig) -> Solution:
     )
 
 
+def _operator_inf_norm(system: DenseSystem, scale: np.ndarray) -> float:
+    """Infinity norm of diag(scale) (D - N), one block of rows at a time."""
+    D, Nmat = system.D, system.Nmat
+    n = D.size
+    step = max(1, _CHUNK_BYTES // (8 * n))
+    best = 0.0
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        block = -Nmat[r0:r1]
+        block[np.arange(r1 - r0), np.arange(r0, r1)] += D[r0:r1]
+        best = max(best, float(np.max(np.abs(scale[r0:r1]) * np.abs(block).sum(axis=1))))
+    return best
+
+
 def solve_iterative(
     system: DenseSystem,
     config: ProblemConfig,
@@ -404,22 +452,23 @@ def solve_iterative(
     restart: int = 50,
     row_scale: bool = False,
 ) -> Solution:
-    """Restarted GMRES with relative-residual stopping, then gauge projection."""
-    A = system.matrix
-    b = system.F
-    if row_scale:
-        scale = 1.0 / system.D
-        op_matrix = scale[:, None] * A
-        rhs = scale * b
-    else:
-        op_matrix = A
-        rhs = b
+    """Restarted GMRES with relative-residual stopping, then gauge projection.
+
+    The operator (D - N), row-scaled by 1/D on request, is applied as
+    ``D*v - Nmat@v``; no n x n copy of it is made.
+    """
+    D, Nmat, b = system.D, system.Nmat, system.F
+    scale = 1.0 / D if row_scale else np.ones_like(D)
+    rhs = scale * b
     count = {"iters": 0}
 
     def _cb(_):
         count["iters"] += 1
 
-    op = LinearOperator(A.shape, matvec=lambda v: op_matrix @ v)
+    def apply(v):
+        return scale * (D * v - Nmat @ v)
+
+    op = LinearOperator(Nmat.shape, matvec=apply, dtype=float)
     x, info = gmres(
         op, rhs, rtol=tol, atol=0.0, restart=restart, maxiter=max_iter,
         callback=_cb, callback_type="pr_norm",
@@ -432,10 +481,11 @@ def solve_iterative(
         # right-hand side (data-projection quadrature error); accept the
         # stalled iterate only if its residual is essentially orthogonal to
         # the range, certifying the remainder is genuinely incompatible
-        r = rhs - op_matrix @ x
+        r = rhs - apply(x)
         rnorm = np.linalg.norm(r)
-        ortho = np.linalg.norm(op_matrix.T @ r) / max(
-            rnorm * np.linalg.norm(op_matrix, ord=np.inf), 1e-300
+        sr = scale * r
+        ortho = np.linalg.norm(D * sr - Nmat.T @ sr) / max(
+            rnorm * _operator_inf_norm(system, scale), 1e-300
         )
         if ortho > 1e-2:
             raise SolverError(
@@ -443,10 +493,10 @@ def solve_iterative(
                 f"(achieved {rnorm / np.linalg.norm(rhs):.3e} relative)"
             )
         stalled_floor = float(rnorm / np.linalg.norm(rhs))
-    Z = rigid_trace_vectors(config, system.dofmap, system.mode)
+    Z = _rigid_traces(config, system.dofmap, system.mode)
     x = _gauge_project(x, Z, system.D)
     fnorm = np.linalg.norm(b)
-    resid = float(np.linalg.norm(A @ x - b) / fnorm) if fnorm > 0 else 0.0
+    resid = float(np.linalg.norm(D * x - Nmat @ x - b) / fnorm) if fnorm > 0 else 0.0
     diagnostics = {"deflated": Z.shape[1], "row_scaled": row_scale}
     if stalled_floor is not None:
         diagnostics["consistency_floor"] = stalled_floor

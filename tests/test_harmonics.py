@@ -11,6 +11,7 @@ from elastisph.harmonics import (
     eval_Y,
     mode_from_offset,
     norm_sq,
+    norm_sq_table,
     project,
     radial_profile_divergence,
     radial_profile_laplacian,
@@ -20,6 +21,7 @@ from elastisph.harmonics import (
     surface_gradient_Y,
     traction_of_radial_field,
     vsh_basis,
+    weighted_basis,
 )
 from elastisph.materials import LameParams
 from elastisph.quadrature import SphereFrame, rule_for_degree
@@ -201,6 +203,12 @@ class TestOrthogonality:
                 assert np.max(np.abs(gram - expected)) < 1e-10
 
 
+    def test_norm_table_matches_per_mode_norms(self):
+        table = norm_sq_table(6)
+        expected = [[norm_sq(sh_degree_order(p)[0], k) for k in Family] for p in range(49)]
+        assert np.array_equal(table, np.array(expected))
+
+
 class TestDerivativeIdentities:
     def central_div(self, field, x, h=1e-4):
         out = 0.0
@@ -331,6 +339,16 @@ class TestProjection:
         exp = project(fn, frame, 3, rule_for_degree(12))
         assert exp.coeffs[0, 1] == 0.0
         assert exp.coeffs[0, 2] == 0.0
+
+    def test_weighted_basis_cached_read_only(self):
+        rule = rule_for_degree(6)
+        rows = weighted_basis(rule, 3)
+        assert weighted_basis(rule, 3) is rows
+        assert not rows.flags.writeable
+        basis = vsh_basis(rule.points, 3)
+        t = 5
+        assert_allclose(rows[3 * 4 + 2].reshape(-1, 3)[t], rule.weights[t] * basis.X[4, t],
+                        rtol=1e-15)
 
     def test_rule_too_weak_rejected(self):
         frame = SphereFrame((0.0, 0.0, 0.0), 1.0)

@@ -111,6 +111,21 @@ class TestValidation:
         with pytest.raises(ValidationError, match="material"):
             validate(cfg)
 
+    def test_degree_beyond_largest_rule(self):
+        # 2N + quad_margin = 108 needs a rule above degree 107; with zero
+        # data nothing before assembly would load a rule
+        for degree, margin in ((54, 0), (50, 8)):
+            cfg = ProblemConfig(
+                spheres=single_neumann(degree=degree).spheres,
+                background=LameParams(1.0, 1.0), degree=degree, quad_margin=margin)
+            with pytest.raises(ValidationError, match="largest Lebedev rule") as err:
+                validate(cfg)
+            assert len(err.value.errors) == 1
+            assert "degree 107" in err.value.errors[0]
+            assert "degree 108" in err.value.errors[0]
+        # the largest degree the rule allows still validates
+        validate(single_neumann(BoundaryData(kind="linear", scale=-1.0), degree=53))
+
     def test_sign_bookkeeping(self):
         cfg = three_sphere_config(3)
         signs = [s.sign for s in cfg.spheres]

@@ -110,6 +110,19 @@ class TestSingleLayerMatrix:
                     assert abs(aout[k, k] - tau[k]) < 1e-14 * max(1, abs(tau[k]))
                 assert abs(ain[0, 1]) == 0.0 and abs(aout[1, 0]) == 0.0
 
+    def test_degree_array_matches_single_degrees(self):
+        # an array of degrees stacks the one-degree matrices; the centre
+        # rho = 0 stays finite on the interior side
+        rng = np.random.default_rng(4)
+        for side, rho in (("in", np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 50)])),
+                          ("out", np.concatenate([[1.0], rng.uniform(1, 30, 50)]))):
+            stacked = single_layer_matrix(np.arange(12), P11, rho, side)
+            assert stacked.shape == (12, rho.size, 3, 3)
+            for ell in range(12):
+                one = single_layer_matrix(ell, P11, rho, side)
+                assert_allclose(stacked[ell], one, rtol=1e-14, atol=1e-15 * np.abs(one).max())
+            assert np.all(np.isfinite(stacked))
+
     def test_side_mismatch(self):
         with pytest.raises(ValueError):
             single_layer_matrix(1, P11, np.array(1.5), "in")

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from elastisph import harmonics
+from elastisph import system as system_module
 from elastisph.harmonics import Family, VshExpansion, sh_index
 from elastisph.materials import LameParams
 from elastisph.presets import lattice_config, one_sphere_config, three_sphere_config
@@ -176,6 +180,52 @@ class TestMatvec:
         assert_allclose(apply_operator(cfg, e), system.matrix[:, 17], atol=1e-13)
 
 
+def _chunking_configs():
+    table3 = three_sphere_config(3)
+    return [
+        validate(table3),  # transmission, Neumann cavity, enclosing source
+        # enclosing sphere first: its 'in'-side nodes lead the mixed chunks
+        validate(dataclasses.replace(table3, spheres=table3.spheres[::-1])),
+        validate(lattice_config(1)),
+    ]
+
+
+class TestPairBlocks:
+    def test_chunk_of_one_pair_matches_default(self, monkeypatch):
+        for cfg in _chunking_configs():
+            for mode in (MODE_SELF_CONSISTENT, MODE_AS_PRINTED):
+                batched = assemble(cfg, mode=mode)
+                lam = np.random.default_rng(3).normal(size=batched.dofmap.size)
+                with monkeypatch.context() as m:
+                    m.setattr(system_module, "_CHUNK_BYTES", 1)
+                    single = assemble(cfg, mode=mode)
+                    mv = apply_operator(cfg, lam, mode=mode)
+                # chunks change only the blocking of the products
+                assert_allclose(single.Nmat, batched.Nmat, rtol=0,
+                                atol=1e-15 * np.abs(batched.Nmat).max())
+                assert_allclose(single.F, batched.F, rtol=0, atol=1e-15 * np.abs(batched.F).max())
+                dense = batched.D * lam - batched.Nmat @ lam
+                assert np.max(np.abs(mv - dense)) < 1e-13 * max(1.0, np.max(np.abs(dense)))
+
+    def test_basis_evaluations_per_assembly(self, monkeypatch):
+        # one basis evaluation per target and chunk of sources, plus the
+        # test basis and the data projection; one per pair would be 758
+        cfg = validate(lattice_config(2))
+        calls = []
+        original = harmonics.vsh_basis
+
+        def counting(points, max_degree):
+            calls.append(len(points))
+            return original(points, max_degree)
+
+        monkeypatch.setattr(harmonics, "vsh_basis", counting)
+        monkeypatch.setattr(system_module, "vsh_basis", counting)
+        assemble(cfg)
+        M = len(cfg.spheres)
+        assert M == 28
+        assert len(calls) <= 2 * M + 2
+
+
 class TestRigidModes:
     def test_null_vectors(self):
         cfg = validate(three_sphere_config(4))
@@ -185,6 +235,26 @@ class TestRigidModes:
             assert Z.shape[1] == expected_dim
             resid = np.abs(system.matrix @ Z).max()
             assert resid < 1e-12 * np.abs(system.matrix).max()
+
+    def test_span_projected_rigid_motions(self):
+        # traces of u(x) = a + omega x x, projected sphere by sphere, lie in
+        # the span of the returned basis, and fill it
+        from elastisph.harmonics import project
+        from elastisph.quadrature import rule_for_degree
+
+        cfg = validate(three_sphere_config(4))
+        dm = DofMap(4, tuple(s.id for s in cfg.spheres))
+        rule = rule_for_degree(8)
+        Z = rigid_trace_vectors(cfg, dm, MODE_SELF_CONSISTENT)
+        motions = [lambda x, a=a: np.broadcast_to(np.eye(3)[a], x.shape) for a in range(3)]
+        motions += [lambda x, a=a: np.cross(np.eye(3)[a], x) for a in range(3)]
+        P = np.stack([
+            dm.insert({s.id: project(u, s.frame, 4, rule) for s in cfg.spheres})
+            for u in motions
+        ], axis=1)
+        assert_allclose(Z @ (Z.T @ P), P, atol=1e-13)
+        assert np.linalg.matrix_rank(P, tol=1e-10) == 6
+        assert_allclose(Z.T @ Z, np.eye(6), atol=1e-14)
 
     def test_solution_gauge_orthogonality(self):
         cfg = validate(three_sphere_config(4))
