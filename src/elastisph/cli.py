@@ -16,6 +16,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,9 @@ def _load(args) -> ProblemConfig:
             spheres=config.spheres, background=config.background,
             degree=args.degree, quad_margin=config.quad_margin, solver=config.solver,
         )
+    if args.solver != "config" and config.solver.method != args.solver:
+        # validate the dense memory of the solver that will run
+        config = replace(config, solver=replace(config.solver, method=args.solver))
     return config
 
 

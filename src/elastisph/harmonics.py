@@ -301,6 +301,9 @@ def vsh_basis(points: np.ndarray, max_degree: int) -> VshBasis:
 # degree-20 basis (9 MB and 19 MB) raised the peak memory of a three-sphere
 # solve by as much, while rebuilding it costs little next to that solve.
 _CACHED_BASIS_BYTES = 2**20
+# Larger projections run over blocks of nodes whose weighted basis is at
+# most this size.
+_PROJECT_BLOCK_BYTES = 2**22
 
 
 def weighted_basis(rule: LebedevRule, max_degree: int) -> np.ndarray:
@@ -318,10 +321,15 @@ def weighted_basis(rule: LebedevRule, max_degree: int) -> np.ndarray:
 
 
 def _weighted_basis(rule: LebedevRule, max_degree: int) -> np.ndarray:
-    basis = vsh_basis(rule.points, max_degree)
+    return _weighted_rows(rule.points, rule.weights, max_degree)
+
+
+def _weighted_rows(points: np.ndarray, weights: np.ndarray, max_degree: int) -> np.ndarray:
+    """``weighted_basis`` restricted to the given nodes and weights."""
+    basis = vsh_basis(points, max_degree)
     rows = np.empty((basis.V.shape[0], 3) + basis.V.shape[1:])  # (L2, 3, T, 3)
     for k, fam in enumerate((basis.V, basis.W, basis.X)):
-        np.multiply(fam, rule.weights[:, None], out=rows[:, k])
+        np.multiply(fam, weights[:, None], out=rows[:, k])
     rows = rows.reshape(3 * rows.shape[0], -1)
     rows.setflags(write=False)
     return rows
@@ -496,7 +504,16 @@ def project(fn, frame: SphereFrame, max_degree: int, rule: LebedevRule) -> VshEx
     values = np.asarray(fn(frame.surface_points(rule)), dtype=float)
     if values.shape != (rule.size, 3):
         raise ValueError(f"field returned shape {values.shape}, expected {(rule.size, 3)}")
-    raw = (weighted_basis(rule, max_degree) @ values.reshape(-1)).reshape(-1, 3)
+    node_bytes = 9 * num_scalar_modes(max_degree) * 8
+    if node_bytes * rule.size <= _CACHED_BASIS_BYTES:
+        raw = weighted_basis(rule, max_degree) @ values.reshape(-1)
+    else:
+        # accumulate the moments over blocks of nodes instead of
+        # materialising the whole weighted basis
+        step = max(1, _PROJECT_BLOCK_BYTES // node_bytes)
+        raw = sum(_weighted_rows(rule.points[t:t + step], rule.weights[t:t + step], max_degree)
+                  @ values[t:t + step].reshape(-1) for t in range(0, rule.size, step))
+    raw = raw.reshape(-1, 3)
     norms = norm_sq_table(max_degree)
     coeffs = np.divide(raw, norms, out=np.zeros_like(raw), where=norms > 0.0)
     return VshExpansion(sphere_id=-1, max_degree=max_degree, coeffs=coeffs)

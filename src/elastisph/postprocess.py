@@ -254,6 +254,7 @@ def run_manifest(
         manifest["residual"] = solution.residual
         manifest["iterations"] = solution.iterations
         manifest["dofs"] = solution.dofmap.size
+        manifest["solver"] = dict(solution.diagnostics)
     return manifest
 
 

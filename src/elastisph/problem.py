@@ -15,6 +15,7 @@ shipped experiment) or as raw coefficients.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -199,6 +200,14 @@ def validate(config: ProblemConfig, net_load_tol: float = 1e-8) -> ProblemConfig
             f"{needed} (2N + quad_margin), above the largest Lebedev rule "
             f"(degree {MAX_DEGREE})"
         )
+    if not errors:
+        need, have = dense_bytes(config), available_memory()
+        if have is not None and need > have:
+            errors.append(
+                f"the dense system of {_unknowns(config)} unknowns needs "
+                f"about {need / 2**30:.2f} GiB with the {config.solver.method} solver, "
+                f"more than the {have / 2**30:.2f} GiB of memory available"
+            )
     if errors:
         raise ValidationError(errors)
 
@@ -218,6 +227,42 @@ def validate(config: ProblemConfig, net_load_tol: float = 1e-8) -> ProblemConfig
                 stacklevel=2,
             )
     return config
+
+
+# cgroup v2 and v1 limits on the memory of this process's group
+_CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+
+
+def available_memory() -> int | None:
+    """Bytes of memory the process may use: physical RAM, capped by a
+    readable cgroup limit.  None where neither can be read."""
+    try:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        limit = None
+    for path in _CGROUP_LIMITS:
+        try:
+            with open(path) as fh:
+                text = fh.read().strip()
+        except OSError:
+            continue
+        if text.isdigit():
+            limit = int(text) if limit is None else min(limit, int(text))
+    return limit
+
+
+def _unknowns(config: ProblemConfig) -> int:
+    return len(config.spheres) * (3 * num_scalar_modes(config.degree) - 2)
+
+
+def dense_bytes(config: ProblemConfig) -> int:
+    """Bytes of the dense arrays a solve allocates: the coupling matrix and,
+    for the direct solver, its bordered copy (at most six rigid traces)."""
+    n = _unknowns(config)
+    total = 8 * n * n
+    if config.solver.method == "direct":
+        total += 8 * (n + 6) ** 2
+    return total
 
 
 def _data_values(data: BoundaryData, sphere: SphereSpec, degree: int, rule) -> np.ndarray:

@@ -10,10 +10,12 @@ the target sphere's quadrature nodes.
 The operator is singular on rigid-motion traces (translations always;
 rotations too when the toroidal adjoint eigenvalue takes its
 self-consistent value), mirroring the rigid kernel of the continuous
-Neumann problem.  Both solvers handle this by rank-revealing/iterative
-solution of the consistent system followed by a deterministic gauge
-projection that removes the rigid-trace components in the D-weighted
-inner product.
+Neumann problem.  The direct solver borders the operator with the known
+rigid traces and factors the bordered matrix once by LU: it measures the
+part of the load outside the operator's range, solves for the rest and
+fixes the gauge in the same solve.  GMRES iterates on the singular
+system and then removes the rigid-trace components by a deterministic
+projection in the same D-weighted inner product.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from functools import lru_cache
 from math import pi, sqrt
 
 import numpy as np
-from scipy.linalg import lstsq as _lstsq
+from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgecon, dlange
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .harmonics import Family, VshExpansion, norm_sq_table, num_scalar_modes, per_degree, vsh_basis, weighted_basis
@@ -401,32 +404,81 @@ def _gauge_project(x: np.ndarray, Z: np.ndarray, D: np.ndarray) -> np.ndarray:
     return x - Z @ np.linalg.solve(G, rhs)
 
 
-def solve_direct(system: DenseSystem, config: ProblemConfig) -> Solution:
-    """Rank-revealing direct solve plus gauge projection.
+# A bordered matrix with a smaller reciprocal condition number (dgecon, 1-norm)
+# is numerically singular: the null space of (D - N) exceeds the rigid traces.
+_RCOND_MIN = 1e-13
+# (D - N) Z must vanish to rounding relative to the bordered matrix's norm.
+_NULL_TOL = 1e-12
+# Largest incompatible share |F - F_c| / |F| of the load that is accepted.
+_FLOOR_MAX = 1e-3
 
-    The assembled operator is consistently singular on rigid traces, so
-    a QR least-squares solve (LAPACK gelsy) replaces plain LU; the
-    returned residual certifies consistency.
+
+def solve_direct(system: DenseSystem, config: ProblemConfig) -> Solution:
+    """Bordered LU solve in the rigid-trace gauge.
+
+    With Z the orthonormal rigid-trace basis (k = 3 or 6 columns) and
+    A = D - N, one LU factorisation of
+
+        B = [[A, D Z], [Z^T D, 0]]
+
+    serves two solves.  The transposed one, B^T [psi; nu] = [0; I],
+    gives nu = 0 (Z^T D Z is SPD and A Z = 0), so A^T psi = 0: psi spans
+    the left null space.  Projecting F onto its orthogonal complement,
+    range(A), leaves the compatible load F_c, and B [x; mu] = [F_c; 0]
+    gives A x = F_c with Z^T D x = 0.  That x is the least-squares
+    solution of A x = F in the D-weighted rigid-trace gauge, and
+    |F - F_c| / |F| is the measured incompatible share of the load.
+
+    B is built in place of one (n+k)^2 array; its transpose is
+    Fortran-ordered, so LAPACK factors it without a copy.
     """
-    A = system.matrix
+    D, F, Nmat = system.D, system.F, system.Nmat
+    n = D.size
     Z = rigid_trace_vectors(config, system.dofmap, system.mode)
-    x, _res, rank, _sv = _lstsq(A, system.F, lapack_driver="gelsy")
-    x = _gauge_project(x, Z, system.D)
-    fnorm = np.linalg.norm(system.F)
-    resid = float(np.linalg.norm(A @ x - system.F) / fnorm) if fnorm > 0 else 0.0
-    # the right-hand side is compatible only up to the quadrature error of
-    # the data projection, so a small least-squares remainder is expected;
-    # anything large means a genuinely broken system
-    if fnorm > 0 and resid > 1e-3:
+    k = Z.shape[1]
+    DZ = D[:, None] * Z
+    B = np.empty((n + k, n + k))
+    np.negative(Nmat, out=B[:n, :n])
+    B.reshape(-1)[:n * (n + k + 1):n + k + 1] += D
+    B[:n, n:] = DZ
+    B[n:, :n] = DZ.T
+    B[n:, n:] = 0.0
+    # B.T is B's memory in Fortran order: its 1-norm is B's infinity norm
+    anorm = dlange("1", B.T)
+    factors = lu_factor(B.T, overwrite_a=True, check_finite=False)
+    rcond, _info = dgecon(factors[0], anorm, norm="1")
+    if not rcond >= _RCOND_MIN:
         raise SolverError(
-            f"direct solve left relative residual {resid:.3e}; system is "
-            f"inconsistent (rank {rank} of {A.shape[0]})"
+            f"bordered matrix is numerically singular (rcond {rcond:.3e}); the null "
+            f"space of the operator is larger than the {k} rigid traces"
         )
+    null_resid = float(np.abs(DZ - Nmat @ Z).max() / anorm)
+    if null_resid > _NULL_TOL:
+        raise SolverError(
+            f"rigid traces are not null vectors of the operator "
+            f"(|(D - N) Z| = {null_resid:.3e} of its norm)"
+        )
+    # factors hold LU of B^T: trans=0 solves with B^T, trans=1 with B
+    unit = np.zeros((n + k, k))
+    unit[n:] = np.eye(k)
+    psi = np.linalg.qr(lu_solve(factors, unit, trans=0, check_finite=False)[:n])[0]
+    incompatible = psi @ (psi.T @ F)
+    fnorm = np.linalg.norm(F)
+    floor = float(np.linalg.norm(incompatible) / fnorm) if fnorm > 0 else 0.0
+    if floor > _FLOOR_MAX:
+        raise SolverError(
+            f"the load is incompatible with equilibrium: {floor:.3e} of its norm "
+            f"lies outside the range of the operator (rank {n - k} of {n})"
+        )
+    rhs = np.zeros(n + k)
+    rhs[:n] = F - incompatible
+    x = lu_solve(factors, rhs, trans=1, check_finite=False)[:n]
+    resid = float(np.linalg.norm(D * x - Nmat @ x - F) / fnorm) if fnorm > 0 else 0.0
     return Solution(
         lambda_=x, residual=resid, iterations=None,
         dofmap=system.dofmap, sigma=system.sigma, mode=system.mode,
-        diagnostics={"rank": int(rank), "null_dim": int(A.shape[0] - rank),
-                     "deflated": Z.shape[1]},
+        diagnostics={"solver_path": "bordered_lu", "rank": n - k, "null_dim": k,
+                     "rcond": float(rcond), "consistency_floor": floor},
     )
 
 
@@ -497,7 +549,7 @@ def solve_iterative(
     x = _gauge_project(x, Z, system.D)
     fnorm = np.linalg.norm(b)
     resid = float(np.linalg.norm(D * x - Nmat @ x - b) / fnorm) if fnorm > 0 else 0.0
-    diagnostics = {"deflated": Z.shape[1], "row_scaled": row_scale}
+    diagnostics = {"solver_path": "gmres", "deflated": Z.shape[1], "row_scaled": row_scale}
     if stalled_floor is not None:
         diagnostics["consistency_floor"] = stalled_floor
     return Solution(

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from elastisph import problem
 from elastisph.cli import EXIT_OK, EXIT_VALIDATION, main
 from elastisph.presets import three_sphere_config
 from elastisph.problem import save_config
@@ -35,6 +36,30 @@ def test_solve_config_file(table3_path, tmp_path):
     assert manifest["iterations"] is None  # direct solver default
 
 
+def test_direct_solver_recorded(table3_path, tmp_path):
+    out = tmp_path / "run"
+    rc = main(["solve", "--config", str(table3_path), "--solver", "direct",
+               "--out-dir", str(out)])
+    assert rc == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    solver = manifest["solver"]
+    assert solver["solver_path"] == "bordered_lu"
+    assert solver["null_dim"] == 6
+    assert 0.0 < solver["consistency_floor"] < 1e-3
+    assert "solver" not in manifest["timings_seconds"]
+
+
+def test_dense_memory_refused(table3_path, tmp_path, monkeypatch, capsys):
+    # table3 at N=3 has 138 unknowns: Nmat and the bordered copy need 318 KB
+    monkeypatch.setattr(problem, "available_memory", lambda: 2**18)
+    rc = main(["solve", "--config", str(table3_path), "--solver", "direct",
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert any("memory available" in line for line in err["detail"])
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_solver_flag_and_mode_recorded(table3_path, tmp_path):
     out = tmp_path / "run"
     rc = main(["solve", "--config", str(table3_path), "--solver", "iterative",
@@ -43,6 +68,7 @@ def test_solver_flag_and_mode_recorded(table3_path, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["spectra_mode"] == "as_printed"
     assert manifest["iterations"] >= 1
+    assert manifest["solver"]["solver_path"] == "gmres"
 
 
 def test_validation_failure_exit_code(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from elastisph import harmonics
 from elastisph.harmonics import (
     Family,
     ModeIndex,
@@ -349,6 +350,19 @@ class TestProjection:
         t = 5
         assert_allclose(rows[3 * 4 + 2].reshape(-1, 3)[t], rule.weights[t] * basis.X[4, t],
                         rtol=1e-15)
+
+    def test_blocked_projection_matches_whole_basis(self, monkeypatch):
+        # above the cache bound the moments accumulate over blocks of nodes;
+        # blocks change only the summation order
+        frame = SphereFrame((0.3, 0.0, -0.2), 1.5)
+        fn = lambda pts: np.sin(2.0 * pts) + pts[:, [1, 2, 0]] ** 3
+        rule = rule_for_degree(24)
+        whole = project(fn, frame, 12, rule)
+        monkeypatch.setattr(harmonics, "_CACHED_BASIS_BYTES", 0)
+        monkeypatch.setattr(harmonics, "_PROJECT_BLOCK_BYTES", 2**18)  # 21 nodes of 230
+        blocked = project(fn, frame, 12, rule)
+        assert_allclose(blocked.coeffs, whole.coeffs, rtol=0,
+                        atol=1e-14 * np.abs(whole.coeffs).max())
 
     def test_rule_too_weak_rejected(self):
         frame = SphereFrame((0.0, 0.0, 0.0), 1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,15 +7,19 @@ from numpy.testing import assert_allclose
 
 from elastisph.harmonics import Family
 from elastisph.materials import LameParams, lambda_to_poisson, poisson_to_lambda
-from elastisph.presets import three_sphere_config
+from elastisph import problem
+from elastisph.presets import lattice_config, three_sphere_config
 from elastisph.problem import (
     BoundaryData,
     ProblemConfig,
+    SolverOptions,
     SphereSpec,
     ValidationError,
+    available_memory,
     build_sigma,
     config_from_dict,
     config_to_dict,
+    dense_bytes,
     load_config,
     save_config,
     validate,
@@ -125,6 +130,27 @@ class TestValidation:
             assert "degree 108" in err.value.errors[0]
         # the largest degree the rule allows still validates
         validate(single_neumann(BoundaryData(kind="linear", scale=-1.0), degree=53))
+
+    def test_dense_memory_guard(self, monkeypatch):
+        # with the direct solver lattice r5 (22 356 unknowns) needs Nmat and
+        # its bordered copy, about 8 GB; lattice r3 needs about 0.3 GB
+        monkeypatch.setattr(problem, "available_memory", lambda: 4 * 2**30)
+        direct = SolverOptions(method="direct")
+        r5 = dataclasses.replace(lattice_config(5), solver=direct)
+        r3 = dataclasses.replace(lattice_config(3), solver=direct)
+        assert dense_bytes(r5) == 8 * 22356**2 + 8 * 22362**2
+        with pytest.raises(ValidationError, match="memory available") as err:
+            validate(r5)
+        assert len(err.value.errors) == 1
+        assert "22356 unknowns" in err.value.errors[0]
+        assert validate(r3) is r3
+        # GMRES needs no bordered copy: r5 alone is 4.0 GB, under 4 GiB
+        assert dense_bytes(lattice_config(5)) == 8 * 22356**2
+        validate(lattice_config(5))
+
+    def test_available_memory(self):
+        have = available_memory()
+        assert have is None or have > 0
 
     def test_sign_bookkeeping(self):
         cfg = three_sphere_config(3)

@@ -1,8 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import lstsq, null_space
 
 from elastisph import harmonics
 from elastisph import system as system_module
@@ -14,6 +16,8 @@ from elastisph.quadrature import SphereFrame
 from elastisph.spectra import MODE_AS_PRINTED, MODE_SELF_CONSISTENT, adjoint_double_eigs, single_layer_eigs
 from elastisph.system import (
     DofMap,
+    SolverError,
+    _gauge_project,
     apply_operator,
     assemble,
     c_coefficient,
@@ -297,6 +301,74 @@ class TestSolvers:
             system = assemble(cfg)
             sol = solve_iterative(system, cfg, tol=1e-6, row_scale=True)
             assert sol.residual < 1e-5
+
+
+def _gelsy_oracle(system, Z):
+    """Rank-revealing QR least squares plus gauge projection, and the
+    relative remainder it leaves."""
+    A = system.matrix
+    x = _gauge_project(lstsq(A, system.F, lapack_driver="gelsy")[0], Z, system.D)
+    return x, np.linalg.norm(A @ x - system.F) / np.linalg.norm(system.F)
+
+
+class TestBorderedLU:
+    @pytest.mark.parametrize("cfg", [three_sphere_config(3), three_sphere_config(8),
+                                     lattice_config(1)], ids=["table3_n3", "table3_n8", "lattice_r1"])
+    @pytest.mark.parametrize("mode", [MODE_SELF_CONSISTENT, MODE_AS_PRINTED])
+    def test_agrees_with_gelsy(self, cfg, mode):
+        cfg = validate(cfg)
+        system = assemble(cfg, mode=mode)
+        Z = rigid_trace_vectors(cfg, system.dofmap, mode)
+        expected, remainder = _gelsy_oracle(system, Z)
+        sol = solve_direct(system, cfg)
+        dw = np.sqrt(system.D)
+        assert np.linalg.norm(dw * (sol.lambda_ - expected)) < 1e-12 * np.linalg.norm(dw * expected)
+        diag = sol.diagnostics
+        n, k = system.dofmap.size, Z.shape[1]
+        assert diag["solver_path"] == "bordered_lu"
+        assert (diag["rank"], diag["null_dim"]) == (n - k, k)
+        assert 1e-13 < diag["rcond"] <= 1.0
+        floor = diag["consistency_floor"]
+        if remainder > 1e-12:
+            assert abs(floor - remainder) <= 1e-10 * remainder
+        else:
+            # a compatible load: both measure rounding only
+            assert floor < 1e-14
+        assert sol.residual == pytest.approx(floor, rel=1e-6, abs=1e-14)
+
+    def test_extra_null_vector_raises(self):
+        # A' = A - (A v) v^T / v^T v annihilates v; with v orthogonal to the
+        # orthonormal Z it keeps A' Z = A Z = 0, so null(A') exceeds span Z
+        cfg = validate(three_sphere_config(3))
+        system = assemble(cfg)
+        Z = rigid_trace_vectors(cfg, system.dofmap, system.mode)
+        v = np.random.default_rng(7).normal(size=system.dofmap.size)
+        v -= Z @ (Z.T @ v)
+        system.Nmat += np.outer(system.matrix @ v, v) / (v @ v)
+        assert np.abs(system.matrix @ Z).max() < 1e-12 * np.abs(system.matrix).max()
+        with pytest.raises(SolverError, match="rcond"):
+            solve_direct(system, cfg)
+
+    def test_incompatible_load_raises(self):
+        cfg = validate(three_sphere_config(3))
+        system = assemble(cfg)
+        left_null = null_space(system.matrix.T)[:, 0]
+        system.F += 1e-2 * np.linalg.norm(system.F) * left_null
+        with pytest.raises(SolverError, match="incompatible"):
+            solve_direct(system, cfg)
+
+    def test_one_bordered_allocation(self):
+        cfg = validate(three_sphere_config(8))
+        system = assemble(cfg)
+        solve_direct(system, cfg)  # rule, spectra and LAPACK set-up
+        tracemalloc.start()
+        try:
+            sol = solve_direct(system, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bordered = 8 * (system.dofmap.size + sol.diagnostics["null_dim"]) ** 2
+        assert bordered < peak < 2 * bordered
 
 
 def test_dump_system_layout(tmp_path):
