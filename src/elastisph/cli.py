@@ -34,13 +34,24 @@ from .postprocess import (
 from .problem import ProblemConfig, ValidationError, load_config, validate
 from .quadrature import rule_for_degree
 from .spectra import DEFAULT_MODE, MODES
-from .system import SolverError, Solution, assemble, solve, solve_direct, solve_iterative
+from .system import SolverError, Solution, assemble, solve
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 
 _FMT = "%.17g"
+
+
+def _with_flags(config: ProblemConfig, args) -> ProblemConfig:
+    """The configuration with the --solver and --tol flags applied; --solver
+    config and no --tol keep the configuration's own method and tolerance."""
+    solver = config.solver
+    if args.solver != "config":
+        solver = replace(solver, method=args.solver)
+    if args.tol is not None:
+        solver = replace(solver, tol=args.tol)
+    return replace(config, solver=solver)
 
 
 def _load(args) -> ProblemConfig:
@@ -52,32 +63,18 @@ def _load(args) -> ProblemConfig:
         config = presets.named_config(args.preset, args.degree)
     else:
         raise ValueError("one of --config or --preset is required")
-    if args.degree is not None and config.degree != args.degree:
-        config = ProblemConfig(
-            spheres=config.spheres, background=config.background,
-            degree=args.degree, quad_margin=config.quad_margin, solver=config.solver,
-        )
-    if args.solver != "config" and config.solver.method != args.solver:
-        # validate the dense memory of the solver that will run
-        config = replace(config, solver=replace(config.solver, method=args.solver))
-    return config
+    if args.degree is not None:
+        config = replace(config, degree=args.degree)
+    # validation checks the dense memory of the solver that will run
+    return _with_flags(config, args)
 
 
 def _solve_config(config: ProblemConfig, args) -> tuple[Solution, dict[str, float]]:
-    rule = config.rule()
     t0 = time.perf_counter()
-    system = assemble(config, rule=rule, mode=args.spectra_mode)
+    system = assemble(config, mode=args.spectra_mode)
     t_assemble = time.perf_counter() - t0
     t0 = time.perf_counter()
-    if args.solver == "direct":
-        solution = solve_direct(system, config)
-    elif args.solver == "iterative":
-        solution = solve_iterative(
-            system, config, tol=args.tol, max_iter=config.solver.max_iter,
-            restart=config.solver.restart,
-        )
-    else:
-        solution = solve(system, config)
+    solution = solve(system, config)
     t_solve = time.perf_counter() - t0
     return solution, {"assembly": t_assemble, "solve": t_solve}
 
@@ -127,7 +124,7 @@ def cmd_one_sphere(args) -> int:
 
     rows = []
     for degree in degrees:
-        config = validate(presets.one_sphere_config(case, degree))
+        config = validate(_with_flags(presets.one_sphere_config(case, degree), args))
         solution, _ = _solve_config(config, args)
         trace = solution.trace(1)
         rows.append((degree, relative_error(trace, reference),
@@ -179,8 +176,7 @@ def cmd_convergence(args) -> int:
         return EXIT_VALIDATION
 
     def with_degree(n):
-        return ProblemConfig(spheres=base.spheres, background=base.background,
-                             degree=n, quad_margin=base.quad_margin, solver=base.solver)
+        return replace(base, degree=n)
 
     try:
         ref_solution, _ = _solve_config(with_degree(args.reference), args)
@@ -209,16 +205,14 @@ def cmd_benchmark(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for radius in args.radii:
-        config = validate(presets.lattice_config(radius, degree=args.degree or 3,
-                                                 tol=args.tol))
-        rule = config.rule()
+        config = validate(_with_flags(presets.lattice_config(radius, degree=args.degree or 3),
+                                      args))
         t0 = time.perf_counter()
-        system = assemble(config, rule=rule, mode=args.spectra_mode)
+        system = assemble(config, mode=args.spectra_mode)
         t_assemble = time.perf_counter() - t0
         t0 = time.perf_counter()
         try:
-            solution = solve_iterative(system, config, tol=args.tol,
-                                       max_iter=config.solver.max_iter)
+            solution = solve(system, config)
         except SolverError as exc:
             print(_error_json("solver", str(exc)), file=sys.stderr)
             return EXIT_SOLVER
@@ -256,7 +250,8 @@ def cmd_sweep_poisson(args) -> int:
         writer.writerow(["nu0", "nu1", "lambda1", "trace_norm"])
         for nu0 in args.nu0:
             for nu1 in nu1_grid:
-                config = validate(presets.poisson_sweep_config(nu0, float(nu1), degree))
+                config = validate(_with_flags(
+                    presets.poisson_sweep_config(nu0, float(nu1), degree), args))
                 try:
                     solution, _ = _solve_config(config, args)
                 except SolverError as exc:
@@ -295,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--degree", type=int, default=None)
         p.add_argument("--solver", choices=["direct", "iterative", "config"],
                        default="config")
-        p.add_argument("--tol", type=float, default=1e-6)
+        p.add_argument("--tol", type=float, default=None,
+                       help="solver tolerance (default: the configuration's own)")
 
     p = sub.add_parser("solve", help="validate, assemble and solve one configuration")
     common(p)

@@ -12,15 +12,14 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import Family, VshExpansion, num_scalar_modes, sh_degree_order
+from .harmonics import Family, VshExpansion, num_scalar_modes, per_degree, sh_degree_order
 from .materials import LameParams
-from .problem import ProblemConfig, ROLE_TRANSMISSION, config_to_dict
+from .problem import ProblemConfig, ROLE_TRANSMISSION, config_to_dict, sphere_gaps
 from .spectra import DEFAULT_MODE, adjoint_double_eigs, apply_single_layer, single_layer_eigs
-from .system import Solution, c_coefficient
+from .system import Solution, c_rows
 
 
 class ResonantDataError(ValueError):
@@ -45,24 +44,25 @@ def one_sphere_reference(
     denominator vanishes (the rigid traces) must carry no data beyond
     ``resonance_tol`` relative to the data norm; they map to zero.
     """
+    ells = np.arange(sigma.max_degree + 1)
+    tau_v = per_degree(np.stack(single_layer_eigs(ells, params), axis=-1))
+    den = per_degree(0.5 + np.stack(adjoint_double_eigs(ells, params, mode), axis=-1))
+    c = sigma.coeffs
+    resonant = np.abs(den) < 1e-12
+    loud = resonant & (np.abs(c) > resonance_tol * max(sigma.l2_norm(), 1e-300))
+    if loud.any():
+        # report the first offender in (degree, family, order) order
+        ell_of = per_degree(ells)
+        ps, ks = np.nonzero(loud)
+        first = np.lexsort((ps, ks, ell_of[ps]))[0]
+        p, k = ps[first], ks[first]
+        raise ResonantDataError(
+            f"data has resonant content {c[p, k]:.3e} on the rigid "
+            f"mode (l={ell_of[p]}, {Family(k).name}); impose the zero-mean "
+            f"compatibility condition"
+        )
     out = VshExpansion.zeros(sigma.sphere_id, sigma.max_degree)
-    scale = max(sigma.l2_norm(), 1e-300)
-    for ell in range(sigma.max_degree + 1):
-        tau_v = single_layer_eigs(ell, params)
-        tau_k = adjoint_double_eigs(ell, params, mode)
-        for k in ((Family.V,) if ell == 0 else tuple(Family)):
-            den = 0.5 + tau_k[int(k)]
-            for p in range(ell * ell, (ell + 1) * (ell + 1)):
-                c = sigma.coeffs[p, int(k)]
-                if abs(den) < 1e-12:
-                    if abs(c) > resonance_tol * scale:
-                        raise ResonantDataError(
-                            f"data has resonant content {c:.3e} on the rigid "
-                            f"mode (l={ell}, {k.name}); impose the zero-mean "
-                            f"compatibility condition"
-                        )
-                    continue
-                out.coeffs[p, int(k)] = tau_v[int(k)] / den * c
+    out.coeffs[~resonant] = tau_v[~resonant] / den[~resonant] * c[~resonant]
     return out
 
 
@@ -104,62 +104,56 @@ class FieldEvaluator:
         self.config = config
         self.mode = solution.mode if mode is None else mode
         self.solution = solution
+        ells = np.arange(solution.dofmap.degree + 1)
         self._phi: dict[int, VshExpansion] = {}
         self._inner: dict[int, VshExpansion] = {}
         for s in config.spheres:
-            nu = solution.trace(s.id)
-            sig = solution.sigma[s.id]
-            phi = VshExpansion.zeros(s.id, nu.max_degree)
-            inner = VshExpansion.zeros(s.id, nu.max_degree)
-            for ell in range(nu.max_degree + 1):
-                fams = (Family.V,) if ell == 0 else tuple(Family)
-                for k in fams:
-                    c = c_coefficient(s, config.background, ell, k, self.mode)
-                    sl = slice(ell * ell, (ell + 1) * (ell + 1))
-                    phi.coeffs[sl, int(k)] = (
-                        c / s.frame.radius * nu.coeffs[sl, int(k)] + sig.coeffs[sl, int(k)]
-                    )
-                    if s.role == ROLE_TRANSMISSION:
-                        tau = single_layer_eigs(ell, s.material)[int(k)]
-                        inner.coeffs[sl, int(k)] = nu.coeffs[sl, int(k)] / (s.frame.radius * tau)
-            self._phi[s.id] = phi
+            nu, r = solution.trace(s.id), s.frame.radius
+            C = per_degree(c_rows(s.role, s.material, s.sign, config.background, ells, self.mode))
+            self._phi[s.id] = VshExpansion(
+                s.id, nu.max_degree, C / r * nu.coeffs + solution.sigma[s.id].coeffs)
             if s.role == ROLE_TRANSMISSION:
-                self._inner[s.id] = inner
+                tau = per_degree(np.stack(single_layer_eigs(ells, s.material), axis=-1))
+                self._inner[s.id] = VshExpansion(s.id, nu.max_degree, nu.coeffs / (r * tau))
 
-    def _region_of(self, x: np.ndarray) -> int | None:
-        """Sphere id containing x, or None for the background region."""
-        outer = self.config.enclosing
-        for s in self.config.spheres:
-            rel = np.linalg.norm(x - s.frame.center_array)
-            if abs(rel - s.frame.radius) < 1e-10 * s.frame.radius:
-                raise ValueError(f"point {x} lies on the surface of sphere {s.id}")
-            if not s.enclosing and rel < s.frame.radius:
-                return s.id
-        if np.linalg.norm(x - outer.frame.center_array) > outer.frame.radius:
-            raise ValueError(f"point {x} lies outside the enclosing sphere")
-        return None
+    def _regions(self, pts: np.ndarray) -> np.ndarray:
+        """Position in ``config.spheres`` of the inner sphere holding each
+        point, or -1 for the background region."""
+        spheres = self.config.spheres
+        centers = np.array([s.frame.center for s in spheres], dtype=float)
+        radii = np.array([s.frame.radius for s in spheres])
+        enclosing = np.array([s.enclosing for s in spheres])
+        dist = np.linalg.norm(pts[:, None, :] - centers, axis=-1)  # (points, spheres)
+        surface = np.abs(dist - radii) < 1e-10 * radii
+        inside = (dist < radii) & ~enclosing
+        outside = (dist[:, enclosing] > radii[enclosing]).any(axis=1)
+        bad = np.flatnonzero(surface.any(axis=1) | outside)
+        if bad.size:
+            i = bad[0]
+            if surface[i].any():
+                sid = spheres[int(np.argmax(surface[i]))].id
+                raise ValueError(f"point {pts[i]} lies on the surface of sphere {sid}")
+            raise ValueError(f"point {pts[i]} lies outside the enclosing sphere")
+        return np.where(inside.any(axis=1), np.argmax(inside, axis=1), -1)
 
     def displacement(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros_like(pts)
-        regions = np.array([self._region_of(x) for x in pts], dtype=object)
-        background = np.array([r is None for r in regions])
+        regions = self._regions(pts)
+        background = regions < 0
         if np.any(background):
             sel = pts[background]
             acc = np.zeros_like(sel)
             for s in self.config.spheres:
                 acc += apply_single_layer(s.frame, self.config.background, self._phi[s.id], sel)
             out[background] = acc
-        for s in self.config.spheres:
-            if s.role != ROLE_TRANSMISSION:
-                if not s.enclosing and any(r == s.id for r in regions):
-                    raise ValueError(
-                        f"point inside Neumann cavity {s.id}; displacement undefined"
-                    )
+        for pos, s in enumerate(self.config.spheres):
+            mask = regions == pos
+            if not np.any(mask):
                 continue
-            mask = np.array([r == s.id for r in regions])
-            if np.any(mask):
-                out[mask] = apply_single_layer(s.frame, s.material, self._inner[s.id], pts[mask])
+            if s.role != ROLE_TRANSMISSION:
+                raise ValueError(f"point inside Neumann cavity {s.id}; displacement undefined")
+            out[mask] = apply_single_layer(s.frame, s.material, self._inner[s.id], pts[mask])
         return out
 
 
@@ -209,24 +203,8 @@ def config_digest(config: ProblemConfig) -> str:
 
 def minimum_gap(config: ProblemConfig) -> float:
     """Smallest surface-to-surface distance between any two boundaries."""
-    gaps = []
-    outer = config.enclosing
-    for s in config.spheres:
-        if s.enclosing:
-            continue
-        gaps.append(
-            outer.frame.radius
-            - np.linalg.norm(s.frame.center_array - outer.frame.center_array)
-            - s.frame.radius
-        )
-    inner = [s for s in config.spheres if not s.enclosing]
-    for i, a in enumerate(inner):
-        for b in inner[i + 1:]:
-            gaps.append(
-                float(np.linalg.norm(a.frame.center_array - b.frame.center_array))
-                - a.frame.radius - b.frame.radius
-            )
-    return float(min(gaps)) if gaps else float("inf")
+    _ids, enclosing, _pairs, pair = sphere_gaps(config)
+    return float(min(enclosing.min(initial=np.inf), pair.min(initial=np.inf)))
 
 
 def run_manifest(

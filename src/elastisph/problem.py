@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonics import Family, VshExpansion, num_scalar_modes, project, sh_index
+from .harmonics import Family, VshExpansion, num_scalar_modes, project
 from .materials import LameParams, lambda_to_poisson, poisson_to_lambda  # noqa: F401
 from .quadrature import MAX_DEGREE, LebedevRule, SphereFrame, rule_for_degree
 
@@ -123,7 +123,6 @@ class SolverOptions:
     tol: float = 1e-6
     max_iter: int = 1000
     restart: int = 50
-    row_scale: bool = False
 
     def __post_init__(self):
         if self.method not in ("direct", "iterative"):
@@ -152,6 +151,30 @@ class ProblemConfig:
         return rule_for_degree(2 * self.degree + self.quad_margin)
 
 
+def sphere_gaps(config: ProblemConfig):
+    """Surface-to-surface gaps of the inner (non-enclosing) spheres.
+
+    Returns ``(ids, enclosing_gaps, pairs, pair_gaps)``: the inner
+    spheres' ids (n,), each one's gap to the enclosing sphere (n,;
+    infinite without one), the ids of every pair i < j of them (P, 2)
+    and the pairs' gaps (P,).  A gap <= 0 is an escape or an overlap.
+    """
+    inner = [s for s in config.spheres if not s.enclosing]
+    ids = np.array([s.id for s in inner], dtype=int)
+    centers = np.array([s.frame.center for s in inner], dtype=float).reshape(-1, 3)
+    radii = np.array([s.frame.radius for s in inner], dtype=float)
+    outer = next((s for s in config.spheres if s.enclosing), None)
+    if outer is None:
+        enclosing_gaps = np.full(len(inner), np.inf)
+    else:
+        dist = np.linalg.norm(centers - outer.frame.center_array, axis=1)
+        enclosing_gaps = outer.frame.radius - (dist + radii)
+    i, j = np.triu_indices(len(inner), 1)
+    # a gap is <= 0 exactly when the distance is <= the sum of the radii
+    pair_gaps = np.linalg.norm(centers[i] - centers[j], axis=1) - (radii[i] + radii[j])
+    return ids, enclosing_gaps, np.stack([ids[i], ids[j]], axis=1), pair_gaps
+
+
 def validate(config: ProblemConfig, net_load_tol: float = 1e-8) -> ProblemConfig:
     """Check all geometric and material invariants; returns the config.
 
@@ -164,25 +187,16 @@ def validate(config: ProblemConfig, net_load_tol: float = 1e-8) -> ProblemConfig
     if len(set(ids)) != len(ids):
         errors.append("sphere ids are not unique")
     enclosing = [s for s in config.spheres if s.enclosing]
+    inner_ids, enclosing_gaps, pairs, pair_gaps = sphere_gaps(config)
     if len(enclosing) != 1:
         errors.append(f"expected exactly one enclosing sphere, found {len(enclosing)}")
     else:
-        outer = enclosing[0]
-        if outer.role != ROLE_NEUMANN:
+        if enclosing[0].role != ROLE_NEUMANN:
             errors.append("the enclosing sphere must carry Neumann data")
-        oc, orad = outer.frame.center_array, outer.frame.radius
-        for s in config.spheres:
-            if s.enclosing:
-                continue
-            gap = orad - (np.linalg.norm(s.frame.center_array - oc) + s.frame.radius)
-            if gap <= 0.0:
-                errors.append(f"sphere {s.id} is not strictly inside the enclosing sphere")
-    inner = [s for s in config.spheres if not s.enclosing]
-    for i, a in enumerate(inner):
-        for b in inner[i + 1:]:
-            dist = np.linalg.norm(a.frame.center_array - b.frame.center_array)
-            if dist <= a.frame.radius + b.frame.radius:
-                errors.append(f"spheres {a.id} and {b.id} overlap")
+        for sid in inner_ids[enclosing_gaps <= 0.0]:
+            errors.append(f"sphere {sid} is not strictly inside the enclosing sphere")
+    for a, b in pairs[pair_gaps <= 0.0]:
+        errors.append(f"spheres {a} and {b} overlap")
     for s in config.spheres:
         if s.role == ROLE_TRANSMISSION:
             if s.material is None:

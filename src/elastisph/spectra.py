@@ -28,13 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels_oracle as oracle
-from .harmonics import (
-    Family,
-    VshExpansion,
-    sh_degree_order,
-    traction_of_radial_field,
-    vsh_basis,
-)
+from .harmonics import VshExpansion, traction_of_radial_field, vsh_basis
 from .kernels_oracle import AuditRecord
 from .materials import LameParams
 from .quadrature import SphereFrame
@@ -432,21 +426,22 @@ def _apply_layer(matrix_fn, frame, density: VshExpansion, x, radius_factor: floa
     # direction is arbitrary at the center; only rho-constant terms survive there
     safe = np.where(dist[:, None] > 0.0, rel / np.maximum(dist, 1e-300)[:, None], 0.0)
     safe[dist == 0.0] = np.array([0.0, 0.0, 1.0])
-    basis = vsh_basis(safe, density.max_degree)
-    fams = (basis.V, basis.W, basis.X)
-    for side, mask in (("in", inner), ("out", ~inner)):
-        if not np.any(mask):
+    for side, idx in (("in", np.flatnonzero(inner)), ("out", np.flatnonzero(~inner))):
+        if not idx.size:
             continue
-        idx = np.flatnonzero(mask)
+        basis = vsh_basis(safe[idx], density.max_degree)
+        fams = (basis.V, basis.W, basis.X)
+        acc = np.zeros((idx.size, 3))
         for ell in range(density.max_degree + 1):
-            A = matrix_fn(ell, rho[idx], side)  # (n, 3, 3)
             p0, p1 = ell * ell, (ell + 1) * (ell + 1)
             coeff = density.coeffs[p0:p1]  # (2l+1, 3)
             if not np.any(coeff):
                 continue
+            A = matrix_fn(ell, rho[idx], side)  # (n, 3, 3)
             combo = np.einsum("pk,njk->pnj", coeff, A)  # weight of family j per mode
             for j, fam in enumerate(fams):
-                out[idx] += np.einsum("pn,pnc->nc", combo[:, :, j], fam[p0:p1][:, idx, :])
+                acc += np.einsum("pn,pnc->nc", combo[:, :, j], fam[p0:p1])
+        out[idx] = acc
     out *= radius_factor
     return out[0] if single else out
 

@@ -70,11 +70,6 @@ class DofMap:
     def size(self) -> int:
         return self.modes_per_sphere * len(self.sphere_ids)
 
-    @property
-    def nominal_size(self) -> int:
-        """Mode count including the degenerate placeholders."""
-        return 3 * num_scalar_modes(self.degree) * len(self.sphere_ids)
-
     def active_mask(self) -> np.ndarray:
         """Read-only boolean mask of the active modes in the canonical order."""
         return _active_mask(self.degree)
@@ -132,12 +127,13 @@ class Solution:
         return {sid: self.trace(sid) for sid in self.dofmap.sphere_ids}
 
 
-def _c_rows(role: str, material: LameParams | None, sign: int, background: LameParams,
-            ells, mode: str) -> np.ndarray:
-    """(V, W, X) eigenvalues of the local trace-to-density operator.
+def c_rows(role: str, material: LameParams | None, sign: int, background: LameParams,
+           ells, mode: str) -> np.ndarray:
+    """(V, W, X) eigenvalues of the local trace-to-density operator (times r).
 
     ``ells`` is one degree or an integer array of them; the result has
-    shape ``np.shape(ells) + (3,)``.
+    shape ``np.shape(ells) + (3,)``.  The one source of C for assembly
+    and field evaluation.
     """
     tau0_v = np.stack(single_layer_eigs(ells, background), axis=-1)
     tau0_k = np.stack(adjoint_double_eigs(ells, background, mode), axis=-1)
@@ -161,7 +157,7 @@ def c_coefficient(
     double-layer eigenvalues of both materials; Neumann spheres use the
     background ones with the orientation sign.
     """
-    rows = _c_rows(sphere.role, sphere.material, sphere.sign, background, ell, mode)
+    rows = c_rows(sphere.role, sphere.material, sphere.sign, background, ell, mode)
     return float(rows[int(family)])
 
 
@@ -169,7 +165,7 @@ def c_coefficient(
 def _c_vector(role: str, material: LameParams | None, sign: int, background: LameParams,
               degree: int, mode: str) -> np.ndarray:
     """C coefficients of one kind of sphere over the active modes, (n_a,)."""
-    table = _c_rows(role, material, sign, background, np.arange(degree + 1), mode)
+    table = c_rows(role, material, sign, background, np.arange(degree + 1), mode)
     return _active_read_only(per_degree(table).reshape(-1), degree)
 
 
@@ -565,8 +561,7 @@ def solve(system: DenseSystem, config: ProblemConfig) -> Solution:
     if opts.method == "direct":
         return solve_direct(system, config)
     return solve_iterative(
-        system, config, tol=opts.tol, max_iter=opts.max_iter,
-        restart=opts.restart, row_scale=opts.row_scale,
+        system, config, tol=opts.tol, max_iter=opts.max_iter, restart=opts.restart,
     )
 
 

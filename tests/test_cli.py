@@ -71,6 +71,19 @@ def test_solver_flag_and_mode_recorded(table3_path, tmp_path):
     assert manifest["solver"]["solver_path"] == "gmres"
 
 
+def test_tol_applies_to_configured_solver(tmp_path):
+    # lattice_r2 configures GMRES; --tol replaces its tolerance
+    iterations = []
+    for tol in ("1e-2", "1e-12"):
+        out = tmp_path / tol
+        rc = main(["solve", "--preset", "lattice_r2", "--tol", tol, "--out-dir", str(out)])
+        assert rc == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["solver"]["solver_path"] == "gmres"
+        iterations.append(manifest["iterations"])
+    assert iterations[0] < iterations[1]
+
+
 def test_validation_failure_exit_code(tmp_path, capsys):
     cfg = three_sphere_config(3)
     bad = cfg.spheres[0].__class__(

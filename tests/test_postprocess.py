@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from elastisph.harmonics import Family, VshExpansion, sh_index
 from elastisph.materials import LameParams
@@ -24,8 +24,8 @@ from elastisph.postprocess import (
 from elastisph.presets import one_sphere_config, poisson_sweep_config, three_sphere_config
 from elastisph.problem import BoundaryData, ProblemConfig, SphereSpec, validate
 from elastisph.quadrature import SphereFrame
-from elastisph.spectra import MODE_SELF_CONSISTENT
-from elastisph.system import assemble, solve_direct
+from elastisph.spectra import MODES, MODE_SELF_CONSISTENT, single_layer_eigs
+from elastisph.system import assemble, c_coefficient, solve_direct
 
 P11 = LameParams(1.0, 1.0)
 SQPI = np.sqrt(np.pi)
@@ -209,6 +209,57 @@ class TestDisplacement:
             u2 = ev.displacement(center + r * (1 + sign * eps / 2) * dirs)
             limit = 2 * u2 - u1
             assert np.abs(limit - nu).max() < 1e-6
+
+
+def _per_mode_densities(cfg, sol):
+    """The field densities C/r nu + Sigma and nu / (r tau_V), mode by mode."""
+    phi, inner = {}, {}
+    for s in cfg.spheres:
+        nu, sig, r = sol.trace(s.id), sol.sigma[s.id], s.frame.radius
+        phi[s.id] = np.zeros_like(nu.coeffs)
+        if s.role == "transmission":
+            inner[s.id] = np.zeros_like(nu.coeffs)
+        for ell in range(nu.max_degree + 1):
+            sl = slice(ell * ell, (ell + 1) * (ell + 1))
+            for k in ((Family.V,) if ell == 0 else tuple(Family)):
+                c = c_coefficient(s, cfg.background, ell, k, sol.mode)
+                phi[s.id][sl, k] = c / r * nu.coeffs[sl, k] + sig.coeffs[sl, k]
+                if s.role == "transmission":
+                    tau = single_layer_eigs(ell, s.material)[k]
+                    inner[s.id][sl, k] = nu.coeffs[sl, k] / (r * tau)
+    return phi, inner
+
+
+class TestFieldTables:
+    @pytest.fixture(scope="class", params=MODES)
+    def solved(self, request):
+        cfg = validate(three_sphere_config(8))
+        return cfg, solve_direct(assemble(cfg, mode=request.param), cfg)
+
+    def test_densities_match_per_mode_construction(self, solved):
+        cfg, sol = solved
+        ev = FieldEvaluator(cfg, sol)
+        phi, inner = _per_mode_densities(cfg, sol)
+        assert sorted(ev._phi) == sorted(phi) and sorted(ev._inner) == sorted(inner) == [1]
+        for sid in phi:
+            assert_array_equal(ev._phi[sid].coeffs, phi[sid])
+        assert_array_equal(ev._inner[1].coeffs, inner[1])
+
+    def test_mixed_batch_matches_pointwise(self, solved):
+        cfg, sol = solved
+        ev = FieldEvaluator(cfg, sol)
+        center = np.array([1.0, 0.0, 0.0])  # the inclusion's centre
+        batch = np.array([
+            [0.3, 0.5, -0.2],
+            center + [0.05, 0.02, -0.03],
+            [-1.5, 0.4, 0.3],
+            center,
+            [1.0, 0.3, 0.0],
+            center + [-0.02, 0.0, 0.07],
+            [0.0, 0.0, 1.7],
+        ])
+        pointwise = np.array([ev.displacement(x[None])[0] for x in batch])
+        assert_array_equal(ev.displacement(batch), pointwise)
 
 
 class TestExports:

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from elastisph.harmonics import Family
 from elastisph.materials import LameParams, lambda_to_poisson, poisson_to_lambda
 from elastisph import problem
+from elastisph.postprocess import minimum_gap
 from elastisph.presets import lattice_config, three_sphere_config
 from elastisph.problem import (
     BoundaryData,
@@ -22,6 +23,7 @@ from elastisph.problem import (
     dense_bytes,
     load_config,
     save_config,
+    sphere_gaps,
     validate,
 )
 from elastisph.quadrature import SphereFrame
@@ -97,6 +99,26 @@ class TestValidation:
         with pytest.raises(ValidationError, match="strictly inside"):
             validate(cfg)
 
+    def test_every_offender_reported(self):
+        def neumann(sid, x):
+            return SphereSpec(id=sid, frame=SphereFrame((x, 0.0, 0.0), 0.1), role="neumann")
+
+        cfg = ProblemConfig(
+            spheres=(
+                neumann(1, 0.0), neumann(2, 0.15), neumann(3, 0.5), neumann(4, 0.6),
+                neumann(5, 1.95),
+                SphereSpec(id=6, frame=SphereFrame((0.0, 0.0, 0.0), 2.0), role="neumann",
+                           enclosing=True),
+            ),
+            background=LameParams(1.0, 1.0), degree=2)
+        with pytest.raises(ValidationError) as info:
+            validate(cfg)
+        assert info.value.errors == [
+            "sphere 5 is not strictly inside the enclosing sphere",
+            "spheres 1 and 2 overlap",
+            "spheres 3 and 4 overlap",
+        ]
+
     def test_missing_enclosing(self):
         cfg = ProblemConfig(
             spheres=(SphereSpec(id=1, frame=SphereFrame((0.0, 0.0, 0.0), 1.0),
@@ -163,6 +185,33 @@ class TestValidation:
         cfg = single_neumann(data)
         with pytest.warns(UserWarning, match="net force"):
             validate(cfg)
+
+
+class TestSphereGaps:
+    def test_matches_pair_loop(self):
+        cfg = lattice_config(2.0)
+        inner = [s for s in cfg.spheres if not s.enclosing]
+        outer = cfg.enclosing
+        enclosing = [outer.frame.radius - np.linalg.norm(s.frame.center_array
+                                                         - outer.frame.center_array)
+                     - s.frame.radius for s in inner]
+        pairs, gaps = [], []
+        for i, a in enumerate(inner):
+            for b in inner[i + 1:]:
+                pairs.append([a.id, b.id])
+                gaps.append(np.linalg.norm(a.frame.center_array - b.frame.center_array)
+                            - a.frame.radius - b.frame.radius)
+        got_ids, got_enclosing, got_pairs, got_gaps = sphere_gaps(cfg)
+        assert got_ids.tolist() == [s.id for s in inner]
+        assert got_pairs.tolist() == pairs
+        assert_allclose(got_enclosing, enclosing, rtol=0.0, atol=1e-14)
+        assert_allclose(got_gaps, gaps, rtol=0.0, atol=1e-14)
+        assert minimum_gap(cfg) == pytest.approx(min(enclosing + gaps), rel=0.0, abs=1e-14)
+
+    def test_single_sphere_has_no_gap(self):
+        ids, enclosing, pairs, gaps = sphere_gaps(single_neumann())
+        assert ids.size == enclosing.size == gaps.size == 0 and pairs.shape == (0, 2)
+        assert minimum_gap(single_neumann()) == np.inf
 
 
 class TestBuildSigma:

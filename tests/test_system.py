@@ -35,7 +35,6 @@ class TestDofMap:
         dm = DofMap(degree=3, sphere_ids=(1, 2, 3))
         assert dm.modes_per_sphere == 3 * 16 - 2
         assert dm.size == 3 * 46
-        assert dm.nominal_size == dm.size + 2 * 3
 
     def test_expansion_roundtrip(self):
         dm = DofMap(degree=2, sphere_ids=(7, 9))
