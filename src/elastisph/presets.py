@@ -79,23 +79,17 @@ def three_sphere_config(degree: int, data: str = "smooth", quad_margin: int | No
     )
 
 
-def lattice_points(radius: float, inclusion_radius: float = 0.1) -> np.ndarray:
-    """Integer lattice points whose spheres fit strictly inside radius."""
-    bound = int(np.floor(radius))
-    pts = []
-    for i in range(-bound, bound + 1):
-        for j in range(-bound, bound + 1):
-            for k in range(-bound, bound + 1):
-                if np.sqrt(i * i + j * j + k * k) + inclusion_radius < radius:
-                    pts.append((i, j, k))
-    return np.array(pts, dtype=float).reshape(-1, 3)
-
-
 def lattice_config(radius: float, degree: int = 3, tol: float = 1e-6) -> ProblemConfig:
     """Cost-benchmark model: radius-0.1 inclusions on the integer lattice
     inside a sphere of the given radius, loaded by the radial stress
     -(x, y, z)/R on the enclosing boundary."""
-    pts = lattice_points(radius)
+    bound = int(np.floor(radius))
+    pts = [(i, j, k)
+           for i in range(-bound, bound + 1)
+           for j in range(-bound, bound + 1)
+           for k in range(-bound, bound + 1)
+           if np.sqrt(i * i + j * j + k * k) + 0.1 < radius]
+    pts = np.array(pts, dtype=float).reshape(-1, 3)
     spheres = [
         SphereSpec(id=i + 1, frame=SphereFrame(tuple(p), 0.1), role="transmission",
                    material=LameParams(10.0, 10.0), data=BoundaryData(kind="zero"))

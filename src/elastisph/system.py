@@ -5,7 +5,11 @@ up to degree N; testing against the same basis yields the dense system
 (D - N) Lambda = F with D the diagonal of squared basis norms.  Diagonal
 blocks of N are exactly diagonal by orthogonality; off-diagonal blocks
 couple spheres through the closed-form single-layer matrices sampled at
-the target sphere's quadrature nodes.
+the target sphere's quadrature nodes.  Such a block depends only on its
+pair's key: the displacement x_tgt - x_src, the two radii and whether
+the source is the enclosing sphere.  ``assemble`` generates the block of
+every ordered pair; the matrix-free ``apply_operator`` generates one
+block per distinct key and applies it to every pair with that key.
 
 The operator is singular on rigid-motion traces (translations always;
 rotations too when the toroidal adjoint eigenvalue takes its
@@ -193,15 +197,33 @@ _CHUNK_BYTES = 5 * 2**18
 _PAIR_DOUBLES = 28
 
 
-def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap):
-    """Raw Galerkin coupling blocks of all ordered sphere pairs, in chunks.
+def _geometry(config: ProblemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centers (M, 3), radii (M,) and enclosing flags (M,) of the spheres."""
+    return (np.array([s.frame.center for s in config.spheres], dtype=float),
+            np.array([s.frame.radius for s in config.spheres]),
+            np.array([s.enclosing for s in config.spheres]))
+
+
+def _ordered_pairs(config: ProblemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Targets and sources of all ordered pairs of distinct spheres, those
+    whose source is the enclosing sphere first (the order ``_pair_blocks``
+    needs)."""
+    enclosing = _geometry(config)[2]
+    targets, sources = np.nonzero(~np.eye(enclosing.size, dtype=bool))
+    first = np.argsort(~enclosing[sources], kind="stable")
+    return targets[first], sources[first]
+
+
+def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
+                 targets: np.ndarray, sources: np.ndarray):
+    """Raw Galerkin coupling blocks of the given ordered sphere pairs, in chunks.
 
     Yields ``(ipos, jpos, raw)`` for consecutive chunks of the pairs
-    (target ``ipos[n]``, source ``jpos[n]``) of distinct spheres; the pairs
-    whose source is the enclosing sphere come first.  ``raw[n]`` is the
-    (n_a, n_a) block coupling source ``jpos[n]``'s densities (columns,
-    active modes) into the test modes of target ``ipos[n]`` (rows).
-    Entry ((p,k), (p',k')) is
+    (target ``targets[n]``, source ``sources[n]``) of distinct spheres,
+    which must list the pairs whose source is the enclosing sphere first.
+    ``raw[n]`` is the (n_a, n_a) block coupling source ``jpos[n]``'s
+    densities (columns, active modes) into the test modes of target
+    ``ipos[n]`` (rows).  Entry ((p,k), (p',k')) is
 
         sum_t w_t Y^k_p(s_t) . [Ybar_p'(y/|y|) A_S(|y|/r_src)]_k'
 
@@ -213,13 +235,7 @@ def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap):
     test rows, which are the same for every target.
     """
     rows = weighted_basis(rule, dofmap.degree)[dofmap.active_mask()]
-    M = len(config.spheres)
-    centers = np.array([s.frame.center for s in config.spheres], dtype=float)
-    radii = np.array([s.frame.radius for s in config.spheres])
-    enclosing = np.array([s.enclosing for s in config.spheres])
-    targets, sources = np.nonzero(~np.eye(M, dtype=bool))
-    first = np.argsort(~enclosing[sources], kind="stable")
-    targets, sources = targets[first], sources[first]
+    centers, radii, enclosing = _geometry(config)
     pair_bytes = _PAIR_DOUBLES * num_scalar_modes(dofmap.degree) * rule.size * 8
     per_chunk = max(1, _CHUNK_BYTES // pair_bytes)
     for c0 in range(0, targets.size, per_chunk):
@@ -259,6 +275,37 @@ def _chunk_blocks(background: LameParams, rule: LebedevRule, degree: int, rows: 
     return raw[:, _active_mask(degree)].transpose(2, 0, 1)
 
 
+def _distinct_pairs(config: ProblemConfig):
+    """The ordered pairs grouped by the key that fixes their raw block.
+
+    The key is (x_tgt - x_src, r_tgt, r_src, source is enclosing), matched
+    by exact (bitwise) float equality; pairs with one key have equal
+    blocks up to the rounding of their mapped nodes.  Returns
+    ``(rep_targets, rep_sources)``, one representative pair per key in
+    ``_ordered_pairs`` order (so enclosing sources still lead), and
+    ``(targets, sources, bounds)``: the pairs of key k are
+    ``targets[bounds[k]:bounds[k + 1]]`` with the matching sources.  A
+    target meets each key at most once, since the key and the target fix
+    the source.
+    """
+    targets, sources = _ordered_pairs(config)
+    centers, radii, enclosing = _geometry(config)
+    keys = np.column_stack([centers[targets] - centers[sources], radii[targets],
+                            radii[sources], enclosing[sources]])
+    # one raw-bytes item per row: sorts about 4x faster than np.unique(axis=0)
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    # number the keys by their first pair
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    key = rank[inverse]
+    members = np.argsort(key, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=order.size))))
+    reps = first[order]
+    return (targets[reps], sources[reps]), (targets[members], sources[members], bounds)
+
+
 def _diag_coupling(config: ProblemConfig, dofmap: DofMap, mode: str):
     """Tables shared by assembly and the product, over the active modes.
 
@@ -276,6 +323,13 @@ def _dofmap(config: ProblemConfig) -> DofMap:
     return DofMap(degree=config.degree, sphere_ids=tuple(s.id for s in config.spheres))
 
 
+def _check_rule(rule: LebedevRule, degree: int) -> None:
+    if rule.degree < 2 * degree:
+        raise ValueError(
+            f"assembly rule degree {rule.degree} is below 2*N = {2 * degree}"
+        )
+
+
 def assemble(
     config: ProblemConfig,
     rule: LebedevRule | None = None,
@@ -286,10 +340,7 @@ def assemble(
     t0 = time.perf_counter()
     rule = config.rule() if rule is None else rule
     degree = config.degree
-    if rule.degree < 2 * degree:
-        raise ValueError(
-            f"assembly rule degree {rule.degree} is below 2*N = {2 * degree}"
-        )
+    _check_rule(rule, degree)
     if sigma is None:
         sigma = build_sigma(config, degree, rule)
     dofmap = _dofmap(config)
@@ -305,7 +356,7 @@ def assemble(
     blocks = Nmat.reshape(M, na, M, na)  # (target, target mode, source, source mode)
     F = (radii[:, None] * sig * tau0 * norms).reshape(-1)
     loaded = np.any(sig != 0.0, axis=1)
-    for ipos, jpos, raw in _pair_blocks(config, rule, dofmap):
+    for ipos, jpos, raw in _pair_blocks(config, rule, dofmap, *_ordered_pairs(config)):
         blocks[ipos, :, jpos] = raw * C[jpos][:, None, :]
         for n in np.flatnonzero(loaded[jpos]):
             i, j = ipos[n], jpos[n]
@@ -326,17 +377,31 @@ def apply_operator(
     """Matrix-free product (D - N) Lambda; never materializes N.
 
     The coupling blocks come from the same generator ``assemble`` reads,
-    one chunk at a time, and are dropped after their product, so the
-    result agrees with the dense product to rounding error.
+    but only one per distinct pair key (see ``_distinct_pairs``): each is
+    applied to every pair with its key, then dropped with its chunk.  No
+    block outlives the call.  The result agrees with the dense product to
+    rounding error.
     """
     rule = config.rule() if rule is None else rule
     dofmap = _dofmap(config)
+    _check_rule(rule, dofmap.degree)
+    lam = np.asarray(lam)
+    if lam.size != dofmap.size:
+        raise ValueError(
+            f"lam has {lam.size} entries; the configuration has dofmap.size = {dofmap.size}"
+        )
     norms, _tau0, C, diag = _diag_coupling(config, dofmap, mode)
     lam = lam.reshape(len(config.spheres), -1)
+    # C belongs to the source sphere, not to the key
     scaled = C * lam
     out = norms * lam - diag * lam
-    for ipos, jpos, raw in _pair_blocks(config, rule, dofmap):
-        np.subtract.at(out, ipos, np.einsum("nab,nb->na", raw, scaled[jpos]))
+    representatives, (targets, sources, bounds) = _distinct_pairs(config)
+    k = 0
+    for _ipos, _jpos, raw in _pair_blocks(config, rule, dofmap, *representatives):
+        for block in raw:
+            pairs = slice(bounds[k], bounds[k + 1])
+            out[targets[pairs]] -= scaled[sources[pairs]] @ block.T
+            k += 1
     return out.reshape(-1)
 
 
@@ -564,13 +629,3 @@ def solve(system: DenseSystem, config: ProblemConfig) -> Solution:
         system, config, tol=opts.tol, max_iter=opts.max_iter, restart=opts.restart,
     )
 
-
-def dump_system(system: DenseSystem, path) -> None:
-    """Binary dump of (D, N, F): little-endian int64 size header, then
-    D (n doubles), N (n*n doubles, row-major), F (n doubles)."""
-    n = system.dofmap.size
-    with open(path, "wb") as fh:
-        fh.write(np.int64(n).tobytes())
-        fh.write(system.D.astype("<f8").tobytes())
-        fh.write(np.ascontiguousarray(system.Nmat, dtype="<f8").tobytes())
-        fh.write(system.F.astype("<f8").tobytes())

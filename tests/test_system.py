@@ -21,7 +21,6 @@ from elastisph.system import (
     apply_operator,
     assemble,
     c_coefficient,
-    dump_system,
     rigid_trace_vectors,
     solve_direct,
     solve_iterative,
@@ -182,6 +181,20 @@ class TestMatvec:
         e[17] = 1.0
         assert_allclose(apply_operator(cfg, e), system.matrix[:, 17], atol=1e-13)
 
+    def test_rule_too_weak(self):
+        from elastisph.quadrature import rule_for_degree
+
+        cfg = validate(lattice_config(1))
+        lam = np.ones(DofMap(cfg.degree, (1, 2)).size)
+        with pytest.raises(ValueError, match="below 2"):
+            apply_operator(cfg, lam, rule=rule_for_degree(3))
+
+    def test_wrong_length(self):
+        cfg = validate(lattice_config(1))
+        size = DofMap(cfg.degree, (1, 2)).size
+        with pytest.raises(ValueError, match=f"dofmap.size = {size}"):
+            apply_operator(cfg, np.ones(size - 3))
+
 
 def _chunking_configs():
     table3 = three_sphere_config(3)
@@ -191,6 +204,14 @@ def _chunking_configs():
         validate(dataclasses.replace(table3, spheres=table3.spheres[::-1])),
         validate(lattice_config(1)),
     ]
+
+
+def _assert_product_matches_dense(cfg, mode):
+    dense = assemble(cfg, mode=mode)
+    lam = np.random.default_rng(11).normal(size=dense.dofmap.size)
+    expected = dense.D * lam - dense.Nmat @ lam
+    mv = apply_operator(cfg, lam, mode=mode)
+    assert np.max(np.abs(mv - expected)) < 1e-13 * max(1.0, np.max(np.abs(expected)))
 
 
 class TestPairBlocks:
@@ -209,6 +230,45 @@ class TestPairBlocks:
                 assert_allclose(single.F, batched.F, rtol=0, atol=1e-15 * np.abs(batched.F).max())
                 dense = batched.D * lam - batched.Nmat @ lam
                 assert np.max(np.abs(mv - dense)) < 1e-13 * max(1.0, np.max(np.abs(dense)))
+
+    @pytest.mark.parametrize("cfg", [
+        lattice_config(1), lattice_config(2), lattice_config(3),
+        # no key repeats here
+        dataclasses.replace(three_sphere_config(3), spheres=three_sphere_config(3).spheres[::-1]),
+    ], ids=["lattice_r1", "lattice_r2", "lattice_r3", "table3_n3_reversed"])
+    @pytest.mark.parametrize("mode", [MODE_SELF_CONSISTENT, MODE_AS_PRINTED])
+    def test_distinct_key_product_matches_dense(self, cfg, mode):
+        _assert_product_matches_dense(validate(cfg), mode)
+
+    @pytest.mark.parametrize("variant", ["alternating_materials", "neumann_cavity"])
+    def test_shared_key_sources_with_different_c(self, variant):
+        # pairs with one key apply one block to sources whose C differ
+        lattice = lattice_config(2)
+        inclusions = list(lattice.spheres[:-1])
+        if variant == "alternating_materials":
+            inclusions[::2] = [dataclasses.replace(s, material=LameParams(3.0, 0.5))
+                               for s in inclusions[::2]]
+        else:
+            inclusions[5] = dataclasses.replace(inclusions[5], role="neumann", material=None)
+        cfg = validate(dataclasses.replace(lattice, spheres=(*inclusions, lattice.spheres[-1])))
+        _assert_product_matches_dense(cfg, MODE_SELF_CONSISTENT)
+
+    def test_one_block_per_distinct_key(self, monkeypatch):
+        cfg = validate(lattice_config(2))
+        blocks = []
+        original = system_module._chunk_blocks
+
+        def counting(*args):
+            raw = original(*args)
+            blocks.append(len(raw))
+            return raw
+
+        monkeypatch.setattr(system_module, "_chunk_blocks", counting)
+        apply_operator(cfg, np.ones(system_module._dofmap(cfg).size))
+        assert sum(blocks) == 178  # of 756 ordered pairs
+        blocks.clear()
+        assemble(cfg)
+        assert sum(blocks) == 756
 
     def test_basis_evaluations_per_assembly(self, monkeypatch):
         # one basis evaluation per target and chunk of sources, plus the
@@ -369,18 +429,3 @@ class TestBorderedLU:
         bordered = 8 * (system.dofmap.size + sol.diagnostics["null_dim"]) ** 2
         assert bordered < peak < 2 * bordered
 
-
-def test_dump_system_layout(tmp_path):
-    cfg = validate(one_sphere_config(1, 1))
-    system = assemble(cfg)
-    path = tmp_path / "system.bin"
-    dump_system(system, path)
-    raw = path.read_bytes()
-    n = int(np.frombuffer(raw[:8], dtype="<i8")[0])
-    assert n == system.dofmap.size
-    D = np.frombuffer(raw[8:8 + 8 * n], dtype="<f8")
-    assert_allclose(D, system.D)
-    N = np.frombuffer(raw[8 + 8 * n:8 + 8 * n + 8 * n * n], dtype="<f8").reshape(n, n)
-    assert_allclose(N, system.Nmat)
-    F = np.frombuffer(raw[8 + 8 * n + 8 * n * n:], dtype="<f8")
-    assert_allclose(F, system.F)
