@@ -58,7 +58,6 @@ from .system import (
 from .postprocess import (
     FieldEvaluator,
     ResonantDataError,
-    displacement_at,
     one_sphere_reference,
     relative_error,
 )

@@ -157,13 +157,6 @@ class FieldEvaluator:
         return out
 
 
-def displacement_at(solution: Solution, config: ProblemConfig, x) -> np.ndarray:
-    """Displacement at one point or an (n, 3) batch."""
-    x = np.asarray(x, dtype=float)
-    result = FieldEvaluator(config, solution).displacement(x)
-    return result[0] if x.ndim == 1 else result
-
-
 # ---------------------------------------------------------------------------
 # exports
 # ---------------------------------------------------------------------------

@@ -129,6 +129,11 @@ class SolverOptions:
             raise ValueError(f"unknown solver method {self.method!r}")
         if not self.tol > 0.0:
             raise ValueError("solver tolerance must be positive")
+        if self.max_iter < 1 or self.restart < 1:
+            raise ValueError(
+                f"solver max_iter and restart must be at least 1 "
+                f"(got {self.max_iter} and {self.restart})"
+            )
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ at the mapped points.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -108,12 +107,3 @@ def inner_product(u, v, rule: LebedevRule, frame: SphereFrame = UNIT_SPHERE) -> 
     else:
         prod = np.einsum("tc,tc->t", uu, vv)
     return float(np.dot(rule.weights, prod))
-
-
-def dump_rule_csv(rule: LebedevRule, path) -> None:
-    """Write the rule as rows of ``s_x, s_y, s_z, w`` for inspection."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s_x", "s_y", "s_z", "w"])
-        for s, w in zip(rule.points, rule.weights):
-            writer.writerow([f"{s[0]:.17g}", f"{s[1]:.17g}", f"{s[2]:.17g}", f"{w:.17g}"])

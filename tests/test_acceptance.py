@@ -265,7 +265,7 @@ def test_criterion_07_three_sphere_convergence():
 
 
 def _lattice_solve(config):
-    return solve_iterative(assemble(config), config, tol=1e-6, row_scale=True)
+    return solve_iterative(assemble(config), config, tol=1e-6)
 
 
 def test_criterion_08_benchmark():

@@ -6,7 +6,7 @@ import pytest
 from elastisph import problem
 from elastisph.cli import EXIT_OK, EXIT_VALIDATION, main
 from elastisph.presets import three_sphere_config
-from elastisph.problem import save_config
+from elastisph.problem import config_to_dict, save_config
 
 
 @pytest.fixture
@@ -67,8 +67,16 @@ def test_solver_flag_and_mode_recorded(table3_path, tmp_path):
     assert rc == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["spectra_mode"] == "as_printed"
-    assert manifest["iterations"] >= 1
-    assert manifest["solver"]["solver_path"] == "gmres"
+    assert 1 <= manifest["iterations"] < 100
+    solver = manifest["solver"]
+    assert solver["solver_path"] == "gmres"
+    # tol 1e-8 sits below this load's consistency floor (3.7e-5): the
+    # bordered GMRES measures the floor instead of running its budget
+    assert 0.0 < solver["consistency_floor"] < 1e-3
+    assert solver["null_dim"] == 3  # translations only in as_printed mode
+    history = solver["residual_history"]
+    assert len(history) == manifest["iterations"]
+    assert history[-1] <= 1e-8
 
 
 def test_tol_applies_to_configured_solver(tmp_path):
@@ -82,6 +90,17 @@ def test_tol_applies_to_configured_solver(tmp_path):
         assert manifest["solver"]["solver_path"] == "gmres"
         iterations.append(manifest["iterations"])
     assert iterations[0] < iterations[1]
+
+
+@pytest.mark.parametrize("field,value", [("max_iter", 0), ("restart", 0), ("restart", -1)])
+def test_solver_budget_below_one_exit_code(tmp_path, capsys, field, value):
+    d = config_to_dict(three_sphere_config(3))
+    d["solver"] = {"method": "iterative", field: value}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    rc = main(["solve", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+    assert rc == EXIT_VALIDATION
+    assert "at least 1" in json.loads(capsys.readouterr().err)["detail"]
 
 
 def test_validation_failure_exit_code(tmp_path, capsys):

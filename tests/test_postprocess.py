@@ -11,7 +11,6 @@ from elastisph.postprocess import (
     FieldEvaluator,
     ResonantDataError,
     config_digest,
-    displacement_at,
     export_coefficients,
     export_field_samples,
     minimum_gap,
@@ -127,12 +126,12 @@ class TestDisplacement:
     def test_uniform_compression_field(self):
         cfg, sol = self.solved_case1()
         pts = np.array([[0.3, 0.2, -0.1], [0.6, -0.5, 0.3], [0.0, 0.0, 0.9]])
-        u = displacement_at(sol, cfg, pts)
+        u = FieldEvaluator(cfg, sol).displacement(pts)
         assert_allclose(u, -pts / 5, atol=1e-10)
 
     def test_center_is_finite(self):
         cfg, sol = self.solved_case1()
-        u = displacement_at(sol, cfg, np.zeros(3))
+        u = FieldEvaluator(cfg, sol).displacement(np.zeros(3))
         assert_allclose(u, 0.0, atol=1e-12)
 
     def test_zero_contrast_smooth_across_interface(self):
@@ -170,7 +169,7 @@ class TestDisplacement:
                                     data=BoundaryData(kind="sinusoidal", scale=scale)),),
                 background=P11, degree=4))
             sol = solve_direct(assemble(cfg), cfg)
-            return displacement_at(sol, cfg, np.array([0.2, -0.3, 0.4]))
+            return FieldEvaluator(cfg, sol).displacement(np.array([0.2, -0.3, 0.4]))
 
         u1 = solved(-1.0)
         u2 = solved(-2.0)
@@ -179,18 +178,18 @@ class TestDisplacement:
     def test_on_surface_rejected(self):
         cfg, sol = self.solved_case1()
         with pytest.raises(ValueError, match="surface"):
-            displacement_at(sol, cfg, np.array([1.0, 0.0, 0.0]))
+            FieldEvaluator(cfg, sol).displacement(np.array([1.0, 0.0, 0.0]))
 
     def test_outside_rejected(self):
         cfg, sol = self.solved_case1()
         with pytest.raises(ValueError, match="outside"):
-            displacement_at(sol, cfg, np.array([2.0, 0.0, 0.0]))
+            FieldEvaluator(cfg, sol).displacement(np.array([2.0, 0.0, 0.0]))
 
     def test_neumann_cavity_rejected(self):
         cfg = validate(three_sphere_config(3))
         sol = solve_direct(assemble(cfg), cfg)
         with pytest.raises(ValueError, match="cavity"):
-            displacement_at(sol, cfg, np.array([-1.0, 0.0, 0.02]))
+            FieldEvaluator(cfg, sol).displacement(np.array([-1.0, 0.0, 0.02]))
 
     def test_transmission_interior_consistency(self):
         # trace block vs extrapolated off-surface limits from either side

@@ -280,3 +280,12 @@ class TestJsonRoundtrip:
         cfg = config_from_dict(d)
         assert cfg.solver.method == "iterative"
         assert cfg.solver.tol == 1e-8
+
+    @pytest.mark.parametrize("field,value", [("max_iter", 0), ("restart", 0), ("restart", -1)])
+    def test_solver_budget_below_one_rejected(self, field, value):
+        with pytest.raises(ValueError, match="max_iter and restart must be at least 1"):
+            SolverOptions(method="iterative", **{field: value})
+        d = config_to_dict(three_sphere_config(4))
+        d["solver"] = {"method": "iterative", field: value}
+        with pytest.raises(ValueError, match="at least 1"):
+            config_from_dict(d)

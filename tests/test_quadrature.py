@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from elastisph.harmonics import eval_VWX, scalar_basis, sh_degree_order
 from elastisph.quadrature import (
     LEBEDEV_TABLE,
     MAX_DEGREE,
     SphereFrame,
-    dump_rule_csv,
     inner_product,
     rule_for_degree,
 )
@@ -92,17 +90,6 @@ class TestInnerProduct:
         rule = rule_for_degree(3)
         const = lambda pts: np.tile([1.0, 0.0, 0.0], (len(pts), 1))
         assert inner_product(const, const, rule) == pytest.approx(4 * np.pi, rel=1e-13)
-
-
-def test_csv_dump(tmp_path):
-    rule = rule_for_degree(3)
-    path = tmp_path / "rule.csv"
-    dump_rule_csv(rule, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "s_x,s_y,s_z,w"
-    assert len(lines) == 1 + rule.size
-    parts = [float(v) for v in lines[1].split(",")]
-    assert_allclose(np.linalg.norm(parts[:3]), 1.0, atol=1e-14)
 
 
 def test_frame_validation():

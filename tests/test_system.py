@@ -358,7 +358,7 @@ class TestSolvers:
             cfg = validate(lattice_config(radius))
             assert len(cfg.spheres) == expected
             system = assemble(cfg)
-            sol = solve_iterative(system, cfg, tol=1e-6, row_scale=True)
+            sol = solve_iterative(system, cfg, tol=1e-6)
             assert sol.residual < 1e-5
 
 
@@ -429,3 +429,59 @@ class TestBorderedLU:
         bordered = 8 * (system.dofmap.size + sol.diagnostics["null_dim"]) ** 2
         assert bordered < peak < 2 * bordered
 
+
+class TestBorderedGMRES:
+    # at N=3 the border r C Z leans 3.6e-4 off the exact left null space,
+    # and that angle times the 3.7e-5 consistency floor sets the agreement
+    # with the orthogonal projection of the direct path (7.8e-9)
+    @pytest.mark.parametrize("cfg,bound", [
+        (three_sphere_config(3), 1e-8),
+        (three_sphere_config(8), 1e-10),
+        (three_sphere_config(8, "piecewise"), 1e-10),
+        (lattice_config(1), 1e-10),
+    ], ids=["table3_n3", "table3_n8", "table3_n8_piecewise", "lattice_r1"])
+    @pytest.mark.parametrize("mode", [MODE_SELF_CONSISTENT, MODE_AS_PRINTED])
+    def test_agrees_with_direct(self, cfg, bound, mode):
+        cfg = validate(cfg)
+        system = assemble(cfg, mode=mode)
+        direct = solve_direct(system, cfg)
+        sol = solve_iterative(system, cfg, tol=1e-12, max_iter=60)
+        dw = np.sqrt(system.D)
+        assert np.linalg.norm(dw * (sol.lambda_ - direct.lambda_)) <= bound * np.linalg.norm(dw * direct.lambda_)
+        diag, expected = sol.diagnostics, direct.diagnostics
+        assert diag["solver_path"] == "gmres"
+        assert (diag["rank"], diag["null_dim"]) == (expected["rank"], expected["null_dim"])
+        floor = expected["consistency_floor"]
+        if floor > 1e-12:
+            assert diag["consistency_floor"] == pytest.approx(floor, rel=1e-2)
+        else:
+            assert diag["consistency_floor"] < 1e-12
+        assert len(diag["residual_history"]) == sol.iterations > 0
+        assert diag["residual_history"][-1] <= 1e-12
+        Z = rigid_trace_vectors(cfg, system.dofmap, mode)
+        Dx = system.D * sol.lambda_
+        assert np.abs(Z.T @ Dx).max() <= 1e-10 * np.linalg.norm(Dx)
+
+    def test_incompatible_load_raises(self):
+        cfg = validate(three_sphere_config(3))
+        system = assemble(cfg)
+        left_null = null_space(system.matrix.T)[:, 0]
+        system.F += 1e-2 * np.linalg.norm(system.F) * left_null
+        with pytest.raises(SolverError, match="incompatible"):
+            solve_iterative(system, cfg)
+
+    def test_exhausted_budget_raises(self):
+        cfg = validate(three_sphere_config(8))
+        system = assemble(cfg)
+        with pytest.raises(SolverError, match="did not reach tol=1e-12 within 5 iterations"):
+            solve_iterative(system, cfg, tol=1e-12, max_iter=1, restart=5)
+
+    def test_zero_rhs(self):
+        cfg = validate(one_sphere_config(1, 2))
+        system = assemble(cfg)
+        system.F[:] = 0.0
+        sol = solve_iterative(system, cfg)
+        assert_allclose(sol.lambda_, 0.0, atol=0.0)
+        assert (sol.residual, sol.iterations) == (0.0, 0)
+        assert sol.diagnostics["consistency_floor"] == 0.0
+        assert sol.diagnostics["residual_history"] == []
