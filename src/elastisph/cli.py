@@ -92,11 +92,7 @@ def cmd_solve(args) -> int:
     except ValidationError as exc:
         print(_error_json("validation", exc.errors), file=sys.stderr)
         return EXIT_VALIDATION
-    try:
-        solution, timings = _solve_config(config, args)
-    except SolverError as exc:
-        print(_error_json("solver", str(exc)), file=sys.stderr)
-        return EXIT_SOLVER
+    solution, timings = _solve_config(config, args)
     coeff_path = out / "coefficients.csv"
     export_coefficients(solution.traces(), coeff_path)
     manifest = run_manifest(
@@ -178,11 +174,7 @@ def cmd_convergence(args) -> int:
     def with_degree(n):
         return replace(base, degree=n)
 
-    try:
-        ref_solution, _ = _solve_config(with_degree(args.reference), args)
-    except SolverError as exc:
-        print(_error_json("solver", str(exc)), file=sys.stderr)
-        return EXIT_SOLVER
+    ref_solution, _ = _solve_config(with_degree(args.reference), args)
     references = ref_solution.traces()
     sphere_ids = sorted(references)
     path = out / "convergence.csv"
@@ -211,11 +203,7 @@ def cmd_benchmark(args) -> int:
         system = assemble(config, mode=args.spectra_mode)
         t_assemble = time.perf_counter() - t0
         t0 = time.perf_counter()
-        try:
-            solution = solve(system, config)
-        except SolverError as exc:
-            print(_error_json("solver", str(exc)), file=sys.stderr)
-            return EXIT_SOLVER
+        solution = solve(system, config)
         t_solve = time.perf_counter() - t0
         n_spheres = len(config.spheres)
         rows.append((radius, n_spheres, solution.dofmap.size, t_assemble, t_solve,
@@ -252,11 +240,7 @@ def cmd_sweep_poisson(args) -> int:
             for nu1 in nu1_grid:
                 config = validate(_with_flags(
                     presets.poisson_sweep_config(nu0, float(nu1), degree), args))
-                try:
-                    solution, _ = _solve_config(config, args)
-                except SolverError as exc:
-                    print(_error_json("solver", str(exc)), file=sys.stderr)
-                    return EXIT_SOLVER
+                solution, _ = _solve_config(config, args)
                 norm = solution.trace(2).l2_norm()
                 lam1 = config.spheres[0].material.lam
                 writer.writerow([_FMT % nu0, _FMT % nu1, _FMT % lam1, _FMT % norm])
@@ -335,6 +319,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(_error_json("validation", exc.errors), file=sys.stderr)
         return EXIT_VALIDATION
+    except SolverError as exc:
+        print(_error_json("solver", str(exc)), file=sys.stderr)
+        return EXIT_SOLVER
     except (ValueError, FileNotFoundError) as exc:
         print(_error_json("usage", str(exc)), file=sys.stderr)
         return EXIT_VALIDATION

@@ -63,12 +63,6 @@ class ModeIndex:
         return 3 * sh_index(self.ell, self.m) + int(self.family)
 
 
-def mode_from_offset(offset: int) -> ModeIndex:
-    p, k = divmod(offset, 3)
-    ell, m = sh_degree_order(p)
-    return ModeIndex(ell=ell, m=m, family=Family(k))
-
-
 def num_scalar_modes(max_degree: int) -> int:
     return (max_degree + 1) ** 2
 
@@ -520,7 +514,15 @@ def project(fn, frame: SphereFrame, max_degree: int, rule: LebedevRule) -> VshEx
 
 
 def reconstruct(expansion: VshExpansion, directions: np.ndarray) -> np.ndarray:
-    """Evaluate the expanded field at unit directions, shape (n, 3)."""
+    """Evaluate the expanded field at unit directions, shape (n, 3).
+
+    This sums the three families of ``vsh_basis`` as they are defined,
+    where ``spectra``'s layer potentials synthesise the same families
+    from the scalar basis.  It is the density the brute-force oracle
+    integrates (``kernels_oracle``, the benchmark's field check), so it
+    stays on this separate path: a fault in that synthesis cannot hide
+    in its own reference.
+    """
     basis = vsh_basis(directions, expansion.max_degree)
     out = np.einsum("p,ptc->tc", expansion.coeffs[:, 0], basis.V)
     out += np.einsum("p,ptc->tc", expansion.coeffs[:, 1], basis.W)

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels_oracle as oracle
-from .harmonics import VshExpansion, traction_of_radial_field, vsh_basis
+from .harmonics import VshExpansion, scalar_basis, traction_of_radial_field
 from .kernels_oracle import AuditRecord
 from .materials import LameParams
 from .quadrature import SphereFrame
@@ -418,6 +418,23 @@ def _split_sides(frame: SphereFrame, x: np.ndarray):
 
 
 def _apply_layer(matrix_fn, frame, density: VshExpansion, x, radius_factor: float):
+    """Sum the radial-profile fields of ``density`` at the points ``x``.
+
+    The potential at a point is sum_j c_j (V|W|X)_j with the weights
+    c_j = sum_k coeff_k A_jk of the family j at that radius.  All three
+    families are linear in the scalar harmonic and its surface gradient,
+
+        V = grad Y - (l+1) Y n,   W = grad Y + l Y n,   X = n x grad Y,
+
+    so the sum is ``g + y n + n x g_X`` with g = sum (c_V + c_W) grad Y,
+    y = sum (l c_W - (l+1) c_V) Y and g_X = sum c_X grad Y.  It takes
+    ``scalar_basis`` alone, never the three vector arrays of ``vsh_basis``.
+
+    A point's result must not depend on the batch it comes in (the field
+    evaluator splits batches by region and side).  So the weights are
+    elementwise three-term sums, not a matrix product, and every
+    contraction is accumulated degree by degree into the running sums.
+    """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
@@ -429,19 +446,21 @@ def _apply_layer(matrix_fn, frame, density: VshExpansion, x, radius_factor: floa
     for side, idx in (("in", np.flatnonzero(inner)), ("out", np.flatnonzero(~inner))):
         if not idx.size:
             continue
-        basis = vsh_basis(safe[idx], density.max_degree)
-        fams = (basis.V, basis.W, basis.X)
-        acc = np.zeros((idx.size, 3))
+        n = safe[idx]
+        Y, grad = scalar_basis(n, density.max_degree)
+        g, g_x, y = np.zeros((idx.size, 3)), np.zeros((idx.size, 3)), np.zeros(idx.size)
         for ell in range(density.max_degree + 1):
             p0, p1 = ell * ell, (ell + 1) * (ell + 1)
             coeff = density.coeffs[p0:p1]  # (2l+1, 3)
             if not np.any(coeff):
                 continue
-            A = matrix_fn(ell, rho[idx], side)  # (n, 3, 3)
-            combo = np.einsum("pk,njk->pnj", coeff, A)  # weight of family j per mode
-            for j, fam in enumerate(fams):
-                acc += np.einsum("pn,pnc->nc", combo[:, :, j], fam[p0:p1])
-        out[idx] = acc
+            A = matrix_fn(ell, rho[idx], side).transpose(1, 2, 0)  # (j, k, n)
+            c_v, c_w, c_x = (coeff[:, 0, None] * A[:, None, 0] + coeff[:, 1, None] * A[:, None, 1]
+                             + coeff[:, 2, None] * A[:, None, 2])  # each (2l+1, n)
+            g += np.einsum("pn,pnc->nc", c_v + c_w, grad[p0:p1])
+            g_x += np.einsum("pn,pnc->nc", c_x, grad[p0:p1])
+            y += np.einsum("pn,pn->n", ell * c_w - (ell + 1.0) * c_v, Y[p0:p1])
+        out[idx] = g + y[:, None] * n + np.cross(n, g_x)
     out *= radius_factor
     return out[0] if single else out
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from elastisph import problem
-from elastisph.cli import EXIT_OK, EXIT_VALIDATION, main
+from elastisph.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from elastisph.presets import three_sphere_config
 from elastisph.problem import config_to_dict, save_config
 
@@ -101,6 +101,17 @@ def test_solver_budget_below_one_exit_code(tmp_path, capsys, field, value):
     rc = main(["solve", "--config", str(path), "--out-dir", str(tmp_path / "o")])
     assert rc == EXIT_VALIDATION
     assert "at least 1" in json.loads(capsys.readouterr().err)["detail"]
+
+
+def test_solver_failure_exit_code(tmp_path, capsys):
+    # GMRES cannot reach tol 1e-30: the SolverError raised inside the
+    # per-degree loop of one-sphere must end as the solver JSON and exit 3
+    rc = main(["one-sphere", "--case", "1", "--degrees", "2", "--solver", "iterative",
+               "--tol", "1e-30", "--out-dir", str(tmp_path / "o")])
+    assert rc == EXIT_SOLVER
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "solver"
+    assert "GMRES did not reach tol=1e-30" in err["detail"]
 
 
 def test_validation_failure_exit_code(tmp_path, capsys):

@@ -10,7 +10,6 @@ from elastisph.harmonics import (
     VshExpansion,
     eval_VWX,
     eval_Y,
-    mode_from_offset,
     norm_sq,
     norm_sq_table,
     project,
@@ -304,8 +303,11 @@ class TestModeIndex:
     @given(st.integers(0, 20), st.integers(0, 2 ** 30), st.sampled_from(list(Family)))
     def test_offset_roundtrip(self, ell, mseed, family):
         m = mseed % (2 * ell + 1) - ell
-        mode = ModeIndex(ell, m, family)
-        assert mode_from_offset(mode.flat_offset) == mode
+        offset = ModeIndex(ell, m, family).flat_offset
+        assert offset == 3 * sh_index(ell, m) + int(family)
+        p, k = divmod(offset, 3)
+        assert sh_degree_order(p) == (ell, m)
+        assert Family(k) == family
 
     def test_invalid(self):
         with pytest.raises(ValueError):
