@@ -222,8 +222,9 @@ def validate(config: ProblemConfig, net_load_tol: float = 1e-8) -> ProblemConfig
     if not errors:
         need, have = dense_bytes(config), available_memory()
         if have is not None and need > have:
+            held = "dense system" if config.solver.method == "direct" else "operator"
             errors.append(
-                f"the dense system of {_unknowns(config)} unknowns needs "
+                f"the {held} of {_unknowns(config)} unknowns needs "
                 f"about {need / 2**30:.2f} GiB with the {config.solver.method} solver, "
                 f"more than the {have / 2**30:.2f} GiB of memory available"
             )
@@ -275,13 +276,22 @@ def _unknowns(config: ProblemConfig) -> int:
 
 
 def dense_bytes(config: ProblemConfig) -> int:
-    """Bytes of the dense arrays a solve allocates: the coupling matrix and,
-    for the direct solver, its bordered copy (at most six rigid traces)."""
+    """Bytes of the largest arrays the configured solver holds.
+
+    The direct solver holds the dense coupling matrix and its bordered
+    copy (at most six rigid traces).  GMRES runs matrix-free: it holds one
+    raw block per distinct pair key (``system.CouplingOperator``) and a
+    Krylov basis of restart + 1 bordered vectors.
+    """
     n = _unknowns(config)
-    total = 8 * n * n
     if config.solver.method == "direct":
-        total += 8 * (n + 6) ** 2
-    return total
+        return 8 * n * n + 8 * (n + 6) ** 2
+    from .system import _distinct_pairs  # system imports this module
+
+    keys = _distinct_pairs(config)[0][0].size
+    modes = n // len(config.spheres)
+    restart = min(config.solver.restart, n + 6)
+    return 8 * keys * modes * modes + 8 * (restart + 1) * (n + 6)
 
 
 def _data_values(data: BoundaryData, sphere: SphereSpec, degree: int, rule) -> np.ndarray:

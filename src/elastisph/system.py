@@ -8,8 +8,11 @@ couple spheres through the closed-form single-layer matrices sampled at
 the target sphere's quadrature nodes.  Such a block depends only on its
 pair's key: the displacement x_tgt - x_src, the two radii and whether
 the source is the enclosing sphere.  ``assemble`` generates the block of
-every ordered pair; the matrix-free ``apply_operator`` generates one
-block per distinct key and applies it to every pair with that key.
+every ordered pair into the dense N.  ``CouplingOperator`` generates one
+block per distinct key, holds it and applies it to every pair with that
+key: the matrix-free product, for ``apply_operator`` and GMRES, without
+an n x n array.  ``coupling_operator`` keeps the last one built, so
+repeated products on one configuration generate no blocks.
 
 The operator is singular on rigid-motion traces (translations always;
 rotations too when the toroidal adjoint eigenvalue takes its
@@ -18,17 +21,18 @@ Neumann problem.  The direct solver borders the operator with the known
 rigid traces and factors the bordered matrix once by LU: it measures the
 part of the load outside the operator's range, solves for the rest and
 fixes the gauge in the same solve.  GMRES iterates on a nonsingular
-bordered system too, row-scaled by 1/D: its column border r C Z spans the
-left null space up to the quadrature asymmetry of the single-layer form
-(see ``solve_iterative``), so it measures the same part of the load, and
-the final iterate is projected onto the same gauge.
+bordered system too, row-scaled by 1/D, with either the dense or the
+matrix-free product: its column border r C Z spans the left null space
+up to the quadrature asymmetry of the single-layer form (see
+``solve_iterative``), so it measures the same part of the load, and the
+final iterate is projected onto the same gauge.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import pi, sqrt
 
 import numpy as np
@@ -110,9 +114,19 @@ class DenseSystem:
     mode: str
     assembly_seconds: float = 0.0
 
+    product = "dense"
+
     @property
     def matrix(self) -> np.ndarray:
         return np.diag(self.D) - self.Nmat
+
+    @property
+    def held_block_bytes(self) -> int:
+        return self.Nmat.nbytes
+
+    def coupling(self, x: np.ndarray) -> np.ndarray:
+        """The product N x."""
+        return self.Nmat @ x
 
 
 @dataclass(eq=False)
@@ -370,6 +384,81 @@ def assemble(
     )
 
 
+class CouplingOperator:
+    """The coupling of one configuration, held as its distinct pair blocks.
+
+    Built from the same generator ``assemble`` reads, but only one raw
+    block per distinct pair key (see ``_distinct_pairs``), held read-only
+    in ``blocks`` (keys, n_a, n_a) with the pair-to-key index: the pairs
+    of key k are ``targets[bounds[k]:bounds[k + 1]]`` with the matching
+    ``sources``.  With the C and diagonal tables that is all of N; no
+    n x n array is made.  The load ``F`` (computed on first use) takes
+    the blocks of the loaded sources, which are among the distinct keys.
+
+    Shares with ``DenseSystem`` what ``solve_iterative`` reads: ``D``,
+    ``F``, ``dofmap``, ``sigma``, ``mode`` and the product ``coupling``.
+    """
+
+    product = "matrix_free"
+
+    def __init__(self, config: ProblemConfig, rule: LebedevRule, mode: str):
+        _check_rule(rule, config.degree)
+        self.config, self.rule, self.mode = config, rule, mode
+        self.dofmap = _dofmap(config)
+        self._norms, self._tau0, self.C, self.diag = _diag_coupling(config, self.dofmap, mode)
+        self.D = np.tile(self._norms, len(config.spheres))
+        self.D.setflags(write=False)
+        representatives, (self.targets, self.sources, self.bounds) = _distinct_pairs(config)
+        na = self.dofmap.modes_per_sphere
+        self.blocks = np.empty((representatives[0].size, na, na))
+        k = 0
+        for _ipos, _jpos, raw in _pair_blocks(config, rule, self.dofmap, *representatives):
+            self.blocks[k:k + len(raw)] = raw
+            k += len(raw)
+        self.blocks.setflags(write=False)
+
+    @property
+    def held_block_bytes(self) -> int:
+        return self.blocks.nbytes
+
+    def _add_pair_products(self, out: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        """out[i] += block(i, j) @ vectors[j] over all ordered pairs, (M, n_a)."""
+        for k, block in enumerate(self.blocks):
+            pairs = slice(self.bounds[k], self.bounds[k + 1])
+            # a target meets each key at most once: no repeated index
+            out[self.targets[pairs]] += vectors[self.sources[pairs]] @ block.T
+        return out
+
+    def coupling(self, x: np.ndarray) -> np.ndarray:
+        """The product N x."""
+        lam = x.reshape(len(self.config.spheres), -1)
+        # C belongs to the source sphere, not to the key
+        return self._add_pair_products(self.diag * lam, self.C * lam).reshape(-1)
+
+    @cached_property
+    def sigma(self) -> dict[int, VshExpansion]:
+        return build_sigma(self.config, self.config.degree, self.rule)
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        mask = self.dofmap.active_mask()
+        sig = np.array([self.sigma[s.id].flat[mask] for s in self.config.spheres])
+        radii = _geometry(self.config)[1][:, None]
+        own = radii * sig * self._tau0 * self._norms
+        # unloaded sources add exact zeros
+        F = self._add_pair_products(own, radii * sig).reshape(-1)
+        F.setflags(write=False)
+        return F
+
+
+@lru_cache(maxsize=1)
+def coupling_operator(config: ProblemConfig, rule: LebedevRule, mode: str) -> CouplingOperator:
+    """The configuration's ``CouplingOperator``; the last one built is kept,
+    so repeated products on one configuration generate no blocks.  Its
+    arrays are shared with later callers and read-only."""
+    return CouplingOperator(config, rule, mode)
+
+
 def apply_operator(
     config: ProblemConfig,
     lam: np.ndarray,
@@ -378,33 +467,20 @@ def apply_operator(
 ) -> np.ndarray:
     """Matrix-free product (D - N) Lambda; never materializes N.
 
-    The coupling blocks come from the same generator ``assemble`` reads,
-    but only one per distinct pair key (see ``_distinct_pairs``): each is
-    applied to every pair with its key, then dropped with its chunk.  No
-    block outlives the call.  The result agrees with the dense product to
+    Gets the configuration's ``coupling_operator`` (built on the first
+    call, then held until another configuration, rule or mode asks for
+    one) and applies it.  The result agrees with the dense product to
     rounding error.
     """
     rule = config.rule() if rule is None else rule
-    dofmap = _dofmap(config)
-    _check_rule(rule, dofmap.degree)
-    lam = np.asarray(lam)
-    if lam.size != dofmap.size:
+    lam = np.asarray(lam).reshape(-1)
+    size = _dofmap(config).size
+    if lam.size != size:
         raise ValueError(
-            f"lam has {lam.size} entries; the configuration has dofmap.size = {dofmap.size}"
+            f"lam has {lam.size} entries; the configuration has dofmap.size = {size}"
         )
-    norms, _tau0, C, diag = _diag_coupling(config, dofmap, mode)
-    lam = lam.reshape(len(config.spheres), -1)
-    # C belongs to the source sphere, not to the key
-    scaled = C * lam
-    out = norms * lam - diag * lam
-    representatives, (targets, sources, bounds) = _distinct_pairs(config)
-    k = 0
-    for _ipos, _jpos, raw in _pair_blocks(config, rule, dofmap, *representatives):
-        for block in raw:
-            pairs = slice(bounds[k], bounds[k + 1])
-            out[targets[pairs]] -= scaled[sources[pairs]] @ block.T
-            k += 1
-    return out.reshape(-1)
+    operator = coupling_operator(config, rule, mode)
+    return operator.D * lam - operator.coupling(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +617,7 @@ def solve_direct(system: DenseSystem, config: ProblemConfig) -> Solution:
 
 
 def solve_iterative(
-    system: DenseSystem,
+    system: DenseSystem | CouplingOperator,
     config: ProblemConfig,
     tol: float = 1e-6,
     max_iter: int = 1000,
@@ -566,11 +642,15 @@ def solve_iterative(
     the exact left null space times the floor: 7.8e-9 of |x| on the
     three-sphere case at N=3 (angle 3.6e-4, floor 3.7e-5).  The
     constraint row holds only to the GMRES tolerance, so x is
-    gauge-projected at the end.  The operator is applied as
-    ``D*v - Nmat@v``; no n x n copy of it is made.  The diagnostics carry
-    the ``pr_norm`` residual history, one value per iteration.
+    gauge-projected at the end.
+
+    ``system`` is a ``DenseSystem`` (the product is ``Nmat @ x``) or a
+    ``CouplingOperator`` (matrix-free); the operator is applied as
+    ``D*x - system.coupling(x)`` and no n x n copy of it is made.  The
+    diagnostics name the product and the bytes it holds, and carry the
+    ``pr_norm`` residual history, one value per iteration.
     """
-    D, Nmat, F = system.D, system.Nmat, system.F
+    D, F = system.D, system.F
     n = D.size
     Z = rigid_trace_vectors(config, system.dofmap, system.mode)
     k = Z.shape[1]
@@ -579,10 +659,13 @@ def solve_iterative(
     C = _diag_coupling(config, system.dofmap, system.mode)[2]
     # r C Z, orthonormalised and scaled to the columns of the row border D Z
     U = np.linalg.qr((radii[:, None] * C).reshape(-1, 1) * Z)[0] * np.linalg.norm(DZ, axis=0)
+    products = 0
 
     def apply(v):
+        nonlocal products
+        products += 1
         x = v[:n]
-        return np.concatenate([(D * x - Nmat @ x + U @ v[n:]) / D, DZ.T @ x])
+        return np.concatenate([(D * x - system.coupling(x) + U @ v[n:]) / D, DZ.T @ x])
 
     history: list[float] = []
     rhs = np.concatenate([F / D, np.zeros(k)])
@@ -594,26 +677,35 @@ def solve_iterative(
     if info < 0:
         raise SolverError("GMRES received an illegal input or breakdown")
     if info > 0:
+        # each restart cycle makes one product beyond its inner iterations
+        # (the true residual of its update); unconverged, SciPy leaves its
+        # restart loop early only on a breakdown
+        cycles = products - len(history)
+        reason = ("the Krylov space stopped growing (breakdown)" if cycles < max_iter
+                  else f"all {max_iter} restart cycles ran")
+        achieved = np.linalg.norm(rhs - apply(v)) / np.linalg.norm(rhs)
         raise SolverError(
-            f"GMRES did not reach tol={tol} within {len(history)} iterations "
-            f"(achieved {history[-1]:.3e} relative)"
+            f"GMRES did not reach tol={tol} within {len(history)} iterations: {reason}; "
+            f"the returned iterate's true relative residual is {achieved:.3e}"
         )
     fnorm = np.linalg.norm(F)
     floor = float(np.linalg.norm(U @ v[n:]) / fnorm) if fnorm > 0 else 0.0
     _check_floor(floor, n, k)
     x = _gauge_project(v[:n], Z, D)
-    resid = float(np.linalg.norm(D * x - Nmat @ x - F) / fnorm) if fnorm > 0 else 0.0
+    resid = float(np.linalg.norm(D * x - system.coupling(x) - F) / fnorm) if fnorm > 0 else 0.0
     return Solution(
         lambda_=x, residual=resid, iterations=len(history),
         dofmap=system.dofmap, sigma=system.sigma, mode=system.mode,
-        diagnostics={"solver_path": "gmres", "rank": n - k, "null_dim": k,
-                     "consistency_floor": floor,
+        diagnostics={"solver_path": "gmres", "product": system.product,
+                     "held_block_bytes": system.held_block_bytes,
+                     "rank": n - k, "null_dim": k, "consistency_floor": floor,
                      "residual_history": history},
     )
 
 
-def solve(system: DenseSystem, config: ProblemConfig) -> Solution:
-    """Dispatch on the configured solver options."""
+def solve(system: DenseSystem | CouplingOperator, config: ProblemConfig) -> Solution:
+    """Dispatch on the configured solver options; the direct solver needs a
+    ``DenseSystem``."""
     opts = config.solver
     if opts.method == "direct":
         return solve_direct(system, config)

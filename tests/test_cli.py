@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,21 @@ def test_solver_flag_and_mode_recorded(table3_path, tmp_path):
     assert history[-1] <= 1e-8
 
 
+def test_lattice_r5_matrix_free(tmp_path):
+    # GMRES on the held distinct blocks: 22 356 unknowns, whose dense Nmat
+    # alone would take 4 GB
+    out = tmp_path / "r5"
+    rc = main(["solve", "--preset", "lattice_r5", "--out-dir", str(out)])
+    assert rc == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    solver = manifest["solver"]
+    assert (solver["solver_path"], solver["product"]) == ("gmres", "matrix_free")
+    assert solver["held_block_bytes"] == 8 * 4322 * 46**2
+    assert manifest["dofs"] == 22356
+    assert 1 <= manifest["iterations"] == len(solver["residual_history"])
+    assert manifest["residual"] <= 2e-6  # twice the preset's tolerance
+
+
 def test_tol_applies_to_configured_solver(tmp_path):
     # lattice_r2 configures GMRES; --tol replaces its tolerance
     iterations = []
@@ -112,6 +128,11 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "solver"
     assert "GMRES did not reach tol=1e-30" in err["detail"]
+    # the quoted residual is the returned iterate's, recomputed: it failed
+    # the tolerance, unlike the Hessenberg estimate (0 after a breakdown)
+    assert "breakdown" in err["detail"]
+    achieved = float(re.search(r"true relative residual is (\S+)$", err["detail"]).group(1))
+    assert achieved > 1e-30
 
 
 def test_validation_failure_exit_code(tmp_path, capsys):

@@ -164,11 +164,17 @@ class TestValidation:
         with pytest.raises(ValidationError, match="memory available") as err:
             validate(r5)
         assert len(err.value.errors) == 1
-        assert "22356 unknowns" in err.value.errors[0]
+        assert "the dense system of 22356 unknowns" in err.value.errors[0]
         assert validate(r3) is r3
-        # GMRES needs no bordered copy: r5 alone is 4.0 GB, under 4 GiB
-        assert dense_bytes(lattice_config(5)) == 8 * 22356**2
+        # GMRES runs matrix-free: r5's 4 322 distinct 46 x 46 blocks and a
+        # Krylov basis of 51 bordered vectors, 82 MB; it passes at 1 GiB
+        assert dense_bytes(lattice_config(5)) == 8 * 4322 * 46**2 + 8 * 51 * 22362
         validate(lattice_config(5))
+        monkeypatch.setattr(problem, "available_memory", lambda: 2**30)
+        validate(lattice_config(5))
+        monkeypatch.setattr(problem, "available_memory", lambda: 2**26)
+        with pytest.raises(ValidationError, match="the operator of 22356 unknowns"):
+            validate(lattice_config(5))
 
     def test_available_memory(self):
         have = available_memory()

@@ -21,12 +21,20 @@ from elastisph.system import (
     apply_operator,
     assemble,
     c_coefficient,
+    coupling_operator,
     rigid_trace_vectors,
     solve_direct,
     solve_iterative,
 )
 
 P11 = LameParams(1.0, 1.0)
+
+
+@pytest.fixture(autouse=True)
+def fresh_operator():
+    # every test builds its own coupling operator, never one held by an
+    # earlier test
+    system_module.coupling_operator.cache_clear()
 
 
 class TestDofMap:
@@ -270,6 +278,37 @@ class TestPairBlocks:
         assemble(cfg)
         assert sum(blocks) == 756
 
+    def test_held_blocks_across_products(self, monkeypatch):
+        cfg = validate(lattice_config(2))
+        lam = np.random.default_rng(4).normal(size=system_module._dofmap(cfg).size)
+        first = apply_operator(cfg, lam)
+        blocks = []
+        original = system_module._chunk_blocks
+
+        def counting(*args):
+            raw = original(*args)
+            blocks.append(len(raw))
+            return raw
+
+        monkeypatch.setattr(system_module, "_chunk_blocks", counting)
+        second = apply_operator(cfg, lam)
+        assert blocks == []
+        assert np.array_equal(first, second)
+        operator = coupling_operator(cfg, cfg.rule(), MODE_SELF_CONSISTENT)
+        assert operator.blocks.shape == (178, 46, 46)
+        assert not operator.blocks.flags.writeable
+        assert blocks == []
+
+    @pytest.mark.parametrize("cfg", [
+        lattice_config(1), lattice_config(2), three_sphere_config(3),
+        dataclasses.replace(three_sphere_config(3), spheres=three_sphere_config(3).spheres[::-1]),
+    ], ids=["lattice_r1", "lattice_r2", "table3_n3", "table3_n3_reversed"])
+    def test_operator_load_matches_assembly(self, cfg):
+        cfg = validate(cfg)
+        dense = assemble(cfg)
+        operator = coupling_operator(cfg, cfg.rule(), MODE_SELF_CONSISTENT)
+        assert np.abs(operator.F - dense.F).max() <= 1e-13 * np.abs(dense.F).max()
+
     def test_basis_evaluations_per_assembly(self, monkeypatch):
         # one basis evaluation per target and chunk of sources, plus the
         # test basis and the data projection; one per pair would be 758
@@ -470,10 +509,25 @@ class TestBorderedGMRES:
         with pytest.raises(SolverError, match="incompatible"):
             solve_iterative(system, cfg)
 
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    @pytest.mark.parametrize("mode", [MODE_SELF_CONSISTENT, MODE_AS_PRINTED])
+    def test_matrix_free_agrees_with_direct(self, radius, mode):
+        cfg = validate(lattice_config(radius))
+        direct = solve_direct(assemble(cfg, mode=mode), cfg)
+        operator = coupling_operator(cfg, cfg.rule(), mode)
+        sol = solve_iterative(operator, cfg, tol=1e-12, max_iter=60)
+        dw = np.sqrt(operator.D)
+        assert np.linalg.norm(dw * (sol.lambda_ - direct.lambda_)) <= 1e-8 * np.linalg.norm(dw * direct.lambda_)
+        diag = sol.diagnostics
+        assert (diag["solver_path"], diag["product"]) == ("gmres", "matrix_free")
+        assert diag["held_block_bytes"] == operator.blocks.nbytes
+        assert diag["null_dim"] == direct.diagnostics["null_dim"]
+
     def test_exhausted_budget_raises(self):
         cfg = validate(three_sphere_config(8))
         system = assemble(cfg)
-        with pytest.raises(SolverError, match="did not reach tol=1e-12 within 5 iterations"):
+        with pytest.raises(SolverError, match="did not reach tol=1e-12 within 5 iterations: "
+                                              "all 1 restart cycles ran"):
             solve_iterative(system, cfg, tol=1e-12, max_iter=1, restart=5)
 
     def test_zero_rhs(self):
