@@ -34,7 +34,7 @@ from .postprocess import (
 from .problem import ProblemConfig, ValidationError, load_config, validate
 from .quadrature import rule_for_degree
 from .spectra import DEFAULT_MODE, MODES
-from .system import SolverError, Solution, assemble, coupling_operator, solve
+from .system import CouplingOperator, SolverError, Solution, assemble, solve
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -70,12 +70,13 @@ def _load(args) -> ProblemConfig:
 
 
 def _solve_config(config: ProblemConfig, args) -> tuple[Solution, dict[str, float]]:
-    """Solve on the path the configured method runs: GMRES on the
-    matrix-free coupling operator, or the dense system for the direct
-    solver.  The operator's load is computed inside the solve."""
+    """Solve on the path the configured method runs: GMRES on a
+    matrix-free coupling operator, held only for this solve, or the dense
+    system for the direct solver.  The operator's load is computed inside
+    the solve."""
     t0 = time.perf_counter()
     if config.solver.method == "iterative":
-        system = coupling_operator(config, config.rule(), args.spectra_mode)
+        system = CouplingOperator(config, config.rule(), args.spectra_mode)
     else:
         system = assemble(config, mode=args.spectra_mode)
     t_assemble = time.perf_counter() - t0
@@ -194,8 +195,9 @@ def cmd_benchmark(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for radius in args.radii:
+        # the lattice cost study runs either solver on the dense system
         config = validate(_with_flags(presets.lattice_config(radius, degree=args.degree or 3),
-                                      args))
+                                      args), product="dense")
         t0 = time.perf_counter()
         system = assemble(config, mode=args.spectra_mode)
         t_assemble = time.perf_counter() - t0

@@ -180,12 +180,17 @@ def sphere_gaps(config: ProblemConfig):
     return ids, enclosing_gaps, np.stack([ids[i], ids[j]], axis=1), pair_gaps
 
 
-def validate(config: ProblemConfig, net_load_tol: float = 1e-8) -> ProblemConfig:
+def validate(config: ProblemConfig, net_load_tol: float = 1e-8,
+             product: str | None = None) -> ProblemConfig:
     """Check all geometric and material invariants; returns the config.
 
-    Raises ValidationError listing every violated invariant.  A nonzero
-    net force or torque of the enclosing Neumann data is reported as a
-    warning, not an error.
+    Raises ValidationError listing every violated invariant, including a
+    solve that needs more memory than is available (``system.solver_bytes``
+    of ``product``).  By default ``product`` is the one ``elastisph
+    solve`` runs: ``"dense"`` for the direct solver, ``"matrix_free"`` for
+    GMRES; a caller that runs GMRES on the dense system passes
+    ``"dense"``.  A nonzero net force or torque of the enclosing Neumann
+    data is reported as a warning, not an error.
     """
     errors: list[str] = []
     ids = [s.id for s in config.spheres]
@@ -220,9 +225,13 @@ def validate(config: ProblemConfig, net_load_tol: float = 1e-8) -> ProblemConfig
             f"(degree {MAX_DEGREE})"
         )
     if not errors:
-        need, have = dense_bytes(config), available_memory()
+        from .system import solver_bytes  # system imports this module
+
+        if product is None:
+            product = "dense" if config.solver.method == "direct" else "matrix_free"
+        need, have = solver_bytes(config, product), available_memory()
         if have is not None and need > have:
-            held = "dense system" if config.solver.method == "direct" else "operator"
+            held = "dense system" if product == "dense" else "operator"
             errors.append(
                 f"the {held} of {_unknowns(config)} unknowns needs "
                 f"about {need / 2**30:.2f} GiB with the {config.solver.method} solver, "
@@ -273,25 +282,6 @@ def available_memory() -> int | None:
 
 def _unknowns(config: ProblemConfig) -> int:
     return len(config.spheres) * (3 * num_scalar_modes(config.degree) - 2)
-
-
-def dense_bytes(config: ProblemConfig) -> int:
-    """Bytes of the largest arrays the configured solver holds.
-
-    The direct solver holds the dense coupling matrix and its bordered
-    copy (at most six rigid traces).  GMRES runs matrix-free: it holds one
-    raw block per distinct pair key (``system.CouplingOperator``) and a
-    Krylov basis of restart + 1 bordered vectors.
-    """
-    n = _unknowns(config)
-    if config.solver.method == "direct":
-        return 8 * n * n + 8 * (n + 6) ** 2
-    from .system import _distinct_pairs  # system imports this module
-
-    keys = _distinct_pairs(config)[0][0].size
-    modes = n // len(config.spheres)
-    restart = min(config.solver.restart, n + 6)
-    return 8 * keys * modes * modes + 8 * (restart + 1) * (n + 6)
 
 
 def _data_values(data: BoundaryData, sphere: SphereSpec, degree: int, rule) -> np.ndarray:
@@ -390,9 +380,12 @@ def _data_from_dict(d: dict) -> BoundaryData:
     for key in ("scale", "exponent", "frequency"):
         if key in d:
             kwargs[key] = d[key]
-    for key in ("offset", "vector", "axis", "matrix"):
+    for key in ("offset", "vector", "axis"):
         if key in d:
             kwargs[key] = tuple(d[key])
+    if "matrix" in d:
+        # flat or nested 3 x 3 in JSON; a flat tuple keeps the config hashable
+        kwargs["matrix"] = tuple(np.asarray(d["matrix"], dtype=float).reshape(-1).tolist())
     if "coeffs" in d:
         kwargs["coeffs"] = tuple(tuple(c) for c in d["coeffs"])
     return BoundaryData(**kwargs)

@@ -11,8 +11,10 @@ the source is the enclosing sphere.  ``assemble`` generates the block of
 every ordered pair into the dense N.  ``CouplingOperator`` generates one
 block per distinct key, holds it and applies it to every pair with that
 key: the matrix-free product, for ``apply_operator`` and GMRES, without
-an n x n array.  ``coupling_operator`` keeps the last one built, so
-repeated products on one configuration generate no blocks.
+an n x n array.  ``apply_operator`` keeps the last operator it built, so
+repeated products on one configuration generate no blocks after the
+first.  ``solver_bytes`` gives the memory either product holds in a
+solve.
 
 The operator is singular on rigid-motion traces (translations always;
 rotations too when the toroidal adjoint eigenvalue takes its
@@ -453,10 +455,40 @@ class CouplingOperator:
 
 @lru_cache(maxsize=1)
 def coupling_operator(config: ProblemConfig, rule: LebedevRule, mode: str) -> CouplingOperator:
-    """The configuration's ``CouplingOperator``; the last one built is kept,
-    so repeated products on one configuration generate no blocks.  Its
-    arrays are shared with later callers and read-only."""
+    """The configuration's ``CouplingOperator``, for ``apply_operator``.
+
+    The last one built is kept, so products repeated on one configuration
+    generate no blocks after the first; a product on another
+    configuration, rule or mode builds afresh (as fast as a product that
+    holds nothing) and replaces it.  Its arrays are shared with later
+    callers and read-only.  A solve builds its own ``CouplingOperator``
+    and holds it only while it runs.
+    """
     return CouplingOperator(config, rule, mode)
+
+
+def solver_bytes(config: ProblemConfig, product: str) -> int:
+    """Bytes of the largest arrays a solve of ``config`` holds.
+
+    ``product`` is ``"dense"`` (the n x n N of ``assemble``) or
+    ``"matrix_free"`` (a ``CouplingOperator``: one raw block per
+    distinct pair key).  The direct solver adds the bordered copy of the
+    dense N (at most six rigid traces); GMRES adds its Krylov basis of
+    restart + 1 bordered vectors.
+    """
+    dofmap = _dofmap(config)
+    n, na = dofmap.size, dofmap.modes_per_sphere
+    if product == "dense":
+        held = 8 * n * n
+    elif product == "matrix_free":
+        held = 8 * _distinct_pairs(config)[0][0].size * na * na
+    else:
+        raise ValueError(f"unknown product {product!r}; expected 'dense' or 'matrix_free'")
+    if config.solver.method == "direct":
+        return held + 8 * (n + 6) ** 2
+    # SciPy's GMRES restarts after at most as many steps as the system has unknowns
+    restart = min(config.solver.restart, n + 6)
+    return held + 8 * (restart + 1) * (n + 6)
 
 
 def apply_operator(
@@ -467,10 +499,11 @@ def apply_operator(
 ) -> np.ndarray:
     """Matrix-free product (D - N) Lambda; never materializes N.
 
-    Gets the configuration's ``coupling_operator`` (built on the first
-    call, then held until another configuration, rule or mode asks for
-    one) and applies it.  The result agrees with the dense product to
-    rounding error.
+    Gets the configuration's ``coupling_operator`` and applies it: the
+    first product on a configuration generates its distinct blocks, and
+    products repeated on it reuse them until a product on another
+    configuration, rule or mode replaces them.  The result agrees with
+    the dense product to rounding error.
     """
     rule = config.rule() if rule is None else rule
     lam = np.asarray(lam).reshape(-1)

@@ -6,8 +6,8 @@ import pytest
 
 from elastisph import problem
 from elastisph.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
-from elastisph.presets import three_sphere_config
-from elastisph.problem import config_to_dict, save_config
+from elastisph.presets import one_sphere_config, one_sphere_data, three_sphere_config
+from elastisph.problem import config_to_dict, load_config, save_config
 
 
 @pytest.fixture
@@ -59,6 +59,23 @@ def test_dense_memory_refused(table3_path, tmp_path, monkeypatch, capsys):
     err = json.loads(capsys.readouterr().err)
     assert any("memory available" in line for line in err["detail"])
     assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_nested_matrix_config_iterative(tmp_path):
+    # JSON may give the linear data's matrix as 3 x 3 rows; it loads flat
+    d = config_to_dict(one_sphere_config(2, 3))
+    d["solver"]["method"] = "iterative"
+    d["spheres"][0]["data"]["matrix"] = [[1.0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(d))
+    config = load_config(path)
+    assert config.spheres[0].data == one_sphere_data(2)
+    hash(config)
+    rc = main(["solve", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+    assert rc == EXIT_OK
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert (manifest["solver"]["solver_path"], manifest["solver"]["product"]) == (
+        "gmres", "matrix_free")
 
 
 def test_solver_flag_and_mode_recorded(table3_path, tmp_path):
@@ -197,6 +214,17 @@ def test_benchmark_small(tmp_path):
     assert rc == EXIT_OK
     rows = (out / "benchmark.csv").read_text().strip().splitlines()
     assert rows[1].split(",")[1] == "2"  # sphere count at R=1
+
+
+def test_benchmark_charges_dense_memory(tmp_path, monkeypatch, capsys):
+    # the cost study runs GMRES on the dense system: lattice r5's Nmat is
+    # 3.7 GiB, though its matrix-free operator would fit in 1 GiB
+    monkeypatch.setattr(problem, "available_memory", lambda: 2**30)
+    rc = main(["benchmark", "--radii", "5", "--out-dir", str(tmp_path)])
+    assert rc == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert any("the dense system of 22356 unknowns" in line for line in err["detail"])
 
 
 def test_sweep_poisson_small(tmp_path):

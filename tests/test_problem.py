@@ -20,13 +20,13 @@ from elastisph.problem import (
     build_sigma,
     config_from_dict,
     config_to_dict,
-    dense_bytes,
     load_config,
     save_config,
     sphere_gaps,
     validate,
 )
 from elastisph.quadrature import SphereFrame
+from elastisph.system import solver_bytes
 
 SQPI = np.sqrt(np.pi)
 
@@ -160,7 +160,7 @@ class TestValidation:
         direct = SolverOptions(method="direct")
         r5 = dataclasses.replace(lattice_config(5), solver=direct)
         r3 = dataclasses.replace(lattice_config(3), solver=direct)
-        assert dense_bytes(r5) == 8 * 22356**2 + 8 * 22362**2
+        assert solver_bytes(r5, "dense") == 8 * 22356**2 + 8 * 22362**2
         with pytest.raises(ValidationError, match="memory available") as err:
             validate(r5)
         assert len(err.value.errors) == 1
@@ -168,10 +168,14 @@ class TestValidation:
         assert validate(r3) is r3
         # GMRES runs matrix-free: r5's 4 322 distinct 46 x 46 blocks and a
         # Krylov basis of 51 bordered vectors, 82 MB; it passes at 1 GiB
-        assert dense_bytes(lattice_config(5)) == 8 * 4322 * 46**2 + 8 * 51 * 22362
+        assert solver_bytes(lattice_config(5), "matrix_free") == 8 * 4322 * 46**2 + 8 * 51 * 22362
         validate(lattice_config(5))
         monkeypatch.setattr(problem, "available_memory", lambda: 2**30)
         validate(lattice_config(5))
+        # GMRES on the dense system (the lattice cost study) holds Nmat too
+        assert solver_bytes(lattice_config(5), "dense") == 8 * 22356**2 + 8 * 51 * 22362
+        with pytest.raises(ValidationError, match="the dense system of 22356 unknowns"):
+            validate(lattice_config(5), product="dense")
         monkeypatch.setattr(problem, "available_memory", lambda: 2**26)
         with pytest.raises(ValidationError, match="the operator of 22356 unknowns"):
             validate(lattice_config(5))

@@ -21,6 +21,7 @@ from elastisph.system import (
     apply_operator,
     assemble,
     c_coefficient,
+    CouplingOperator,
     coupling_operator,
     rigid_trace_vectors,
     solve_direct,
@@ -28,13 +29,6 @@ from elastisph.system import (
 )
 
 P11 = LameParams(1.0, 1.0)
-
-
-@pytest.fixture(autouse=True)
-def fresh_operator():
-    # every test builds its own coupling operator, never one held by an
-    # earlier test
-    system_module.coupling_operator.cache_clear()
 
 
 class TestDofMap:
@@ -231,7 +225,8 @@ class TestPairBlocks:
                 with monkeypatch.context() as m:
                     m.setattr(system_module, "_CHUNK_BYTES", 1)
                     single = assemble(cfg, mode=mode)
-                    mv = apply_operator(cfg, lam, mode=mode)
+                    operator = CouplingOperator(cfg, cfg.rule(), mode)
+                mv = operator.D * lam - operator.coupling(lam)
                 # chunks change only the blocking of the products
                 assert_allclose(single.Nmat, batched.Nmat, rtol=0,
                                 atol=1e-15 * np.abs(batched.Nmat).max())
@@ -272,7 +267,7 @@ class TestPairBlocks:
             return raw
 
         monkeypatch.setattr(system_module, "_chunk_blocks", counting)
-        apply_operator(cfg, np.ones(system_module._dofmap(cfg).size))
+        CouplingOperator(cfg, cfg.rule(), MODE_SELF_CONSISTENT)
         assert sum(blocks) == 178  # of 756 ordered pairs
         blocks.clear()
         assemble(cfg)
@@ -281,7 +276,6 @@ class TestPairBlocks:
     def test_held_blocks_across_products(self, monkeypatch):
         cfg = validate(lattice_config(2))
         lam = np.random.default_rng(4).normal(size=system_module._dofmap(cfg).size)
-        first = apply_operator(cfg, lam)
         blocks = []
         original = system_module._chunk_blocks
 
@@ -291,6 +285,10 @@ class TestPairBlocks:
             return raw
 
         monkeypatch.setattr(system_module, "_chunk_blocks", counting)
+        coupling_operator.cache_clear()
+        first = apply_operator(cfg, lam)
+        assert sum(blocks) == 178
+        blocks.clear()
         second = apply_operator(cfg, lam)
         assert blocks == []
         assert np.array_equal(first, second)
@@ -298,6 +296,10 @@ class TestPairBlocks:
         assert operator.blocks.shape == (178, 46, 46)
         assert not operator.blocks.flags.writeable
         assert blocks == []
+        # another mode builds its own blocks and replaces the held ones
+        apply_operator(cfg, lam, mode=MODE_AS_PRINTED)
+        assert sum(blocks) == 178
+        assert coupling_operator.cache_info().currsize == 1
 
     @pytest.mark.parametrize("cfg", [
         lattice_config(1), lattice_config(2), three_sphere_config(3),
@@ -306,7 +308,7 @@ class TestPairBlocks:
     def test_operator_load_matches_assembly(self, cfg):
         cfg = validate(cfg)
         dense = assemble(cfg)
-        operator = coupling_operator(cfg, cfg.rule(), MODE_SELF_CONSISTENT)
+        operator = CouplingOperator(cfg, cfg.rule(), MODE_SELF_CONSISTENT)
         assert np.abs(operator.F - dense.F).max() <= 1e-13 * np.abs(dense.F).max()
 
     def test_basis_evaluations_per_assembly(self, monkeypatch):
@@ -514,7 +516,7 @@ class TestBorderedGMRES:
     def test_matrix_free_agrees_with_direct(self, radius, mode):
         cfg = validate(lattice_config(radius))
         direct = solve_direct(assemble(cfg, mode=mode), cfg)
-        operator = coupling_operator(cfg, cfg.rule(), mode)
+        operator = CouplingOperator(cfg, cfg.rule(), mode)
         sol = solve_iterative(operator, cfg, tol=1e-12, max_iter=60)
         dw = np.sqrt(operator.D)
         assert np.linalg.norm(dw * (sol.lambda_ - direct.lambda_)) <= 1e-8 * np.linalg.norm(dw * direct.lambda_)
