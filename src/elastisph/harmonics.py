@@ -400,12 +400,10 @@ def traction_of_radial_field(
     displacement field in the (V, W, X) basis of the same (l, m); the
     expression is exact for any radial profiles.  At l = 0 only the V
     coefficient is meaningful and the other two are returned as zero.
+    ``ell`` may be an array of degrees, broadcast against the profiles.
     """
     f1, f1r, g1, g1r, h1, h1r = profiles
     mu, lam = params.mu, params.lam
-    if ell == 0:
-        c_v = 2.0 * mu * f1r + lam * (f1r + 2.0 * f1)
-        return c_v, 0.0, 0.0
     ol = 1.0 / (2.0 * ell + 1.0)
     c_v = mu * ol * (
         (3.0 * ell + 2.0) * f1r - ell * (ell + 2.0) * f1
@@ -422,7 +420,9 @@ def traction_of_radial_field(
         + ell * g1r - ell * (ell - 1.0) * g1
     )
     c_x = mu * (h1r - h1)
-    return c_v, c_w, c_x
+    # the V formula holds at l = 0 as well; the W and X harmonics vanish there
+    higher = np.asarray(ell) > 0
+    return c_v, np.where(higher, c_w, 0.0), np.where(higher, c_x, 0.0)
 
 
 @dataclass

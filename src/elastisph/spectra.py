@@ -1,28 +1,38 @@
 """Closed-form spectra of the elastic layer operators on spheres.
 
-For each degree the single and double layer potentials of the three
-vector-harmonic families are radial-profile fields; their boundary
-operators act diagonally (single layer, adjoint double layer) or with a
-small triangular coupling off the boundary.  This module provides the
-eigenvalues, the radius-dependent 3x3 matrices for interior/exterior
-evaluation, scaling to arbitrary spheres, and a self-consistency audit
-against the jump relations and the brute-force oracle.
+The vector spherical harmonics V, W, X diagonalise the single layer and
+the adjoint double layer boundary operators; ``single_layer_eigs`` and
+``adjoint_double_eigs`` give the eigenvalues per degree.
 
-Two coefficient modes exist for the double-layer family and the
-toroidal adjoint eigenvalue:
+Off the sphere, the potential of either layer with a degree-l density is
+a power law in the scaled radius rho = |x - x0| / r:
+
+* the spheroidal (V, W) 2x2 block is H rho^a + L rho^b;
+* the toroidal X entry is T rho^c;
+* (a, b, c) = (l+1, l-1, l) inside and (-l-2, -l, -l-1) outside.
+
+One read-only table holds (H, L, T) per side for degrees 0..max, built by
+array code over the degree array, per layer, material and mode.  One
+evaluator turns it into the 3x3 matrices of ``single_layer_matrix`` and
+``double_layer_matrix``.  ``traction_trace_matrices`` reads its rho = 1
+profiles off the single-layer table, and ``apply_single_layer`` and
+``apply_double_layer`` sum the matrices over an expansion.
+
+Two coefficient modes exist for the double-layer table and the toroidal
+adjoint eigenvalue:
 
 * ``as_printed``  -- the published tables verbatim;
-* ``self_consistent`` -- entries re-derived from the radial ODE solution
-  basis plus the jump relations wherever the audit shows the published
-  tables contradict them (the default).
+* ``self_consistent`` -- the table re-derived from the radial ODE
+  solution basis and the jump relations, where the audit shows the
+  published tables contradict them (the default).
 
-The audit, not the tables, is the ground truth: every contradiction is
-reported rather than silently patched.
+``audit_spectra`` checks the tables against the jump relations and the
+brute-force oracle.  The audit, not the tables, is the ground truth:
+every contradiction is reported rather than silently patched.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -87,79 +97,35 @@ def adjoint_double_eigs(
     return t1, t2, t3
 
 
-def _sl_coupling_in(ell: int, params: LameParams) -> float:
-    # coefficient of (rho^{l+1} - rho^{l-1}) in the interior W row, V column
-    mu, lam = params.mu, params.lam
-    return (ell + 1.0) * (mu + lam) / (2.0 * (2.0 * ell + 1.0) * mu * (2.0 * mu + lam))
-
-
-def _sl_coupling_out(ell: int, params: LameParams) -> float:
-    # coefficient of (rho^{-l-2} - rho^{-l}) in the exterior V row, W column
-    mu, lam = params.mu, params.lam
-    return ell * (mu + lam) / (2.0 * (2.0 * ell + 1.0) * mu * (2.0 * mu + lam))
-
-
-@lru_cache(maxsize=256)
-def _single_layer_table(params: LameParams, max_degree: int) -> np.ndarray:
-    """Coefficients of ``single_layer_matrix`` for degrees 0..max_degree.
-
-    Rows: t1, t2, t3, the interior and the exterior coupling.  The rows
-    of entries that exist only from degree 1 on are zero at degree 0.
-    Read-only.
-    """
-    ells = np.arange(max_degree + 1)
-    table = np.array([*single_layer_eigs(ells, params),
-                      _sl_coupling_in(ells, params), _sl_coupling_out(ells, params)])
-    table[1:, 0] = 0.0
-    table.setflags(write=False)
-    return table
-
-
-def single_layer_matrix(ell, params: LameParams, rho, side: str) -> np.ndarray:
-    """Radius-dependent matrix of the single layer potential.
-
-    ``rho`` is the scaled radius |x - x0| / r (scalar or array); columns
-    are the density family, rows the component family of the result.
-    ``side`` must match rho ('in': rho <= 1, 'out': rho >= 1).  At
-    ell = 0 the degenerate W/X rows and columns are zeroed.  ``ell`` is
-    one degree or an integer array of degrees; the result has shape
-    ``np.shape(ell) + rho.shape + (3, 3)``.
-    """
-    rho = np.asarray(rho, dtype=float)
-    if side == "in":
-        if (rho > 1.0 + 1e-12).any():
-            raise ValueError("side='in' requires rho <= 1")
-    elif side == "out":
-        if (rho < 1.0 - 1e-12).any():
-            raise ValueError("side='out' requires rho >= 1")
-    else:
-        raise ValueError(f"side must be 'in' or 'out', got {side!r}")
-    ells = np.asarray(ell)
-    ell = ells.reshape(ells.shape + (1,) * rho.ndim)
-    t1, t2, t3, c_in, c_out = _single_layer_table(params, int(ells.max()))[:, ell]
-    out = np.zeros(ells.shape + rho.shape + (3, 3))
-    if side == "in":
-        # the exponent l - 1 is clipped at 0 so that the degree-0 powers,
-        # which meet zero coefficients, stay finite at rho = 0
-        hi, lo = rho ** (ell + 1), rho ** np.maximum(ell - 1, 0)
-        out[..., 0, 0] = t1 * hi
-        out[..., 1, 0] = c_in * (hi - lo)
-        out[..., 1, 1] = t2 * lo
-        out[..., 2, 2] = t3 * rho ** ell
-    else:
-        hi, lo = rho ** (-ell - 2), rho ** (-ell)
-        out[..., 0, 0] = t1 * hi
-        out[..., 0, 1] = c_out * (hi - lo)
-        out[..., 1, 1] = t2 * lo
-        out[..., 2, 2] = t3 * rho ** (-ell - 1)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# double layer
+# power-law tables
 # ---------------------------------------------------------------------------
 
-def _ode_constants(ell: int, params: LameParams) -> tuple[float, float, float, float]:
+_SIDES = ("in", "out")
+
+
+def _blank(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zero (H, L, T) for both sides (axis 0: in, out) and ``size`` degrees."""
+    H = np.zeros((2, size, 2, 2))
+    return H, np.zeros_like(H), np.zeros((2, size))
+
+
+def _single_layer_coeffs(ells: np.ndarray, params: LameParams):
+    """Single-layer (H, L, T): the eigenvalues on the diagonal plus the
+    coupling c (rho^a - rho^b) of the interior W row to the V density and
+    of the exterior V row to the W density."""
+    mu, lam = params.mu, params.lam
+    t1, t2, t3 = single_layer_eigs(ells, params)
+    denom = 2.0 * (2.0 * ells + 1.0) * mu * (2.0 * mu + lam)
+    c_in, c_out = (ells + 1.0) * (mu + lam) / denom, ells * (mu + lam) / denom
+    H, L, T = _blank(ells.size)
+    H[:, :, 0, 0], L[:, :, 1, 1], T[:] = t1, t2, t3
+    H[0, :, 1, 0], L[0, :, 1, 0] = c_in, -c_in
+    H[1, :, 0, 1], L[1, :, 0, 1] = c_out, -c_out
+    return H, L, T
+
+
+def _ode_constants(ell, params: LameParams):
     """Coupling constants of the radial ODE solution basis at degree ell.
 
     The interior regular spheroidal solution is
@@ -175,97 +141,58 @@ def _ode_constants(ell: int, params: LameParams) -> tuple[float, float, float, f
     return p12, p22, q11, q21
 
 
-@dataclass(frozen=True)
-class DoubleLayerCoeffs:
-    """Power-law coefficients of the double layer matrices at one degree.
+def _derived_double_layer(ells: np.ndarray, params: LameParams):
+    """Double-layer (H, L, T) from the jump relations.
 
-    Interior entries multiply rho^(l+1) except the *_lo ones which
-    multiply rho^(l-1) and the toroidal one which multiplies rho^l;
-    exterior entries multiply rho^(-l) except the *_hi ones which
-    multiply rho^(-l-2) and the toroidal one, rho^(-l-1).
+    The potential of each spheroidal density family is expanded in the
+    radial ODE solution basis with unknowns (alpha, beta, gamma, delta):
+
+        interior f = alpha q11 rho^(l+1),  g = alpha q21 rho^(l+1) + beta rho^(l-1)
+        exterior f = gamma rho^(-l-2) + delta p12 rho^(-l),  g = delta p22 rho^(-l)
+
+    The displacement jump (-identity) and traction continuity fix them:
+    one 4x4 system per degree and density column, solved as one batch.
+    This reproduces the published Appendix values where those are
+    consistent and corrects them where they are not.
     """
-
-    in_11: float
-    in_12: float
-    in_21: float
-    in_21_lo: float
-    in_22: float
-    in_22_lo: float
-    in_33: float
-    out_11_hi: float
-    out_11: float
-    out_12_hi: float
-    out_12: float
-    out_21: float
-    out_22: float
-    out_33: float
-
-
-@lru_cache(maxsize=None)
-def _derived_double_layer(ell: int, params: LameParams) -> DoubleLayerCoeffs:
-    """Double-layer coefficients from the jump relations.
-
-    The potential of each density family is expanded in the radial ODE
-    solution basis; the displacement jump (-identity) and traction
-    continuity fix the four spheroidal constants per column and the two
-    toroidal ones.  This reproduces the published Appendix values where
-    those are consistent and corrects them where they are not.
-    """
-    if ell == 0:
-        mu, lam = params.mu, params.lam
-        # interior alpha*r, exterior gamma*r^{-2}; jump alpha - gamma = -1,
-        # traction continuity (2mu+3lam) alpha + 4 mu gamma = 0
-        gamma = (2.0 * mu + 3.0 * lam) / (3.0 * (2.0 * mu + lam))
-        alpha = gamma - 1.0
-        return DoubleLayerCoeffs(
-            in_11=alpha, in_12=0.0, in_21=0.0, in_21_lo=0.0, in_22=0.0, in_22_lo=0.0,
-            in_33=0.0, out_11_hi=gamma, out_11=0.0, out_12_hi=0.0, out_12=0.0,
-            out_21=0.0, out_22=0.0, out_33=0.0,
-        )
-
-    p12, p22, q11, q21 = _ode_constants(ell, params)
+    mu, lam = params.mu, params.lam
+    H, L, T = _blank(ells.size)
+    # degree 0: interior alpha*r, exterior gamma*r^{-2}; jump alpha - gamma = -1,
+    # traction continuity (2mu+3lam) alpha + 4 mu gamma = 0
+    gamma = (2.0 * mu + 3.0 * lam) / (3.0 * (2.0 * mu + lam))
+    H[:, 0, 0, 0] = gamma - 1.0, gamma
+    l = ells[1:].astype(float)
+    if not l.size:
+        return H, L, T
+    p12, p22, q11, q21 = _ode_constants(l, params)
 
     def traction(f1, f1r, g1, g1r):
-        cv, cw, _ = traction_of_radial_field((f1, f1r, g1, g1r, 0.0, 0.0), ell, params)
-        return cv, cw
+        return traction_of_radial_field((f1, f1r, g1, g1r, 0.0, 0.0), l, params)[:2]
 
-    # unknowns (alpha, beta, gamma, delta):
-    #   interior f = alpha q11 rho^{l+1},             g = alpha q21 rho^{l+1} + beta rho^{l-1}
-    #   exterior f = gamma rho^{-l-2} + delta p12 rho^{-l},  g = delta p22 rho^{-l}
-    A = np.zeros((4, 4))
-    lp, lm = float(ell + 1), float(ell - 1)
-    # displacement jump rows (V and W components of gamma^- - gamma^+)
-    A[0] = [q11, 0.0, -1.0, -p12]
-    A[1] = [q21, 1.0, 0.0, -p22]
-    # traction jump rows
-    tva, twa = traction(q11, lp * q11, q21, lp * q21)
-    tvb, twb = traction(0.0, 0.0, 1.0, lm)
-    tvc, twc = traction(1.0, -(ell + 2.0), 0.0, 0.0)
-    tvd, twd = traction(p12, -ell * p12, p22, -ell * p22)
-    A[2] = [tva, tvb, -tvc, -tvd]
-    A[3] = [twa, twb, -twc, -twd]
-
-    sol_v = np.linalg.solve(A, np.array([-1.0, 0.0, 0.0, 0.0]))
-    sol_w = np.linalg.solve(A, np.array([0.0, -1.0, 0.0, 0.0]))
-
-    av, bv, gv, dv = sol_v
-    aw, bw, gw, dw = sol_w
+    tva, twa = traction(q11, (l + 1.0) * q11, q21, (l + 1.0) * q21)
+    tvb, twb = traction(0.0, 0.0, 1.0, l - 1.0)
+    tvc, twc = traction(1.0, -(l + 2.0), 0.0, 0.0)
+    tvd, twd = traction(p12, -l * p12, p22, -l * p22)
+    zero, one = np.zeros_like(l), np.ones_like(l)
+    # rows: V and W displacement jump, V and W traction jump
+    A = np.moveaxis(np.array([[q11, zero, -one, -p12],
+                              [q21, one, zero, -p22],
+                              [tva, tvb, -tvc, -tvd],
+                              [twa, twb, -twc, -twd]]), -1, 0)
+    # one right-hand side per density column (V, W), each solved on its own
+    rhs = -np.eye(4)[:2, None, :, None]
+    alpha, beta, gamma, delta = np.linalg.solve(A, rhs)[..., 0].transpose(2, 1, 0)
+    H[0, 1:] = np.stack([q11, q21], axis=-1)[:, :, None] * alpha[:, None, :]
+    L[0, 1:, 1] = beta
+    H[1, 1:, 0] = gamma
+    L[1, 1:] = np.stack([p12, p22], axis=-1)[:, :, None] * delta[:, None, :]
     # toroidal: interior c_in rho^l, exterior c_out rho^{-l-1}
-    c_out = (ell - 1.0) / (2.0 * ell + 1.0)
-    c_in = c_out - 1.0
-    return DoubleLayerCoeffs(
-        in_11=av * q11, in_12=aw * q11,
-        in_21=av * q21, in_21_lo=bv,
-        in_22=aw * q21, in_22_lo=bw,
-        in_33=c_in,
-        out_11_hi=gv, out_11=dv * p12,
-        out_12_hi=gw, out_12=dw * p12,
-        out_21=dv * p22, out_22=dw * p22,
-        out_33=c_out,
-    )
+    T[1, 1:] = (l - 1.0) / (2.0 * l + 1.0)
+    T[0, 1:] = T[1, 1:] - 1.0
+    return H, L, T
 
 
-def _printed_double_layer(ell: int, params: LameParams) -> DoubleLayerCoeffs:
+def _printed_double_layer(ells: np.ndarray, params: LameParams):
     """The published double-layer coefficient tables, verbatim.
 
     Kept exactly as printed (including the entries the audit flags as
@@ -273,139 +200,151 @@ def _printed_double_layer(ell: int, params: LameParams) -> DoubleLayerCoeffs:
     reproduced and documented.
     """
     mu, lam = params.mu, params.lam
-    l = float(ell)
+    l = ells.astype(float)
     d = 2.0 * mu + lam
-    in_11 = -(l + 2.0) * ((3.0 * l + 2.0) * mu + (l + 1.0) * lam) * ((3.0 * l + 1.0) * mu + l * lam) / (
-        (2.0 * l + 3.0) * (2.0 * l + 1.0) ** 2 * mu * d
-    )
-    in_21 = -(l + 1.0) * (l + 2.0) * ((3.0 * l + 2.0) * mu + (l + 1.0) * lam) * (mu + lam) / (
-        2.0 * (2.0 * l + 1.0) ** 2 * d
-    )
-    in_21_lo = (l + 1.0) * (l + 2.0) * ((3.0 * l + 2.0) * mu + (l + 1.0) * lam) * (mu + lam) / (
-        2.0 * (2.0 * l - 1.0) * (2.0 * l + 1.0) * mu * d
-    )
-    in_12 = -l * (l - 1.0) * (mu + lam) * ((3.0 * l + 1.0) * mu + l * lam) / (
-        (2.0 * l + 3.0) * (2.0 * l + 1.0) ** 2 * mu * d
-    )
-    in_22 = -l * (l - 1.0) * (l + 1.0) * (mu + lam) ** 2 / (2.0 * (2.0 * l + 1.0) ** 2 * mu * d)
-    in_22_lo = (
+    H, L, T = _blank(ells.size)
+    # interior
+    H[0, :, 0, 0] = -(l + 2.0) * ((3.0 * l + 2.0) * mu + (l + 1.0) * lam) * (
+        (3.0 * l + 1.0) * mu + l * lam) / ((2.0 * l + 3.0) * (2.0 * l + 1.0) ** 2 * mu * d)
+    H[0, :, 1, 0] = -(l + 1.0) * (l + 2.0) * ((3.0 * l + 2.0) * mu + (l + 1.0) * lam) * (
+        mu + lam) / (2.0 * (2.0 * l + 1.0) ** 2 * d)
+    L[0, :, 1, 0] = (l + 1.0) * (l + 2.0) * ((3.0 * l + 2.0) * mu + (l + 1.0) * lam) * (
+        mu + lam) / (2.0 * (2.0 * l - 1.0) * (2.0 * l + 1.0) * mu * d)
+    H[0, :, 0, 1] = -l * (l - 1.0) * (mu + lam) * ((3.0 * l + 1.0) * mu + l * lam) / (
+        (2.0 * l + 3.0) * (2.0 * l + 1.0) ** 2 * mu * d)
+    H[0, :, 1, 1] = -l * (l - 1.0) * (l + 1.0) * (mu + lam) ** 2 / (
+        2.0 * (2.0 * l + 1.0) ** 2 * mu * d)
+    L[0, :, 1, 1] = (
         (l ** 3 + 24.0 * l ** 2 - 5.0 * l - 8.0) * mu ** 2
         + 2.0 * (l ** 3 + 6.0 * l ** 2 - 2.0 * l - 2.0) * mu * lam
         + (l ** 3 - l) * lam ** 2
     ) / ((2.0 * l - 1.0) * (2.0 * l + 1.0) * mu * d)
-    out_11_hi = (l + 1.0) * (
+    T[0] = -(l + 1.0) / ((2.0 * l + 1.0) * mu)
+    # exterior
+    H[1, :, 0, 0] = (l + 1.0) * (
         (l ** 2 + 10.0 * l + 4.0) * mu ** 2
         + (2.0 * l ** 2 + 8.0 * l + 2.0) * mu * lam
         + (l ** 2 + l) * lam
     ) / (2.0 * (2.0 * l + 1.0) * (2.0 * l + 3.0) * mu * d)
-    out_11 = -l * (l + 1.0) * (l + 2.0) * (mu + lam) ** 2 / (2.0 * (2.0 * l + 1.0) ** 2 * mu * d)
-    out_21 = (l + 1.0) * (l + 2.0) * (mu + lam) * ((3.0 * l + 2.0) * mu + (l + 1.0) * lam) / (
-        (2.0 * l - 1.0) * (2.0 * l + 1.0) ** 2 * mu * d
-    )
-    out_12_hi = -l * (l - 1.0) * (mu + lam) * ((3.0 * l + 1.0) * mu + l * lam) / (
-        2.0 * (2.0 * l + 3.0) * (2.0 * l + 1.0) * mu * (2.0 * mu + lam ** 2)
-    )
-    out_12 = l * (l - 1.0) * ((3.0 * l + 1.0) * mu + l * lam) * (mu + lam) / (
-        2.0 * (2.0 * l + 1.0) * (2.0 * l + 3.0) * mu * d
-    )
-    out_22 = (l - 1.0) * ((3.0 * l + 1.0) * mu + l * lam) * ((3.0 * l + 2.0) * mu + (l + 1.0) * lam) / (
-        (2.0 * l - 1.0) * (2.0 * l + 1.0) ** 2 * mu * d
-    )
-    in_33 = -(l + 1.0) / ((2.0 * l + 1.0) * mu)
-    out_33 = l / ((2.0 * l + 1.0) * mu)
-    if ell == 0:
-        in_12 = in_21 = in_21_lo = in_22 = in_22_lo = 0.0
-        out_11 = out_12_hi = out_12 = out_21 = out_22 = 0.0
-        in_33 = out_33 = 0.0
-    return DoubleLayerCoeffs(
-        in_11=in_11, in_12=in_12, in_21=in_21, in_21_lo=in_21_lo,
-        in_22=in_22, in_22_lo=in_22_lo, in_33=in_33,
-        out_11_hi=out_11_hi, out_11=out_11, out_12_hi=out_12_hi, out_12=out_12,
-        out_21=out_21, out_22=out_22, out_33=out_33,
-    )
+    L[1, :, 0, 0] = -l * (l + 1.0) * (l + 2.0) * (mu + lam) ** 2 / (
+        2.0 * (2.0 * l + 1.0) ** 2 * mu * d)
+    L[1, :, 1, 0] = (l + 1.0) * (l + 2.0) * (mu + lam) * (
+        (3.0 * l + 2.0) * mu + (l + 1.0) * lam) / ((2.0 * l - 1.0) * (2.0 * l + 1.0) ** 2 * mu * d)
+    H[1, :, 0, 1] = -l * (l - 1.0) * (mu + lam) * ((3.0 * l + 1.0) * mu + l * lam) / (
+        2.0 * (2.0 * l + 3.0) * (2.0 * l + 1.0) * mu * (2.0 * mu + lam ** 2))
+    L[1, :, 0, 1] = l * (l - 1.0) * ((3.0 * l + 1.0) * mu + l * lam) * (mu + lam) / (
+        2.0 * (2.0 * l + 1.0) * (2.0 * l + 3.0) * mu * d)
+    L[1, :, 1, 1] = (l - 1.0) * ((3.0 * l + 1.0) * mu + l * lam) * (
+        (3.0 * l + 2.0) * mu + (l + 1.0) * lam) / ((2.0 * l - 1.0) * (2.0 * l + 1.0) ** 2 * mu * d)
+    T[1] = l / ((2.0 * l + 1.0) * mu)
+    return H, L, T
 
 
-def double_layer_coeffs(ell: int, params: LameParams, mode: str = DEFAULT_MODE) -> DoubleLayerCoeffs:
-    _check_mode(mode)
-    if mode == MODE_AS_PRINTED:
-        return _printed_double_layer(ell, params)
-    return _derived_double_layer(ell, params)
+@lru_cache(maxsize=256)
+def _power_table(layer: str, params: LameParams, max_degree: int, mode: str | None) -> dict:
+    """Power-law coefficients of one layer for degrees 0..max_degree.
+
+    Maps each side to read-only ``(H, L, T, terms)``: H and L (degrees,
+    2, 2) multiply rho^a and rho^b in the (V, W) block, T (degrees,)
+    multiplies rho^c in the X entry.  ``terms`` lists (row, column,
+    power: 0 for a / 1 for b, coefficients over degrees) of the block
+    terms that are nonzero at some degree; the evaluator skips the rest.
+    At degree 0 only the V-V entry is kept: W and X vanish there.
+    ``mode`` is None for the single layer.
+    """
+    ells = np.arange(max_degree + 1)
+    if layer == "single":
+        H, L, T = _single_layer_coeffs(ells, params)
+    elif mode == MODE_AS_PRINTED:
+        H, L, T = _printed_double_layer(ells, params)
+    else:
+        H, L, T = _derived_double_layer(ells, params)
+    H[:, 0, [0, 1, 1], [1, 0, 1]] = L[:, 0, [0, 1, 1], [1, 0, 1]] = T[:, 0] = 0.0
+    table = {}
+    for s, side in enumerate(_SIDES):
+        h, low, t = H[s], L[s], T[s]
+        for arr in (h, low, t):
+            arr.setflags(write=False)
+        terms = tuple((i, j, p, coeffs[:, i, j]) for i in (0, 1) for j in (0, 1)
+                      for p, coeffs in enumerate((h, low)) if coeffs[:, i, j].any())
+        table[side] = (h, low, t, terms)
+    return table
 
 
-def double_layer_matrix(
-    ell: int, params: LameParams, rho, side: str, mode: str = DEFAULT_MODE
-) -> np.ndarray:
-    """Radius-dependent matrix of the double layer potential."""
+def _exponents(ell, side: str):
+    """(a, b, c) of the power law; ``l - 1`` is clipped at 0 so that the
+    degree-0 powers, which meet zero coefficients, stay finite at rho = 0."""
+    if side == "in":
+        return ell + 1, np.maximum(ell - 1, 0), ell
+    return -ell - 2, -ell, -ell - 1
+
+
+def _layer_matrix(layer: str, ell, params: LameParams, rho, side: str,
+                  mode: str | None) -> np.ndarray:
+    """The 3x3 matrices of one layer's potential, ``np.shape(ell) +
+    rho.shape + (3, 3)``: (V, W) block H rho^a + L rho^b, X entry T rho^c."""
     rho = np.asarray(rho, dtype=float)
     if side == "in":
-        if np.any(rho > 1.0 + 1e-12):
+        if (rho > 1.0 + 1e-12).any():
             raise ValueError("side='in' requires rho <= 1")
     elif side == "out":
-        if np.any(rho < 1.0 - 1e-12):
+        if (rho < 1.0 - 1e-12).any():
             raise ValueError("side='out' requires rho >= 1")
     else:
         raise ValueError(f"side must be 'in' or 'out', got {side!r}")
-    c = double_layer_coeffs(ell, params, mode)
-    out = np.zeros(rho.shape + (3, 3))
-    if side == "in":
-        hi = rho ** (ell + 1)
-        out[..., 0, 0] = c.in_11 * hi
-        out[..., 0, 1] = c.in_12 * hi
-        if ell >= 1:
-            lo = rho ** (ell - 1)
-            out[..., 1, 0] = c.in_21 * hi + c.in_21_lo * lo
-            out[..., 1, 1] = c.in_22 * hi + c.in_22_lo * lo
-            out[..., 2, 2] = c.in_33 * rho ** ell
-    else:
-        hi = rho ** (-ell - 2)
-        lo = rho ** (-ell)
-        out[..., 0, 0] = c.out_11_hi * hi + c.out_11 * lo
-        out[..., 0, 1] = c.out_12_hi * hi + c.out_12 * lo
-        if ell >= 1:
-            out[..., 1, 0] = c.out_21 * lo
-            out[..., 1, 1] = c.out_22 * lo
-            out[..., 2, 2] = c.out_33 * rho ** (-ell - 1)
+    ells = np.asarray(ell)
+    # one degree stays 0-d: numpy's power then takes the same loop for any
+    # number of points, so a point's matrix does not depend on its batch
+    ell = ells.reshape(ells.shape + (1,) * rho.ndim) if ells.ndim else ells
+    _, _, T, terms = _power_table(layer, params, int(ells.max()), mode)[side]
+    a, b, c = _exponents(ell, side)
+    powers = (rho ** a, rho ** b)
+    out = np.zeros(ells.shape + rho.shape + (3, 3))
+    for i, j, p, coeffs in terms:
+        out[..., i, j] += coeffs[ell] * powers[p]
+    out[..., 2, 2] = T[ell] * rho ** c
     return out
 
 
-def single_layer_profiles(ell: int, params: LameParams, side: str) -> np.ndarray:
-    """Radial profile data (f, f', g, g', h, h') at rho = 1 of S Y^k.
+def single_layer_matrix(ell, params: LameParams, rho, side: str) -> np.ndarray:
+    """Radius-dependent matrix of the single layer potential.
 
-    Returns a (3, 6) array, one row per density family, derived from
-    the single-layer matrices.  Used by the trace-identity audit.
+    ``rho`` is the scaled radius |x - x0| / r (scalar or array); columns
+    are the density family, rows the component family of the result.
+    ``side`` must match rho ('in': rho <= 1, 'out': rho >= 1).  At
+    ell = 0 the degenerate W/X rows and columns are zeroed.  ``ell`` is
+    one degree or an integer array of degrees; the result has shape
+    ``np.shape(ell) + rho.shape + (3, 3)``.
     """
-    t1, t2, t3 = single_layer_eigs(ell, params)
-    rows = np.zeros((3, 6))
-    if side == "in":
-        cin = _sl_coupling_in(ell, params) if ell >= 1 else 0.0
-        rows[0] = [t1, (ell + 1.0) * t1, 0.0, 2.0 * cin, 0.0, 0.0]
-        if ell >= 1:
-            rows[1] = [0.0, 0.0, t2, (ell - 1.0) * t2, 0.0, 0.0]
-            rows[2] = [0.0, 0.0, 0.0, 0.0, t3, ell * t3]
-    else:
-        cout = _sl_coupling_out(ell, params) if ell >= 1 else 0.0
-        rows[0] = [t1, -(ell + 2.0) * t1, 0.0, 0.0, 0.0, 0.0]
-        if ell >= 1:
-            rows[1] = [0.0, -2.0 * cout, t2, -ell * t2, 0.0, 0.0]
-            rows[2] = [0.0, 0.0, 0.0, 0.0, t3, -(ell + 1.0) * t3]
-    return rows
+    return _layer_matrix("single", ell, params, rho, side, None)
+
+
+def double_layer_matrix(
+    ell, params: LameParams, rho, side: str, mode: str = DEFAULT_MODE
+) -> np.ndarray:
+    """Radius-dependent matrix of the double layer potential; arguments and
+    shape as in ``single_layer_matrix``, coefficients from ``mode``."""
+    _check_mode(mode)
+    return _layer_matrix("double", ell, params, rho, side, mode)
 
 
 def traction_trace_matrices(ell: int, params: LameParams) -> tuple[np.ndarray, np.ndarray]:
     """Interior and exterior traction traces of the single layer.
 
     Returns 3x3 matrices (T_in, T_out) whose column k expands the
-    traction of S Y^k on the unit sphere in the (V, W, X) basis,
-    computed from the radial profiles and the surface-traction formula.
+    traction of S Y^k on the unit sphere in the (V, W, X) basis.  The
+    radial profiles (f, f', g, g', h, h') at rho = 1 are read off the
+    single-layer table: value H + L, slope a H + b L (T and c T for h).
     """
     mats = []
-    for side in ("in", "out"):
-        prof = single_layer_profiles(ell, params, side)
-        mat = np.zeros((3, 3))
-        for col in range(3):
-            f1, f1r, g1, g1r, h1, h1r = prof[col]
-            mat[:, col] = traction_of_radial_field((f1, f1r, g1, g1r, h1, h1r), ell, params)
-        mats.append(mat)
+    for side in _SIDES:
+        H, L, T, _ = _power_table("single", params, ell, None)[side]
+        a, b, c = _exponents(ell, side)
+        prof = np.zeros((3, 6))  # one row per density family
+        prof[:2, 0:4:2] = (H[ell] + L[ell]).T
+        prof[:2, 1:4:2] = (a * H[ell] + b * L[ell]).T
+        prof[2, 4:] = T[ell], c * T[ell]
+        mats.append(np.array([traction_of_radial_field(p, ell, params) for p in prof]).T)
     return mats[0], mats[1]
 
 
@@ -434,6 +373,12 @@ def _apply_layer(matrix_fn, frame, density: VshExpansion, x, radius_factor: floa
     evaluator splits batches by region and side).  So the weights are
     elementwise three-term sums, not a matrix product, and every
     contraction is accumulated degree by degree into the running sums.
+    Within a degree, the order in which the 2l+1 orders are added depends
+    on the memory layout.  The gradient sums keep the three components
+    innermost, so einsum adds the orders one after another for any batch.
+    The scalar sum has no such axis: a lone point's orders would be
+    contiguous and summed by another loop than a larger batch's.  So its
+    terms are summed as point-major rows, contiguous for every batch size.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -459,7 +404,8 @@ def _apply_layer(matrix_fn, frame, density: VshExpansion, x, radius_factor: floa
                              + coeff[:, 2, None] * A[:, None, 2])  # each (2l+1, n)
             g += np.einsum("pn,pnc->nc", c_v + c_w, grad[p0:p1])
             g_x += np.einsum("pn,pnc->nc", c_x, grad[p0:p1])
-            y += np.einsum("pn,pn->n", ell * c_w - (ell + 1.0) * c_v, Y[p0:p1])
+            terms = (ell * c_w - (ell + 1.0) * c_v) * Y[p0:p1]
+            y += np.ascontiguousarray(terms.T).sum(axis=1)  # point-major rows
         out[idx] = g + y[:, None] * n + np.cross(n, g_x)
     out *= radius_factor
     return out[0] if single else out
@@ -554,21 +500,13 @@ def audit_spectra(
                 residual=res_dl, flagged=res_dl > flag_tol,
             ))
     if oracle_points:
-        records.extend(
-            oracle_comparison(min(ell_max, 3), params, rule_degree, mode, tol=oracle_tol)
-        )
+        records.extend(_oracle_records(min(ell_max, 3), params, rule_degree, mode, oracle_tol))
     return records
 
 
-def oracle_comparison(
-    ell_max: int,
-    params: LameParams,
-    rule_degree: int,
-    mode: str,
-    tol: float = 1e-6,
-    m: int | None = None,
-) -> list[AuditRecord]:
-    """Compare closed-form potentials against brute-force quadrature."""
+def _oracle_records(ell_max: int, params: LameParams, rule_degree: int, mode: str,
+                    tol: float) -> list[AuditRecord]:
+    """Compare closed-form potentials of every unit mode against brute-force quadrature."""
     frame = SphereFrame(center=(0.0, 0.0, 0.0), radius=1.0)
     # off-surface probes on both sides, dist >= 0.5
     dirs = np.array([
@@ -579,8 +517,7 @@ def oracle_comparison(
     pts = np.concatenate([0.5 * dirs, 2.0 * dirs])
     records = []
     for ell in range(ell_max + 1):
-        orders = range(-ell, ell + 1) if m is None else [m]
-        for mm in orders:
+        for mm in range(-ell, ell + 1):
             for k in ((0,) if ell == 0 else (0, 1, 2)):
                 density = VshExpansion.zeros(sphere_id=-1, max_degree=ell)
                 density.coeffs[ell * ell + ell + mm, k] = 1.0

@@ -32,7 +32,6 @@ final iterate is projected onto the same gauge.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import pi, sqrt
@@ -112,9 +111,7 @@ class DenseSystem:
     Nmat: np.ndarray                 # dense coupling matrix, (size, size)
     F: np.ndarray                    # right-hand side, (size,)
     sigma: dict[int, VshExpansion]
-    rule_degree: int
     mode: str
-    assembly_seconds: float = 0.0
 
     product = "dense"
 
@@ -355,7 +352,6 @@ def assemble(
     sigma: dict[int, VshExpansion] | None = None,
 ) -> DenseSystem:
     """Build the dense Galerkin system for a validated configuration."""
-    t0 = time.perf_counter()
     rule = config.rule() if rule is None else rule
     degree = config.degree
     _check_rule(rule, degree)
@@ -379,11 +375,7 @@ def assemble(
         for n in np.flatnonzero(loaded[jpos]):
             i, j = ipos[n], jpos[n]
             F[dofmap.sphere_slice(i)] += radii[j] * (raw[n] @ sig[j])
-    return DenseSystem(
-        dofmap=dofmap, D=D, Nmat=Nmat, F=F, sigma=sigma,
-        rule_degree=rule.degree, mode=mode,
-        assembly_seconds=time.perf_counter() - t0,
-    )
+    return DenseSystem(dofmap=dofmap, D=D, Nmat=Nmat, F=F, sigma=sigma, mode=mode)
 
 
 class CouplingOperator:

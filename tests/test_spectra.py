@@ -14,9 +14,7 @@ from elastisph.spectra import (
     apply_double_layer,
     apply_single_layer,
     audit_spectra,
-    double_layer_coeffs,
     double_layer_matrix,
-    oracle_comparison,
     single_layer_eigs,
     single_layer_matrix,
     traction_trace_matrices,
@@ -113,17 +111,21 @@ class TestSingleLayerMatrix:
                 assert abs(ain[0, 1]) == 0.0 and abs(aout[1, 0]) == 0.0
 
     def test_degree_array_matches_single_degrees(self):
-        # an array of degrees stacks the one-degree matrices; the centre
-        # rho = 0 stays finite on the interior side
+        # an array of degrees stacks the one-degree matrices of either
+        # layer; the centre rho = 0 stays finite on the interior side
         rng = np.random.default_rng(4)
-        for side, rho in (("in", np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 50)])),
-                          ("out", np.concatenate([[1.0], rng.uniform(1, 30, 50)]))):
-            stacked = single_layer_matrix(np.arange(12), P11, rho, side)
-            assert stacked.shape == (12, rho.size, 3, 3)
-            for ell in range(12):
-                one = single_layer_matrix(ell, P11, rho, side)
-                assert_allclose(stacked[ell], one, rtol=1e-14, atol=1e-15 * np.abs(one).max())
-            assert np.all(np.isfinite(stacked))
+        layers = [single_layer_matrix]
+        layers += [lambda ell, params, rho, side, mode=mode:
+                   double_layer_matrix(ell, params, rho, side, mode) for mode in MODES]
+        for matrix in layers:
+            for side, rho in (("in", np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 50)])),
+                              ("out", np.concatenate([[1.0], rng.uniform(1, 30, 50)]))):
+                stacked = matrix(np.arange(12), P11, rho, side)
+                assert stacked.shape == (12, rho.size, 3, 3)
+                for ell in range(12):
+                    one = matrix(ell, P11, rho, side)
+                    assert_allclose(stacked[ell], one, rtol=1e-14, atol=1e-15 * np.abs(one).max())
+                assert np.all(np.isfinite(stacked))
 
     def test_side_mismatch(self):
         with pytest.raises(ValueError):
@@ -134,23 +136,26 @@ class TestSingleLayerMatrix:
 
 class TestDoubleLayerMatrix:
     def test_printed_golden_entries(self):
-        c = double_layer_coeffs(0, P11, MODE_AS_PRINTED)
-        assert c.in_11 == pytest.approx(-2 / 3, rel=1e-14)
-        c1 = double_layer_coeffs(1, P11, MODE_AS_PRINTED)
-        assert c1.out_22 == 0.0  # factor (l - 1)
+        one = np.array(1.0)
+        A0 = double_layer_matrix(0, P11, one, "in", MODE_AS_PRINTED)
+        assert A0[0, 0] == pytest.approx(-2 / 3, rel=1e-14)
+        A1 = double_layer_matrix(1, P11, one, "out", MODE_AS_PRINTED)
+        assert A1[1, 1] == 0.0  # factor (l - 1)
         A = double_layer_matrix(1, P11, np.array(0.5), "in", MODE_AS_PRINTED)
         assert A[2, 2] == pytest.approx(-(2 / 3) * 0.5, rel=1e-14)
 
     def test_derived_l0(self):
-        c = double_layer_coeffs(0, P11, MODE_SELF_CONSISTENT)
-        assert c.in_11 == pytest.approx(-4 / 9, rel=1e-13)
-        assert c.out_11_hi == pytest.approx(5 / 9, rel=1e-13)
+        one = np.array(1.0)
+        assert double_layer_matrix(0, P11, one, "in")[0, 0] == pytest.approx(-4 / 9, rel=1e-13)
+        assert double_layer_matrix(0, P11, one, "out")[0, 0] == pytest.approx(5 / 9, rel=1e-13)
 
     def test_derived_toroidal_material_independent(self):
+        one = np.array(1.0)
         for params in MATERIAL_GRID:
-            c = double_layer_coeffs(2, params, MODE_SELF_CONSISTENT)
-            assert c.in_33 == pytest.approx(-4 / 5, rel=1e-14)
-            assert c.out_33 == pytest.approx(1 / 5, rel=1e-14)
+            din = double_layer_matrix(2, params, one, "in", MODE_SELF_CONSISTENT)
+            dout = double_layer_matrix(2, params, one, "out", MODE_SELF_CONSISTENT)
+            assert din[2, 2] == pytest.approx(-4 / 5, rel=1e-14)
+            assert dout[2, 2] == pytest.approx(1 / 5, rel=1e-14)
 
     def test_trace_jump_is_minus_identity(self):
         for params in MATERIAL_GRID:
@@ -260,7 +265,8 @@ def _vsh_sum(matrix, frame, density, pts):
 def test_layers_match_vsh_sum(degree, seed):
     """Both layer potentials (double layer in each mode) agree with the
     explicit V/W/X sum for random densities, at points inside, outside
-    and at the centre of a random sphere."""
+    and at the centre of a random sphere, and each point's value is the
+    same, bit for bit, when it is evaluated on its own."""
     rng = np.random.default_rng(seed)
     frame = SphereFrame(tuple(rng.uniform(-2.0, 2.0, 3)), rng.uniform(0.5, 2.0))
     params = LameParams(rng.uniform(0.2, 5.0), rng.uniform(0.0, 5.0))
@@ -274,14 +280,16 @@ def test_layers_match_vsh_sum(degree, seed):
     rho = np.concatenate([rng.uniform(0.05, 0.95, 4), rng.uniform(1.05, 3.0, 4)])
     pts = np.vstack([frame.center_array,
                      frame.center_array + frame.radius * rho[:, None] * dirs])
-    cases = [(apply_single_layer(frame, params, density, pts),
+    cases = [(lambda x: apply_single_layer(frame, params, density, x),
               lambda ell, r, side: frame.radius * single_layer_matrix(ell, params, r, side))]
-    cases += [(apply_double_layer(frame, params, density, pts, mode),
+    cases += [(lambda x, mode=mode: apply_double_layer(frame, params, density, x, mode),
                lambda ell, r, side, mode=mode: double_layer_matrix(ell, params, r, side, mode))
               for mode in MODES]
-    for value, matrix in cases:
+    for potential, matrix in cases:
+        value = potential(pts)
         ref = _vsh_sum(matrix, frame, density, pts)
         assert np.max(np.abs(value - ref)) <= 1e-14 * np.max(np.abs(ref))
+        np.testing.assert_array_equal(value, [potential(x) for x in pts])
 
 
 class TestAudit:
@@ -302,13 +310,13 @@ class TestAudit:
         assert not any(r.flagged and r.identity.startswith("single_layer") for r in records)
 
     def test_oracle_comparison_self_consistent(self):
-        records = oracle_comparison(1, P11, rule_degree=35, mode=MODE_SELF_CONSISTENT,
-                                    tol=1e-6, m=0)
+        records = audit_spectra(1, P11, rule_degree=35, mode=MODE_SELF_CONSISTENT,
+                                oracle_tol=1e-6)
         assert max(r.residual for r in records) < 1e-6
 
     def test_oracle_comparison_flags_printed(self):
-        records = oracle_comparison(1, P11, rule_degree=35, mode=MODE_AS_PRINTED,
-                                    tol=1e-6, m=0)
+        records = audit_spectra(1, P11, rule_degree=35, mode=MODE_AS_PRINTED,
+                                oracle_tol=1e-6)
         flagged = {(r.identity, r.ell, r.k) for r in records if r.flagged}
         assert ("oracle_double_layer", 1, "X") in flagged
         assert ("oracle_double_layer", 0, "V") in flagged
