@@ -203,6 +203,21 @@ def _legendre_tables(z: np.ndarray, max_degree: int) -> np.ndarray:
     return QdQ
 
 
+def _azimuthal_powers(x: np.ndarray, y: np.ndarray, max_degree: int) -> np.ndarray:
+    """C[m] + i S[m] = (x + i y)^m for m = 0..max_degree, by the product
+    recursion, stacked as one array CS = (C, S) of shape
+    (2, max_degree + 1, len(x))."""
+    CS = np.zeros((2, max_degree + 1, x.size))
+    C, S = CS
+    C[0] = 1.0
+    for m in range(1, max_degree + 1):
+        np.multiply(x, C[m - 1], out=C[m])
+        C[m] -= y * S[m - 1]
+        np.multiply(x, S[m - 1], out=S[m])
+        S[m] += y * C[m - 1]
+    return CS
+
+
 def scalar_basis(points: np.ndarray, max_degree: int) -> tuple[np.ndarray, np.ndarray]:
     """All scalar harmonics and surface gradients at unit points.
 
@@ -219,20 +234,8 @@ def scalar_basis(points: np.ndarray, max_degree: int) -> tuple[np.ndarray, np.nd
     s = np.atleast_2d(np.asarray(points, dtype=float))
     _check_unit(s)
     x, y, z = s[:, 0], s[:, 1], s[:, 2]
-    T = s.shape[0]
-    n = max_degree + 1
-
     QdQ = _legendre_tables(z, max_degree)
-
-    # C[m] + i S[m] = (x + i y)^m, stacked as CS = (C, S)
-    CS = np.zeros((2, n, T))
-    C, S = CS
-    C[0] = 1.0
-    for m in range(1, n):
-        np.multiply(x, C[m - 1], out=C[m])
-        C[m] -= y * S[m - 1]
-        np.multiply(x, S[m - 1], out=S[m])
-        S[m] += y * C[m - 1]
+    CS = _azimuthal_powers(x, y, max_degree)
 
     # Y = c Q(z) T(x, y); the m = 0 modes index C[-1] for the derivative
     # factors, which only ever meets their zero factor |m|

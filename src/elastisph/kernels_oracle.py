@@ -327,6 +327,7 @@ def jump_audit(
     rule_degree: int = 101,
     eps: float = 0.25,
     m: int = 0,
+    layers: tuple[str, ...] = ("single", "double"),
 ) -> list[AuditRecord]:
     """Numerically estimate the jump relations for one basis density.
 
@@ -337,11 +338,20 @@ def jump_audit(
     eigenvalue inferred from the two-sided average.  Residuals are RMS
     over probe points, relative to the RMS of phi.
 
+    ``layers`` names the layers to audit: ``"single"`` gives the first
+    four records, ``"double"`` the two double-layer jumps.  The double
+    layer's traction is a finite-difference stencil over the whole rule
+    and costs most of a call, so a caller that reads only single-layer
+    records leaves it out; each record is the same whichever layers run.
+
     ``eps`` is the closest approach distance of the extrapolation ladder.
     Distances below ~0.2 leave the quadrature-converged regime of the
     embedded rules and degrade the estimates; the defaults are chosen so
     the single-layer identities resolve to ~1e-6.
     """
+    unknown = set(layers) - {"single", "double"}
+    if unknown:
+        raise ValueError(f"unknown layers {sorted(unknown)}; expected 'single' and/or 'double'")
     rule = rule_for_degree(rule_degree)
     dirs, pw = _probe_directions()
 
@@ -364,19 +374,22 @@ def jump_audit(
         )
 
     records = []
-    s_in, s_out, ts_in, ts_out = _trace_estimates("single", phi, params, dirs, rule, eps)
-    records.append(rec("single_layer_jump", s_in - s_out))
-    records.append(rec("single_layer_traction_jump", (ts_in - ts_out) - phi_p))
-
-    if scale > 0:
-        avg = 0.5 * (ts_in + ts_out)
-        kappa = float(np.sum(pw * np.sum(avg * phi_p, axis=-1)) / np.sum(pw * np.sum(phi_p * phi_p, axis=-1)))
-    else:
-        kappa = 0.0
-    records.append(rec("traction_trace_interior", ts_in - (0.5 + kappa) * phi_p, inferred=kappa))
-    records.append(rec("traction_trace_exterior", ts_out - (-0.5 + kappa) * phi_p, inferred=kappa))
-
-    d_in, d_out, td_in, td_out = _trace_estimates("double", phi, params, dirs, rule, eps)
-    records.append(rec("double_layer_jump", (d_in - d_out) + phi_p))
-    records.append(rec("double_layer_traction_jump", td_in - td_out))
+    if "single" in layers:
+        s_in, s_out, ts_in, ts_out = _trace_estimates("single", phi, params, dirs, rule, eps)
+        records.append(rec("single_layer_jump", s_in - s_out))
+        records.append(rec("single_layer_traction_jump", (ts_in - ts_out) - phi_p))
+        if scale > 0:
+            avg = 0.5 * (ts_in + ts_out)
+            kappa = float(np.sum(pw * np.sum(avg * phi_p, axis=-1))
+                          / np.sum(pw * np.sum(phi_p * phi_p, axis=-1)))
+        else:
+            kappa = 0.0
+        records.append(rec("traction_trace_interior", ts_in - (0.5 + kappa) * phi_p,
+                           inferred=kappa))
+        records.append(rec("traction_trace_exterior", ts_out - (-0.5 + kappa) * phi_p,
+                           inferred=kappa))
+    if "double" in layers:
+        d_in, d_out, td_in, td_out = _trace_estimates("double", phi, params, dirs, rule, eps)
+        records.append(rec("double_layer_jump", (d_in - d_out) + phi_p))
+        records.append(rec("double_layer_traction_jump", td_in - td_out))
     return records

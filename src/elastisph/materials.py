@@ -30,14 +30,6 @@ class LameParams:
         """Poisson's ratio lam / (2 (mu + lam)), in (-1, 1/2)."""
         return lambda_to_poisson(self.lam, self.mu)
 
-    @property
-    def bulk(self) -> float:
-        return self.lam + 2.0 * self.mu / 3.0
-
-    @classmethod
-    def from_poisson(cls, mu: float, nu: float) -> "LameParams":
-        return cls(mu=mu, lam=poisson_to_lambda(nu, mu))
-
 
 def poisson_to_lambda(nu: float, mu: float) -> float:
     """Second Lame constant for a given Poisson's ratio and shear modulus."""

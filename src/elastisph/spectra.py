@@ -15,8 +15,18 @@ One read-only table holds (H, L, T) per side for degrees 0..max, built by
 array code over the degree array, per layer, material and mode.  One
 evaluator turns it into the 3x3 matrices of ``single_layer_matrix`` and
 ``double_layer_matrix``.  ``traction_trace_matrices`` reads its rho = 1
-profiles off the single-layer table, and ``apply_single_layer`` and
-``apply_double_layer`` sum the matrices over an expansion.
+profiles off the single-layer table.
+
+``apply_single_layer`` and ``apply_double_layer`` sum the matrices over
+an expansion without tabulating a harmonic per mode.  Every family is
+linear in Y and its surface gradient, and Y = c_m Q_l|m|(z) T_m(x, y)
+with T_m the real or imaginary part of (x + i y)^|m|.  So for each signed
+order the weighted Legendre values are summed over the degree first;
+the azimuthal factors then multiply these per-order rows once, and the
+orders are summed (sum factorisation, as in fast spherical-harmonic
+synthesis).  The tangential projection is made once, on the summed
+gradient.  All sums are elementwise over the points in a fixed order,
+so a point's potential does not depend on the batch it comes in.
 
 Two coefficient modes exist for the double-layer table and the toroidal
 adjoint eigenvalue:
@@ -34,11 +44,13 @@ every contradiction is reported rather than silently patched.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import sqrt
 
 import numpy as np
 
 from . import kernels_oracle as oracle
-from .harmonics import VshExpansion, scalar_basis, traction_of_radial_field
+from .harmonics import (VshExpansion, _azimuthal_powers, _check_unit, _legendre_tables,
+                        traction_of_radial_field)
 from .kernels_oracle import AuditRecord
 from .materials import LameParams
 from .quadrature import SphereFrame
@@ -365,20 +377,17 @@ def _apply_layer(matrix_fn, frame, density: VshExpansion, x, radius_factor: floa
 
         V = grad Y - (l+1) Y n,   W = grad Y + l Y n,   X = n x grad Y,
 
-    so the sum is ``g + y n + n x g_X`` with g = sum (c_V + c_W) grad Y,
-    y = sum (l c_W - (l+1) c_V) Y and g_X = sum c_X grad Y.  It takes
-    ``scalar_basis`` alone, never the three vector arrays of ``vsh_basis``.
+    so the sum is ``g + y n + n x g_X`` with g = sum a grad Y,
+    y = sum b Y and g_X = sum c_X grad Y, where a = c_V + c_W and
+    b = l c_W - (l+1) c_V.  ``_synthesise`` forms these sums per side
+    without tabulating any harmonic.
 
     A point's result must not depend on the batch it comes in (the field
-    evaluator splits batches by region and side).  So the weights are
-    elementwise three-term sums, not a matrix product, and every
-    contraction is accumulated degree by degree into the running sums.
-    Within a degree, the order in which the 2l+1 orders are added depends
-    on the memory layout.  The gradient sums keep the three components
-    innermost, so einsum adds the orders one after another for any batch.
-    The scalar sum has no such axis: a lone point's orders would be
-    contiguous and summed by another loop than a larger batch's.  So its
-    terms are summed as point-major rows, contiguous for every batch size.
+    evaluator splits batches by region and side).  Every step is
+    elementwise over the points, and every sum is accumulated term by
+    term in a fixed order (degrees ascending, then orders ascending): no
+    matrix product and no numpy reduction, whose loop could depend on
+    the batch's memory layout.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -389,26 +398,84 @@ def _apply_layer(matrix_fn, frame, density: VshExpansion, x, radius_factor: floa
     safe = np.where(dist[:, None] > 0.0, rel / np.maximum(dist, 1e-300)[:, None], 0.0)
     safe[dist == 0.0] = np.array([0.0, 0.0, 1.0])
     for side, idx in (("in", np.flatnonzero(inner)), ("out", np.flatnonzero(~inner))):
-        if not idx.size:
-            continue
-        n = safe[idx]
-        Y, grad = scalar_basis(n, density.max_degree)
-        g, g_x, y = np.zeros((idx.size, 3)), np.zeros((idx.size, 3)), np.zeros(idx.size)
-        for ell in range(density.max_degree + 1):
-            p0, p1 = ell * ell, (ell + 1) * (ell + 1)
-            coeff = density.coeffs[p0:p1]  # (2l+1, 3)
-            if not np.any(coeff):
-                continue
-            A = matrix_fn(ell, rho[idx], side).transpose(1, 2, 0)  # (j, k, n)
-            c_v, c_w, c_x = (coeff[:, 0, None] * A[:, None, 0] + coeff[:, 1, None] * A[:, None, 1]
-                             + coeff[:, 2, None] * A[:, None, 2])  # each (2l+1, n)
-            g += np.einsum("pn,pnc->nc", c_v + c_w, grad[p0:p1])
-            g_x += np.einsum("pn,pnc->nc", c_x, grad[p0:p1])
-            terms = (ell * c_w - (ell + 1.0) * c_v) * Y[p0:p1]
-            y += np.ascontiguousarray(terms.T).sum(axis=1)  # point-major rows
-        out[idx] = g + y[:, None] * n + np.cross(n, g_x)
+        if idx.size:
+            out[idx] = _synthesise(matrix_fn, density, safe[idx], rho[idx], side)
     out *= radius_factor
     return out[0] if single else out
+
+
+def _synthesise(matrix_fn, density: VshExpansion, n: np.ndarray, rho: np.ndarray,
+                side: str) -> np.ndarray:
+    """``g + y n + n x g_X`` (see ``_apply_layer``) at the unit directions
+    ``n`` (P, 3) of points on one side, summed first over the degree for
+    each order, then over the order.
+
+    The harmonic of order m is c_m Q_l|m|(z) T_m(x, y), with T_m = C_|m|
+    for m >= 0 and S_|m| for m < 0, C_m + i S_m = (x + i y)^m and c_m as
+    in ``scalar_basis``.  Its polynomial extension off the sphere has the
+    Cartesian gradient c_m (Q |m| T'_m, Q (-m) T''_m, dQ T_m), where T'_m
+    and T''_m are the C/S_(|m|-1) factors of the x and y derivatives.  So
+    one pass over the degrees collects five rows per signed order,
+
+        sum_l a Q,  sum_l a dQ,  sum_l c_X Q,  sum_l c_X dQ,  sum_l b Q,
+
+    and one pass over the orders multiplies them by the azimuthal factors
+    and adds them up: y, the extended gradient G of the a-sum and G_X of
+    the c_X-sum.  The surface gradient is G - (G.n) n, so only G needs
+    the tangential projection; n x G_X drops the radial part of G_X
+    by itself.  No per-mode array is made: the largest arrays are the
+    packed Legendre tables (2, (N+1)(N+2)/2, P) and the five order rows
+    (5, 2N+1, P).
+    """
+    _check_unit(n)
+    x, y, z = n.T
+    N = density.max_degree
+    QdQ = _legendre_tables(z, N)
+    # rows a Q, c_X Q, a dQ, c_X dQ, b Q; the signed order m at column N + m
+    rows = np.zeros((5, 2 * N + 1, len(n)))
+    per_family = np.empty((2, 2, len(n)))  # (a | b, V | W density, point)
+    for ell in range(N + 1):
+        coeff = density.coeffs[ell * ell:(ell + 1) * (ell + 1)]  # (2l+1, 3)
+        if not np.any(coeff):
+            continue
+        # what a unit V or W density adds to a and b at each point; the X
+        # family couples to no other, so A has no V/W-X entries
+        A = matrix_fn(ell, rho, side)  # (P, component family, density family)
+        per_family[0] = (A[:, 0, :2] + A[:, 1, :2]).T
+        per_family[1] = (ell * A[:, 1, :2] - (ell + 1.0) * A[:, 0, :2]).T
+        a, b = (coeff[:, 0, None] * per_family[:, None, 0]
+                + coeff[:, 1, None] * per_family[:, None, 1])
+        c_x = coeff[:, 2, None] * np.ascontiguousarray(A[:, 2, 2])
+        # orders 0..l read the packed (Q, dQ) rows of |m| = 0..l, orders
+        # -l..-1 the same rows reversed (a view, |m| = l..1)
+        t0 = ell * (ell + 1) // 2
+        halves = ((slice(N, N + ell + 1), slice(ell, None), QdQ[:, t0:t0 + ell + 1]),
+                  (slice(N - ell, N), slice(None, ell), QdQ[:, t0 + ell:t0:-1]))
+        for orders, modes, qd in halves:
+            rows[0:4:2, orders] += a[modes] * qd
+            rows[1:4:2, orders] += c_x[modes] * qd
+            rows[4, orders] += b[modes] * qd[0]
+    # azimuthal factors per signed order: those of the x and y derivatives,
+    # then T itself, with c_m; m = 0 reads C[-1] against its zero factors
+    ms = np.arange(-N, N + 1)
+    am, neg = np.abs(ms), (ms < 0).astype(int)
+    cm = np.where(ms == 0, 1.0, sqrt(2.0))[:, None]
+    CS = _azimuthal_powers(x, y, N)
+    factors = np.stack([cm * am[:, None] * CS[neg, am - 1],
+                        cm * -ms[:, None] * CS[1 - neg, am - 1],
+                        cm * CS[neg, am]])
+    # (G, G_X) x and y components, then G and G_X z components and y,
+    # each summed over the orders in turn
+    tangential, rest = np.zeros((2, 2, len(n))), np.zeros((3, len(n)))
+    for r in range(2 * N + 1):
+        tangential += rows[0:2, None, r] * factors[None, 0:2, r]
+        rest += rows[2:5, r] * factors[2, r]
+    (gx, gy), (hx, hy) = tangential
+    gz, hz, yv = rest
+    normal = yv - (gx * x + gy * y + gz * z)  # y minus the radial part of G
+    return np.stack([gx + normal * x + (y * hz - z * hy),
+                     gy + normal * y + (z * hx - x * hz),
+                     gz + normal * z + (x * hy - y * hx)], axis=1)
 
 
 def apply_single_layer(

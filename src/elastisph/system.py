@@ -290,6 +290,7 @@ def _chunk_blocks(background: LameParams, rule: LebedevRule, degree: int, rows: 
     return raw[:, _active_mask(degree)].transpose(2, 0, 1)
 
 
+@lru_cache(maxsize=1)
 def _distinct_pairs(config: ProblemConfig):
     """The ordered pairs grouped by the key that fixes their raw block.
 
@@ -302,6 +303,10 @@ def _distinct_pairs(config: ProblemConfig):
     ``targets[bounds[k]:bounds[k + 1]]`` with the matching sources.  A
     target meets each key at most once, since the key and the target fix
     the source.
+
+    The last configuration's grouping is kept (read-only), so that
+    ``solver_bytes``, called by ``validate``, and the ``CouplingOperator``
+    of the solve that follows group the pairs once between them.
     """
     targets, sources = _ordered_pairs(config)
     centers, radii, enclosing = _geometry(config)
@@ -318,7 +323,10 @@ def _distinct_pairs(config: ProblemConfig):
     members = np.argsort(key, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=order.size))))
     reps = first[order]
-    return (targets[reps], sources[reps]), (targets[members], sources[members], bounds)
+    out = (targets[reps], sources[reps]), (targets[members], sources[members], bounds)
+    for a in (*out[0], *out[1]):
+        a.setflags(write=False)
+    return out
 
 
 def _diag_coupling(config: ProblemConfig, dofmap: DofMap, mode: str):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from elastisph import problem
+from elastisph import problem, system
 from elastisph.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from elastisph.presets import one_sphere_config, one_sphere_data, three_sphere_config
 from elastisph.problem import config_to_dict, load_config, save_config
@@ -101,8 +101,13 @@ def test_lattice_r5_matrix_free(tmp_path):
     # GMRES on the held distinct blocks: 22 356 unknowns, whose dense Nmat
     # alone would take 4 GB
     out = tmp_path / "r5"
+    system._distinct_pairs.cache_clear()
     rc = main(["solve", "--preset", "lattice_r5", "--out-dir", str(out)])
     assert rc == EXIT_OK
+    # the pairs are grouped once: for validate's memory estimate, and the
+    # operator reuses that grouping
+    groupings = system._distinct_pairs.cache_info()
+    assert (groupings.misses, groupings.hits) == (1, 1)
     manifest = json.loads((out / "manifest.json").read_text())
     solver = manifest["solver"]
     assert (solver["solver_path"], solver["product"]) == ("gmres", "matrix_free")

@@ -195,14 +195,20 @@ class TestJumpAudit:
         assert by_id["single_layer_jump"].residual < 1e-5
         assert by_id["single_layer_traction_jump"].residual < 1e-4
         assert by_id["double_layer_jump"].residual < 1e-4
+        # [[T D phi]] = 0: the one check of the double layer's traction jump
+        assert by_id["double_layer_traction_jump"].residual < 1e-3
         # inferred adjoint eigenvalue at l=0 is (3 lam - 2 mu)/(6 (2 mu + lam))
         assert by_id["traction_trace_interior"].inferred == pytest.approx(1 / 18, abs=1e-5)
 
     def test_toroidal_degree_one_eigenvalue(self):
-        records = jump_audit(Family.X, 1, P11)
+        records = jump_audit(Family.X, 1, P11, layers=("single",))
         by_id = {r.identity: r for r in records}
         assert by_id["single_layer_traction_jump"].residual < 1e-4
         assert by_id["traction_trace_interior"].inferred == pytest.approx(-0.5, abs=1e-5)
+
+    def test_unknown_layer_rejected(self):
+        with pytest.raises(ValueError, match="unknown layers"):
+            jump_audit(Family.V, 0, P11, layers=("single", "dubble"))
 
     def test_report_schema(self, tmp_path):
         records = jump_audit(Family.V, 0, P11, rule_degree=47, eps=0.3)

@@ -292,6 +292,35 @@ def test_layers_match_vsh_sum(degree, seed):
         np.testing.assert_array_equal(value, [potential(x) for x in pts])
 
 
+@pytest.mark.parametrize("degree", [0, 1, 16])
+def test_order_sums_match_vsh_sum_at_special_points(degree):
+    """The per-order synthesis against the explicit V/W/X sum at the
+    points where it could break: the centre, the z axis through the
+    centre (x = y = 0, where every C/S power of order m >= 1 vanishes),
+    and rho = 1 -+ 1e-12 on each side of the surface, for densities that
+    fill every degree up to 0, 1 or 16."""
+    rng = np.random.default_rng(degree)
+    frame = SphereFrame((0.3, -0.2, 0.1), 1.3)
+    density = VshExpansion.zeros(-1, degree)
+    density.coeffs[:] = rng.normal(size=density.coeffs.shape)
+    density.coeffs[0, 1:] = 0.0
+    dirs = rng.normal(size=(3, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = np.vstack([dirs, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    rho = np.array([0.4, 1.0 - 1e-12, 1.0 + 1e-12, 2.5])
+    offsets = frame.radius * (rho[:, None, None] * dirs).reshape(-1, 3)
+    pts = np.vstack([frame.center_array, frame.center_array + offsets])
+    cases = [(lambda x: apply_single_layer(frame, P11, density, x),
+              lambda ell, r, side: frame.radius * single_layer_matrix(ell, P11, r, side))]
+    cases += [(lambda x, mode=mode: apply_double_layer(frame, P11, density, x, mode),
+               lambda ell, r, side, mode=mode: double_layer_matrix(ell, P11, r, side, mode))
+              for mode in MODES]
+    for potential, matrix in cases:
+        value = potential(pts)
+        ref = _vsh_sum(matrix, frame, density, pts)
+        assert np.max(np.abs(value - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestAudit:
     def test_self_consistent_clean(self):
         records = audit_spectra(3, P11, rule_degree=35, oracle_points=False)
