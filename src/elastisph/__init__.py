@@ -31,7 +31,7 @@ from .problem import (
     save_config,
     validate,
 )
-from .quadrature import LebedevRule, SphereFrame, inner_product, rule_for_degree
+from .quadrature import LebedevRule, SphereFrame, rule_for_degree
 from .spectra import (
     MODE_AS_PRINTED,
     MODE_SELF_CONSISTENT,

@@ -177,18 +177,6 @@ def export_coefficients(traces: dict[int, VshExpansion], path) -> None:
                     writer.writerow([sid, ell, m, k.name, _FMT % exp.coeffs[p, int(k)]])
 
 
-def export_field_samples(evaluator: FieldEvaluator, points: np.ndarray, path) -> None:
-    """CSV of displacement samples: x, y, z, ux, uy, uz, |u|."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    u = evaluator.displacement(pts)
-    mag = np.linalg.norm(u, axis=1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "z", "ux", "uy", "uz", "umag"])
-        for x, v, m in zip(pts, u, mag):
-            writer.writerow([_FMT % c for c in (*x, *v, m)])
-
-
 def config_digest(config: ProblemConfig) -> str:
     blob = json.dumps(config_to_dict(config), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()

@@ -1,18 +1,24 @@
-"""Lebedev quadrature on the unit sphere and scaled surface inner products.
+"""Lebedev quadrature on the unit sphere.
 
 Weights are normalized so that the rule integrates the constant 1 to 4*pi.
-The scaled inner product on a sphere of radius r drops the r^2 surface
-Jacobian, i.e. it is the plain unit-sphere quadrature sum of u . v sampled
-at the mapped points.
+The rules of ``LEBEDEV_TABLE`` ship in ``lebedev.npz`` next to this module,
+bitwise equal to ``scipy.integrate.lebedev_rule``, as ``points_<degree>``
+(T, 3) and ``weights_<degree>`` (T,).  The table was written once with
+
+    from scipy.integrate import lebedev_rule
+    rules = {d: lebedev_rule(d) for d, _count in LEBEDEV_TABLE}
+    np.savez_compressed("lebedev.npz", **{f"points_{d}": x.T.copy() for d, (x, _w) in rules.items()}, **{f"weights_{d}": w for d, (_x, w) in rules.items()})
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
-from scipy.integrate import lebedev_rule as _scipy_lebedev
+
+_TABLE_PATH = Path(__file__).with_name("lebedev.npz")
 
 # (exact degree, number of points) of the supported Lebedev rules.
 LEBEDEV_TABLE: tuple[tuple[int, int], ...] = (
@@ -59,14 +65,11 @@ class SphereFrame:
         return self.center_array + self.radius * rule.points
 
 
-UNIT_SPHERE = SphereFrame(center=(0.0, 0.0, 0.0), radius=1.0)
-
-
 @lru_cache(maxsize=None)
 def _load_rule(degree: int) -> LebedevRule:
-    x, w = _scipy_lebedev(degree)
-    points = np.ascontiguousarray(x.T)
-    weights = np.ascontiguousarray(w)
+    with np.load(_TABLE_PATH) as table:
+        points = table[f"points_{degree}"]
+        weights = table[f"weights_{degree}"]
     expected = dict(LEBEDEV_TABLE)[degree]
     if weights.size != expected:
         raise RuntimeError(
@@ -90,20 +93,3 @@ def rule_for_degree(requested_degree: int) -> LebedevRule:
         f"embedded rule (degree {MAX_DEGREE})"
     )
 
-
-def inner_product(u, v, rule: LebedevRule, frame: SphereFrame = UNIT_SPHERE) -> float:
-    """Quadrature approximation of the scaled surface inner product.
-
-    ``u`` and ``v`` are callables mapping an (n, 3) array of points on the
-    sphere to (n, 3) vector values (or (n,) scalars).  The 1/r^2 scaling
-    of the inner product is built in: the sum runs over unit-sphere
-    weights with no surface Jacobian.
-    """
-    pts = frame.surface_points(rule)
-    uu = np.asarray(u(pts), dtype=float)
-    vv = np.asarray(v(pts), dtype=float)
-    if uu.ndim == 1:
-        prod = uu * vv
-    else:
-        prod = np.einsum("tc,tc->t", uu, vv)
-    return float(np.dot(rule.weights, prod))

@@ -1,14 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
-from elastisph.harmonics import eval_VWX, scalar_basis, sh_degree_order
-from elastisph.quadrature import (
-    LEBEDEV_TABLE,
-    MAX_DEGREE,
-    SphereFrame,
-    inner_product,
-    rule_for_degree,
-)
+import elastisph
+from elastisph.harmonics import scalar_basis, sh_degree_order
+from elastisph.quadrature import LEBEDEV_TABLE, MAX_DEGREE, SphereFrame, rule_for_degree
 
 
 class TestRuleTable:
@@ -45,6 +46,33 @@ class TestRuleTable:
         with pytest.raises(ValueError, match="largest embedded rule"):
             rule_for_degree(MAX_DEGREE + 1)
 
+    @pytest.mark.parametrize("degree", [degree for degree, _count in LEBEDEV_TABLE])
+    def test_embedded_rule_is_scipys(self, degree):
+        # scipy is the reference the table was written from; the library
+        # itself never imports scipy.integrate
+        from scipy.integrate import lebedev_rule
+
+        x, w = lebedev_rule(degree)
+        rule = rule_for_degree(degree)
+        assert_array_equal(rule.points, x.T)
+        assert_array_equal(rule.weights, w)
+        # bitwise, signed zeros included
+        assert rule.points.tobytes() == x.T.tobytes()
+        assert rule.weights.tobytes() == w.tobytes()
+
+
+def test_import_leaves_out_scipy_integrate():
+    # a fresh interpreter: pytest's own process has imported them already
+    probe = ("import sys, elastisph, elastisph.cli; "
+             "print(' '.join(m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize') "
+             "if m in sys.modules))")
+    src = str(Path(elastisph.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.split() == []
+
 
 class TestExactness:
     @pytest.mark.parametrize("degree", [3, 7, 13, 23, 35])
@@ -62,34 +90,6 @@ class TestExactness:
                     continue
                 val = float(np.sum(rule.weights * Y[p] * Y[q]))
                 assert val == pytest.approx(1.0 if p == q else 0.0, abs=1e-11)
-
-
-class TestInnerProduct:
-    def test_v00_unit_norm_any_sphere(self):
-        frame = SphereFrame((2.0, -1.0, 0.5), 3.7)
-        rule = rule_for_degree(5)
-
-        def v00(pts):
-            d = (pts - frame.center_array) / frame.radius
-            return np.stack([eval_VWX(0, 0, dd / np.linalg.norm(dd))[0] for dd in d])
-
-        assert inner_product(v00, v00, rule, frame) == pytest.approx(1.0, abs=1e-12)
-
-    def test_cross_family_orthogonal(self):
-        rule = rule_for_degree(7)
-
-        def v10(pts):
-            return np.stack([eval_VWX(1, 0, p)[0] for p in pts])
-
-        def x21(pts):
-            return np.stack([eval_VWX(2, 1, p)[2] for p in pts])
-
-        assert inner_product(v10, x21, rule) == pytest.approx(0.0, abs=1e-12)
-
-    def test_constant_field(self):
-        rule = rule_for_degree(3)
-        const = lambda pts: np.tile([1.0, 0.0, 0.0], (len(pts), 1))
-        assert inner_product(const, const, rule) == pytest.approx(4 * np.pi, rel=1e-13)
 
 
 def test_frame_validation():
