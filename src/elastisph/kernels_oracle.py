@@ -13,8 +13,7 @@ are estimated by Richardson-extrapolated two-sided off-surface limits.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,7 +214,7 @@ def traction_fd(
 
 @dataclass
 class AuditRecord:
-    """One identity-check entry of a machine-readable audit report."""
+    """One identity-check entry of the jump audit."""
 
     identity: str
     ell: int
@@ -225,14 +224,6 @@ class AuditRecord:
     epsilon: float | None = None
     inferred: float | None = None
     flagged: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def write_audit_json(records: list[AuditRecord], path) -> None:
-    with open(path, "w") as fh:
-        json.dump([r.to_dict() for r in records], fh, indent=2)
 
 
 def _potential_batch(kind: str, phi, params, pts, rule, normals=None):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -146,6 +146,19 @@ class ProblemConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "spheres", tuple(self.spheres))
+
+    def __hash__(self) -> int:
+        # computed once: the lru_cache keys of the product (``apply_operator``)
+        # and of the pair grouping hash the configuration on every call
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes: a copy hashes afresh
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @property
     def enclosing(self) -> SphereSpec:

@@ -9,12 +9,14 @@ the target sphere's quadrature nodes.  Such a block depends only on its
 pair's key: the displacement x_tgt - x_src, the two radii and whether
 the source is the enclosing sphere.  ``assemble`` generates the block of
 every ordered pair into the dense N.  ``CouplingOperator`` generates one
-block per distinct key, holds it and applies it to every pair with that
-key: the matrix-free product, for ``apply_operator`` and GMRES, without
-an n x n array.  ``apply_operator`` keeps the last operator it built, so
-repeated products on one configuration generate no blocks after the
-first.  ``solver_bytes`` gives the memory either product holds in a
-solve.
+block per distinct key and holds the blocks in classes of keys that
+share their pair count c.  Its product, for ``apply_operator`` and
+GMRES, makes no n x n array: per class, one batched matmul applies each
+block to the c sources of its key, and one sparse scatter adds the
+results to their targets.  ``apply_operator`` keeps the last operator it
+built, so repeated products on one configuration generate no blocks
+after the first.  ``solver_bytes`` gives the memory either product holds
+in a solve.
 
 The operator is singular on rigid-motion traces (translations always;
 rotations too when the toroidal adjoint eigenvalue takes its
@@ -35,10 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import pi, sqrt
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon, dlange
+from scipy.sparse import csr_array
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .harmonics import Family, VshExpansion, norm_sq_table, num_scalar_modes, per_degree, vsh_basis, weighted_basis
@@ -300,9 +304,7 @@ def _distinct_pairs(config: ProblemConfig):
     ``(rep_targets, rep_sources)``, one representative pair per key in
     ``_ordered_pairs`` order (so enclosing sources still lead), and
     ``(targets, sources, bounds)``: the pairs of key k are
-    ``targets[bounds[k]:bounds[k + 1]]`` with the matching sources.  A
-    target meets each key at most once, since the key and the target fix
-    the source.
+    ``targets[bounds[k]:bounds[k + 1]]`` with the matching sources.
 
     The last configuration's grouping is kept (read-only), so that
     ``solver_bytes``, called by ``validate``, and the ``CouplingOperator``
@@ -386,16 +388,37 @@ def assemble(
     return DenseSystem(dofmap=dofmap, D=D, Nmat=Nmat, F=F, sigma=sigma, mode=mode)
 
 
+class _PairClass(NamedTuple):
+    """The ``keys`` keys of ``count`` pairs each, whose blocks are
+    ``blocks[k0:k0 + keys]`` of a ``CouplingOperator``.
+
+    ``sources`` (keys * count,) lists the sources of the class's pairs in
+    (key, pair) order; ``scatter`` is the CSR matrix (M, keys * count)
+    with a 1 at (target, column) of each pair.
+    """
+
+    k0: int
+    keys: int
+    count: int
+    sources: np.ndarray
+    scatter: csr_array
+
+
 class CouplingOperator:
     """The coupling of one configuration, held as its distinct pair blocks.
 
     Built from the same generator ``assemble`` reads, but only one raw
     block per distinct pair key (see ``_distinct_pairs``), held read-only
-    in ``blocks`` (keys, n_a, n_a) with the pair-to-key index: the pairs
-    of key k are ``targets[bounds[k]:bounds[k + 1]]`` with the matching
-    ``sources``.  With the C and diagonal tables that is all of N; no
-    n x n array is made.  The load ``F`` (computed on first use) takes
-    the blocks of the loaded sources, which are among the distinct keys.
+    in ``blocks`` (keys, n_a, n_a).  The keys are ordered by their pair
+    count c, stably, and the keys of one count form a class
+    (``classes``, see ``_PairClass``) whose blocks are consecutive.  A
+    product takes, per class, one batched matmul of the blocks with the
+    stacked (keys, c, n_a) source vectors and one sparse scatter of the
+    (keys * c, n_a) results onto their targets; its work arrays are
+    bounded by the largest class.  With the C and diagonal tables that
+    is all of N; no n x n array is made.  The load ``F`` (computed on
+    first use) takes the blocks of the loaded sources, which are among
+    the distinct keys.
 
     Shares with ``DenseSystem`` what ``solve_iterative`` reads: ``D``,
     ``F``, ``dofmap``, ``sigma``, ``mode`` and the product ``coupling``.
@@ -408,16 +431,32 @@ class CouplingOperator:
         self.config, self.rule, self.mode = config, rule, mode
         self.dofmap = _dofmap(config)
         self._norms, self._tau0, self.C, self.diag = _diag_coupling(config, self.dofmap, mode)
-        self.D = np.tile(self._norms, len(config.spheres))
+        M = len(config.spheres)
+        self.D = np.tile(self._norms, M)
         self.D.setflags(write=False)
-        representatives, (self.targets, self.sources, self.bounds) = _distinct_pairs(config)
+        representatives, (targets, sources, bounds) = _distinct_pairs(config)
+        counts = np.diff(bounds)
+        order = np.argsort(counts, kind="stable")  # key of each slot
+        slot = np.empty_like(order)
+        slot[order] = np.arange(order.size)
         na = self.dofmap.modes_per_sphere
-        self.blocks = np.empty((representatives[0].size, na, na))
+        # each block goes straight to its slot: no second copy of the blocks
+        self.blocks = np.empty((order.size, na, na))
         k = 0
         for _ipos, _jpos, raw in _pair_blocks(config, rule, self.dofmap, *representatives):
-            self.blocks[k:k + len(raw)] = raw
+            self.blocks[slot[k:k + len(raw)]] = raw
             k += len(raw)
         self.blocks.setflags(write=False)
+        classes = []
+        starts = np.flatnonzero(np.diff(counts[order], prepend=-1))
+        for k0, k1 in zip(starts, (*starts[1:], order.size)):
+            keys, count = order[k0:k1], counts[order[k0]]
+            pairs = (bounds[keys][:, None] + np.arange(count)).reshape(-1)  # (key, pair) order
+            # 32-bit coordinates give 32-bit CSR indices
+            coords = targets[pairs].astype(np.int32), np.arange(pairs.size, dtype=np.int32)
+            scatter = csr_array((np.ones(pairs.size), coords), shape=(M, pairs.size))
+            classes.append(_PairClass(int(k0), keys.size, int(count), sources[pairs], scatter))
+        self.classes = tuple(classes)
 
     @property
     def held_block_bytes(self) -> int:
@@ -425,10 +464,11 @@ class CouplingOperator:
 
     def _add_pair_products(self, out: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         """out[i] += block(i, j) @ vectors[j] over all ordered pairs, (M, n_a)."""
-        for k, block in enumerate(self.blocks):
-            pairs = slice(self.bounds[k], self.bounds[k + 1])
-            # a target meets each key at most once: no repeated index
-            out[self.targets[pairs]] += vectors[self.sources[pairs]] @ block.T
+        na = out.shape[1]
+        for cls in self.classes:
+            stacked = vectors[cls.sources].reshape(cls.keys, cls.count, na)
+            res = np.matmul(stacked, self.blocks[cls.k0:cls.k0 + cls.keys].transpose(0, 2, 1))
+            out += cls.scatter @ res.reshape(-1, na)
         return out
 
     def coupling(self, x: np.ndarray) -> np.ndarray:
@@ -474,7 +514,10 @@ def solver_bytes(config: ProblemConfig, product: str) -> int:
     ``"matrix_free"`` (a ``CouplingOperator``: one raw block per
     distinct pair key).  The direct solver adds the bordered copy of the
     dense N (at most six rigid traces); GMRES adds its Krylov basis of
-    restart + 1 bordered vectors.
+    restart + 1 bordered vectors.  Not charged: the operator's class
+    index arrays and the work arrays of its product, the stacked sources
+    and their products of one class (on lattice r5 about 4.9 MB and
+    2 x 4.3 MB, against 73 MB of blocks).
     """
     dofmap = _dofmap(config)
     n, na = dofmap.size, dofmap.modes_per_sphere
@@ -680,8 +723,10 @@ def solve_iterative(
     ``system`` is a ``DenseSystem`` (the product is ``Nmat @ x``) or a
     ``CouplingOperator`` (matrix-free); the operator is applied as
     ``D*x - system.coupling(x)`` and no n x n copy of it is made.  The
-    diagnostics name the product and the bytes it holds, and carry the
-    ``pr_norm`` residual history, one value per iteration.
+    diagnostics name the product and the bytes it holds, count the
+    products GMRES made (``products``; the residual check of the returned
+    x adds one more) and carry the ``pr_norm`` residual history, one value
+    per iteration.
     """
     D, F = system.D, system.F
     n = D.size
@@ -732,7 +777,7 @@ def solve_iterative(
         diagnostics={"solver_path": "gmres", "product": system.product,
                      "held_block_bytes": system.held_block_bytes,
                      "rank": n - k, "null_dim": k, "consistency_floor": floor,
-                     "residual_history": history},
+                     "products": products, "residual_history": history},
     )
 
 

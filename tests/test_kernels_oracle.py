@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,7 +11,6 @@ from elastisph.kernels_oracle import (
     sl_offsurface,
     traction_fd,
     traction_kernel,
-    write_audit_json,
     _green_traction,
 )
 from elastisph.materials import LameParams
@@ -209,12 +206,3 @@ class TestJumpAudit:
     def test_unknown_layer_rejected(self):
         with pytest.raises(ValueError, match="unknown layers"):
             jump_audit(Family.V, 0, P11, layers=("single", "dubble"))
-
-    def test_report_schema(self, tmp_path):
-        records = jump_audit(Family.V, 0, P11, rule_degree=47, eps=0.3)
-        path = tmp_path / "audit.json"
-        write_audit_json(records, path)
-        loaded = json.loads(path.read_text())
-        assert {"identity", "ell", "k", "residual", "rule_degree", "epsilon"} <= set(loaded[0])
-        assert loaded[0]["rule_degree"] == 47
-        assert loaded[0]["epsilon"] == 0.3

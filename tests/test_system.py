@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from elastisph.system import (
     CouplingOperator,
     coupling_operator,
     rigid_trace_vectors,
+    solve,
     solve_direct,
     solve_iterative,
 )
@@ -328,6 +330,77 @@ class TestPairBlocks:
         M = len(cfg.spheres)
         assert M == 28
         assert len(calls) <= 2 * M + 2
+
+
+_LAYOUT_CONFIGS = pytest.mark.parametrize("cfg", [
+    lattice_config(1), lattice_config(2), lattice_config(3), three_sphere_config(3),
+], ids=["lattice_r1", "lattice_r2", "lattice_r3", "table3_n3"])
+
+
+class TestPairClasses:
+    @_LAYOUT_CONFIGS
+    def test_classes_cover_each_pair_once(self, cfg):
+        cfg = validate(cfg)
+        operator = CouplingOperator(cfg, cfg.rule(), MODE_SELF_CONSISTENT)
+        pairs, k = [], 0
+        for cls in operator.classes:
+            assert cls.k0 == k
+            k += cls.keys
+            scatter = cls.scatter.tocoo()
+            assert scatter.shape == (len(cfg.spheres), cls.keys * cls.count)
+            assert np.array_equal(np.sort(scatter.col), np.arange(scatter.shape[1]))
+            assert np.all(scatter.data == 1.0)
+            targets = scatter.row[np.argsort(scatter.col)]
+            pairs += zip(targets.tolist(), cls.sources.tolist())
+        assert k == len(operator.blocks)
+        counts = [cls.count for cls in operator.classes]
+        assert counts == sorted(set(counts))
+        assert sorted(pairs) == sorted(zip(*(a.tolist() for a in system_module._ordered_pairs(cfg))))
+
+    @_LAYOUT_CONFIGS
+    @pytest.mark.parametrize("mode", [MODE_SELF_CONSISTENT, MODE_AS_PRINTED])
+    def test_product_matches_per_key_loop(self, cfg, mode):
+        cfg = validate(cfg)
+        operator = CouplingOperator(cfg, cfg.rule(), mode)
+        (rep_targets, rep_sources), (targets, sources, bounds) = system_module._distinct_pairs(cfg)
+        raw = np.concatenate([blocks for *_, blocks in system_module._pair_blocks(
+            cfg, cfg.rule(), operator.dofmap, rep_targets, rep_sources)])
+        lam = np.random.default_rng(8).normal(size=(len(cfg.spheres), operator.dofmap.modes_per_sphere))
+        expected = operator.diag * lam
+        for k, block in enumerate(raw):
+            pairs = slice(bounds[k], bounds[k + 1])
+            expected[targets[pairs]] += (operator.C * lam)[sources[pairs]] @ block.T
+        product = operator.coupling(lam.reshape(-1)).reshape(lam.shape)
+        assert np.abs(product - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_equal_configs_share_the_held_operator(self):
+        first, second = validate(lattice_config(2)), validate(lattice_config(2))
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        other = dataclasses.replace(first, degree=2)
+        assert other != first and hash(other) != hash(first)
+        # string hashes differ between processes: a copy does not carry the held hash
+        assert "_hash" not in vars(pickle.loads(pickle.dumps(first)))
+        coupling_operator.cache_clear()
+        held = coupling_operator(first, first.rule(), MODE_SELF_CONSISTENT)
+        assert coupling_operator(second, second.rule(), MODE_SELF_CONSISTENT) is held
+        assert coupling_operator.cache_info().hits == 1
+
+    def test_products_reported(self, monkeypatch):
+        cfg = validate(lattice_config(5))
+        operator = CouplingOperator(cfg, cfg.rule(), MODE_SELF_CONSISTENT)
+        calls = []
+        original = operator.coupling
+
+        def counting(x):
+            calls.append(x.size)
+            return original(x)
+
+        monkeypatch.setattr(operator, "coupling", counting)
+        sol = solve(operator, cfg)
+        assert sol.iterations == 4
+        # the residual check of the returned x is the one product GMRES did not make
+        assert sol.diagnostics["products"] == len(calls) - 1 == 5
 
 
 class TestRigidModes:
