@@ -113,6 +113,36 @@ def norm_sq_table(max_degree: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def reflection_signs(max_degree: int) -> np.ndarray:
+    """Signs of all vector harmonics under the coordinate reflections,
+    as a read-only (8, 3 (max_degree+1)^2) in the canonical flat order.
+
+    Row b is the reflection R: s -> sigma s with sigma_a = -1 exactly for
+    the set bits a of b (bit 0 flips x, bit 1 y, bit 2 z).  Each family
+    obeys F(R s) = h R F(s) with a sign h per mode.  For Y_lm a z flip
+    gives (-1)^(l-|m|); an x flip gives (-1)^|m| for m >= 0 and
+    (-1)^(|m|+1) for m < 0 (C[|m|] and S[|m|] of (x + i y)^|m|); a y flip
+    gives -1 for m < 0.  V and W take the sign of Y, and X = n x grad_s Y
+    also takes det R = (-1)^(flips).
+    """
+    ells = per_degree(np.arange(max_degree + 1))
+    ms = np.arange(ells.size) - ells * ells - ells
+    am = np.abs(ms)
+    parity = 1 - 2 * (am % 2)
+    flips = (np.where(ms < 0, -parity, parity), np.where(ms < 0, -1, 1),
+             1 - 2 * ((ells - am) % 2))
+    out = np.ones((8, ells.size, 3))
+    for b in range(8):
+        for axis, h in enumerate(flips):
+            if b >> axis & 1:
+                out[b] *= h[:, None]
+                out[b, :, Family.X] *= -1.0
+    out = out.reshape(8, -1)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
 def _mode_indices(max_degree: int) -> tuple[np.ndarray, ...]:
     """Per scalar mode p = (l, m), as read-only arrays: l; the packed
     Legendre row; the normalisation c_m (sqrt(2) for m != 0) as a column;

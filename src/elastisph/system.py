@@ -6,17 +6,28 @@ up to degree N; testing against the same basis yields the dense system
 blocks of N are exactly diagonal by orthogonality; off-diagonal blocks
 couple spheres through the closed-form single-layer matrices sampled at
 the target sphere's quadrature nodes.  Such a block depends only on its
-pair's key: the displacement x_tgt - x_src, the two radii and whether
-the source is the enclosing sphere.  ``assemble`` generates the block of
-every ordered pair into the dense N.  ``CouplingOperator`` generates one
-block per distinct key and holds the blocks in classes of keys that
-share their pair count c.  Its product, for ``apply_operator`` and
-GMRES, makes no n x n array: per class, one batched matmul applies each
-block to the c sources of its key, and one sparse scatter adds the
-results to their targets.  ``apply_operator`` keeps the last operator it
-built, so repeated products on one configuration generate no blocks
-after the first.  ``solver_bytes`` gives the memory either product holds
-in a solve.
+pair's displacement d = x_tgt - x_src, the two radii and whether the
+source is the enclosing sphere, and up to signs only on |d|: every
+embedded Lebedev rule maps onto itself under each coordinate flip, node
+for node and with equal weights, and a flip multiplies each vector
+harmonic by a sign (``harmonics.reflection_signs``).  So a pair whose
+displacement is sigma |d|, sigma = sign(d) componentwise (zero counts
+as +), has exactly the block H_sigma B H_sigma, where B is the block at
+|d| and H_sigma the diagonal of those signs over the active modes.  A z
+flip gives (-1)^(l-|m|); an x flip (-1)^|m| for m >= 0 and (-1)^(|m|+1)
+for m < 0; a y flip -1 for m < 0; X also takes det sigma.
+
+``assemble`` generates the block of every ordered pair into the dense
+N.  ``CouplingOperator`` generates one block per key (|d|, r_tgt, r_src,
+source is enclosing), turned to sigma = + by its representative pair's
+H, and holds the blocks in classes of keys that share their pair count
+c.  Its product, for ``apply_operator`` and GMRES, makes no n x n
+array: per class, one batched matmul applies each block to the c
+sources of its key, each turned by its pair's H, and the results are
+added to their (pattern, target) rows, which take their H at the end.
+``apply_operator`` keeps the last operator it built, so repeated
+products on one configuration generate no blocks after the first.
+``solver_bytes`` gives the memory either product holds in a solve.
 
 The operator is singular on rigid-motion traces (translations always;
 rotations too when the toroidal adjoint eigenvalue takes its
@@ -43,9 +54,11 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon, dlange
 from scipy.sparse import csr_array
+from scipy.sparse._sparsetools import csr_matvecs
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .harmonics import Family, VshExpansion, norm_sq_table, num_scalar_modes, per_degree, vsh_basis, weighted_basis
+from .harmonics import (Family, VshExpansion, norm_sq_table, num_scalar_modes, per_degree,
+                        reflection_signs, vsh_basis, weighted_basis)
 from .materials import LameParams
 from .problem import ProblemConfig, ROLE_TRANSMISSION, SphereSpec, build_sigma
 from .quadrature import LebedevRule
@@ -296,15 +309,23 @@ def _chunk_blocks(background: LameParams, rule: LebedevRule, degree: int, rows: 
 
 @lru_cache(maxsize=1)
 def _distinct_pairs(config: ProblemConfig):
-    """The ordered pairs grouped by the key that fixes their raw block.
+    """The ordered pairs grouped by the key that fixes their raw block up to
+    a coordinate reflection.
 
-    The key is (x_tgt - x_src, r_tgt, r_src, source is enclosing), matched
-    by exact (bitwise) float equality; pairs with one key have equal
-    blocks up to the rounding of their mapped nodes.  Returns
-    ``(rep_targets, rep_sources)``, one representative pair per key in
-    ``_ordered_pairs`` order (so enclosing sources still lead), and
-    ``(targets, sources, bounds)``: the pairs of key k are
-    ``targets[bounds[k]:bounds[k + 1]]`` with the matching sources.
+    With d = x_tgt - x_src, the key is (|d_x|, |d_y|, |d_z|, r_tgt, r_src,
+    source is enclosing), matched by exact (bitwise) float equality, and
+    the pair's pattern is the reflection sigma = sign(d) that carries |d|
+    to d, numbered as in ``harmonics.reflection_signs`` (bit a set when
+    d_a < 0; a zero component counts as +).  Every embedded Lebedev rule
+    maps onto itself under each coordinate flip, node for node and with
+    equal weights, so the pairs of one key have the blocks H_sigma B H_sigma
+    of one canonical block B (that of pattern 0), H_sigma being the
+    pattern's diagonal of mode signs, up to the rounding of their mapped
+    nodes.  Returns ``(rep_targets, rep_sources, rep_patterns)``, one
+    representative pair per key in ``_ordered_pairs`` order (so enclosing
+    sources still lead), and ``(targets, sources, patterns, bounds)``: the
+    pairs of key k are ``targets[bounds[k]:bounds[k + 1]]`` with the
+    matching sources and patterns.
 
     The last configuration's grouping is kept (read-only), so that
     ``solver_bytes``, called by ``validate``, and the ``CouplingOperator``
@@ -312,8 +333,9 @@ def _distinct_pairs(config: ProblemConfig):
     """
     targets, sources = _ordered_pairs(config)
     centers, radii, enclosing = _geometry(config)
-    keys = np.column_stack([centers[targets] - centers[sources], radii[targets],
-                            radii[sources], enclosing[sources]])
+    d = centers[targets] - centers[sources]
+    patterns = (d < 0.0) @ np.array([1, 2, 4])
+    keys = np.column_stack([np.abs(d), radii[targets], radii[sources], enclosing[sources]])
     # one raw-bytes item per row: sorts about 4x faster than np.unique(axis=0)
     rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).reshape(-1)
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
@@ -325,7 +347,8 @@ def _distinct_pairs(config: ProblemConfig):
     members = np.argsort(key, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=order.size))))
     reps = first[order]
-    out = (targets[reps], sources[reps]), (targets[members], sources[members], bounds)
+    out = ((targets[reps], sources[reps], patterns[reps]),
+           (targets[members], sources[members], patterns[members], bounds))
     for a in (*out[0], *out[1]):
         a.setflags(write=False)
     return out
@@ -388,13 +411,32 @@ def assemble(
     return DenseSystem(dofmap=dofmap, D=D, Nmat=Nmat, F=F, sigma=sigma, mode=mode)
 
 
+def _scatter_add(acc: np.ndarray, scatter: csr_array, res: np.ndarray) -> None:
+    """acc += scatter @ res in place.
+
+    SciPy's own CSR kernel, which touches only the rows of acc that
+    ``scatter`` has entries in; ``scatter @ res`` would return a zeroed
+    array of all of acc's rows for a second pass to add.  The kernel
+    reads and writes through raw pointers, so the shapes and layouts are
+    checked here.
+    """
+    if not (acc.flags.c_contiguous and res.flags.c_contiguous
+            and acc.dtype == res.dtype == scatter.dtype == np.float64
+            and scatter.shape == (acc.shape[0], res.shape[0]) and acc.shape[1] == res.shape[1]):
+        raise ValueError("scatter_add needs C-ordered float64 arrays of matching shapes")
+    csr_matvecs(*scatter.shape, res.shape[1], scatter.indptr, scatter.indices, scatter.data,
+                res.reshape(-1), acc.reshape(-1))
+
+
 class _PairClass(NamedTuple):
     """The ``keys`` keys of ``count`` pairs each, whose blocks are
     ``blocks[k0:k0 + keys]`` of a ``CouplingOperator``.
 
-    ``sources`` (keys * count,) lists the sources of the class's pairs in
-    (key, pair) order; ``scatter`` is the CSR matrix (M, keys * count)
-    with a 1 at (target, column) of each pair.
+    Rows b M + i of a product's work arrays belong to pattern b and
+    sphere i.  ``sources`` (keys * count,) lists the source rows of the
+    class's pairs in (key, pair) order, and ``scatter`` is the CSR matrix
+    (8 M, keys * count) with a 1 at the (pattern, target) row and column
+    of each pair.
     """
 
     k0: int
@@ -405,20 +447,27 @@ class _PairClass(NamedTuple):
 
 
 class CouplingOperator:
-    """The coupling of one configuration, held as its distinct pair blocks.
+    """The coupling of one configuration, held as one block per pair key.
 
-    Built from the same generator ``assemble`` reads, but only one raw
-    block per distinct pair key (see ``_distinct_pairs``), held read-only
-    in ``blocks`` (keys, n_a, n_a).  The keys are ordered by their pair
-    count c, stably, and the keys of one count form a class
-    (``classes``, see ``_PairClass``) whose blocks are consecutive.  A
-    product takes, per class, one batched matmul of the blocks with the
-    stacked (keys, c, n_a) source vectors and one sparse scatter of the
-    (keys * c, n_a) results onto their targets; its work arrays are
-    bounded by the largest class.  With the C and diagonal tables that
-    is all of N; no n x n array is made.  The load ``F`` (computed on
-    first use) takes the blocks of the loaded sources, which are among
-    the distinct keys.
+    Built from the same generator ``assemble`` reads, but only for one
+    representative pair per key of ``_distinct_pairs``, whose keys ignore
+    the signs of the displacement.  Each generated block is turned to the
+    canonical orientation by its representative's H_sigma (a diagonal of
+    +-1 per active mode, ``signs[sigma]``) and held read-only in
+    ``blocks`` (keys, n_a, n_a).  A pair of pattern sigma couples its
+    source through H_sigma B H_sigma, exactly for the reflection-closed
+    Lebedev rules.  The keys are ordered by their pair count c, stably,
+    and the keys of one count form a class (``classes``, see
+    ``_PairClass``) whose blocks are consecutive.
+
+    A product turns every source by each pattern's H once, (8 M, n_a).
+    Per class it takes one batched matmul of the blocks with the stacked
+    (keys, c, n_a) turned sources and adds the results in place to just
+    the (pattern, target) rows of its pairs.  At the end it applies each
+    pattern's H to its rows and sums them per target.  Its work arrays
+    are bounded by the largest class.  With the C and diagonal tables
+    that is all of N; no n x n array is made.  The load ``F`` (computed
+    on first use) takes the same product over the loaded sources.
 
     Shares with ``DenseSystem`` what ``solve_iterative`` reads: ``D``,
     ``F``, ``dofmap``, ``sigma``, ``mode`` and the product ``coupling``.
@@ -434,7 +483,11 @@ class CouplingOperator:
         M = len(config.spheres)
         self.D = np.tile(self._norms, M)
         self.D.setflags(write=False)
-        representatives, (targets, sources, bounds) = _distinct_pairs(config)
+        self.signs = reflection_signs(config.degree)[:, self.dofmap.active_mask()]  # (8, n_a)
+        self.signs.setflags(write=False)
+        (rep_targets, rep_sources, rep_patterns), (targets, sources, patterns, bounds) = \
+            _distinct_pairs(config)
+        self.pairs = int(bounds[-1])
         counts = np.diff(bounds)
         order = np.argsort(counts, kind="stable")  # key of each slot
         slot = np.empty_like(order)
@@ -443,8 +496,9 @@ class CouplingOperator:
         # each block goes straight to its slot: no second copy of the blocks
         self.blocks = np.empty((order.size, na, na))
         k = 0
-        for _ipos, _jpos, raw in _pair_blocks(config, rule, self.dofmap, *representatives):
-            self.blocks[slot[k:k + len(raw)]] = raw
+        for _ipos, _jpos, raw in _pair_blocks(config, rule, self.dofmap, rep_targets, rep_sources):
+            h = self.signs[rep_patterns[k:k + len(raw)]]
+            self.blocks[slot[k:k + len(raw)]] = h[:, :, None] * raw * h[:, None, :]
             k += len(raw)
         self.blocks.setflags(write=False)
         classes = []
@@ -452,10 +506,11 @@ class CouplingOperator:
         for k0, k1 in zip(starts, (*starts[1:], order.size)):
             keys, count = order[k0:k1], counts[order[k0]]
             pairs = (bounds[keys][:, None] + np.arange(count)).reshape(-1)  # (key, pair) order
+            shift = patterns[pairs] * M
             # 32-bit coordinates give 32-bit CSR indices
-            coords = targets[pairs].astype(np.int32), np.arange(pairs.size, dtype=np.int32)
-            scatter = csr_array((np.ones(pairs.size), coords), shape=(M, pairs.size))
-            classes.append(_PairClass(int(k0), keys.size, int(count), sources[pairs], scatter))
+            coords = (shift + targets[pairs]).astype(np.int32), np.arange(pairs.size, dtype=np.int32)
+            scatter = csr_array((np.ones(pairs.size), coords), shape=(8 * M, pairs.size))
+            classes.append(_PairClass(int(k0), keys.size, int(count), shift + sources[pairs], scatter))
         self.classes = tuple(classes)
 
     @property
@@ -463,12 +518,16 @@ class CouplingOperator:
         return self.blocks.nbytes
 
     def _add_pair_products(self, out: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        """out[i] += block(i, j) @ vectors[j] over all ordered pairs, (M, n_a)."""
+        """out[i] += H block H @ vectors[j] over all ordered pairs, (M, n_a)."""
         na = out.shape[1]
+        # row b M + j: source j as the pairs of pattern b see it, H_b vectors[j]
+        turned = (self.signs[:, None, :] * vectors).reshape(-1, na)
+        acc = np.zeros_like(turned)
         for cls in self.classes:
-            stacked = vectors[cls.sources].reshape(cls.keys, cls.count, na)
+            stacked = turned[cls.sources].reshape(cls.keys, cls.count, na)
             res = np.matmul(stacked, self.blocks[cls.k0:cls.k0 + cls.keys].transpose(0, 2, 1))
-            out += cls.scatter @ res.reshape(-1, na)
+            _scatter_add(acc, cls.scatter, res.reshape(-1, na))
+        out += np.einsum("bn,bmn->mn", self.signs, acc.reshape(len(self.signs), -1, na))
         return out
 
     def coupling(self, x: np.ndarray) -> np.ndarray:
@@ -511,13 +570,17 @@ def solver_bytes(config: ProblemConfig, product: str) -> int:
     """Bytes of the largest arrays a solve of ``config`` holds.
 
     ``product`` is ``"dense"`` (the n x n N of ``assemble``) or
-    ``"matrix_free"`` (a ``CouplingOperator``: one raw block per
-    distinct pair key).  The direct solver adds the bordered copy of the
-    dense N (at most six rigid traces); GMRES adds its Krylov basis of
-    restart + 1 bordered vectors.  Not charged: the operator's class
-    index arrays and the work arrays of its product, the stacked sources
-    and their products of one class (on lattice r5 about 4.9 MB and
-    2 x 4.3 MB, against 73 MB of blocks).
+    ``"matrix_free"`` (a ``CouplingOperator``: one raw block per key of
+    ``_distinct_pairs``, which pairs whose displacements differ only in
+    the signs of their components share; 42 / 150 / 698 blocks on
+    lattice r2 / r3 / r5, of 756 / 8 742 / 235 710 ordered pairs).  The
+    direct solver adds the bordered copy of the dense N (at most six
+    rigid traces); GMRES adds its Krylov basis of restart + 1 bordered
+    vectors.  Not charged: the operator's class index arrays and the
+    work arrays of its product, the sources turned by each pattern, their
+    accumulated products, and the stacked sources and their products of
+    one class (on lattice r5 about 5.8 MB, 2 x 1.4 MB and 2 x 4.3 MB,
+    against 11.3 MB of blocks).
     """
     dofmap = _dofmap(config)
     n, na = dofmap.size, dofmap.modes_per_sphere
@@ -666,7 +729,9 @@ def solve_direct(system: DenseSystem, config: ProblemConfig) -> Solution:
             f"bordered matrix is numerically singular (rcond {rcond:.3e}); the null "
             f"space of the operator is larger than the {k} rigid traces"
         )
-    null_resid = float(np.abs(DZ - Nmat @ Z).max() / anorm)
+    # Z has a few nonzero rows per sphere: N Z reads only those columns
+    rows = np.flatnonzero(Z.any(axis=1))
+    null_resid = float(np.abs(DZ - Nmat[:, rows] @ Z[rows]).max() / anorm)
     if null_resid > _NULL_TOL:
         raise SolverError(
             f"rigid traces are not null vectors of the operator "
@@ -726,7 +791,8 @@ def solve_iterative(
     diagnostics name the product and the bytes it holds, count the
     products GMRES made (``products``; the residual check of the returned
     x adds one more) and carry the ``pr_norm`` residual history, one value
-    per iteration.
+    per iteration.  A ``CouplingOperator`` also reports its
+    ``held_blocks`` and the ordered ``pairs`` they couple.
     """
     D, F = system.D, system.F
     n = D.size
@@ -771,13 +837,15 @@ def solve_iterative(
     _check_floor(floor, n, k)
     x = _gauge_project(v[:n], Z, D)
     resid = float(np.linalg.norm(D * x - system.coupling(x) - F) / fnorm) if fnorm > 0 else 0.0
+    diagnostics = {"solver_path": "gmres", "product": system.product,
+                   "held_block_bytes": system.held_block_bytes,
+                   "rank": n - k, "null_dim": k, "consistency_floor": floor,
+                   "products": products, "residual_history": history}
+    if isinstance(system, CouplingOperator):
+        diagnostics |= {"held_blocks": len(system.blocks), "pairs": system.pairs}
     return Solution(
         lambda_=x, residual=resid, iterations=len(history),
-        dofmap=system.dofmap, sigma=system.sigma, mode=system.mode,
-        diagnostics={"solver_path": "gmres", "product": system.product,
-                     "held_block_bytes": system.held_block_bytes,
-                     "rank": n - k, "null_dim": k, "consistency_floor": floor,
-                     "products": products, "residual_history": history},
+        dofmap=system.dofmap, sigma=system.sigma, mode=system.mode, diagnostics=diagnostics,
     )
 
 

@@ -111,7 +111,9 @@ def test_lattice_r5_matrix_free(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     solver = manifest["solver"]
     assert (solver["solver_path"], solver["product"]) == ("gmres", "matrix_free")
-    assert solver["held_block_bytes"] == 8 * 4322 * 46**2
+    # one block per key up to the coordinate reflections of the displacement
+    assert (solver["held_blocks"], solver["pairs"]) == (698, 235710)
+    assert solver["held_block_bytes"] == 8 * 698 * 46**2
     assert manifest["dofs"] == 22356
     assert 1 <= manifest["iterations"] == len(solver["residual_history"])
     assert manifest["residual"] <= 2e-6  # twice the preset's tolerance

@@ -186,6 +186,17 @@ class TestVectorFamilies:
             rn = (basis.W[p] - basis.V[p]) / (2 * ell + 1)
             assert_allclose(rn, basis.Y[p][:, None] * s, atol=1e-12)
 
+    @pytest.mark.parametrize("pattern", range(8))
+    def test_reflection_signs(self, pattern):
+        # F(R s) = h R F(s) for each family, R flipping the axes of the pattern's bits
+        flip = np.array([-1.0 if pattern >> axis & 1 else 1.0 for axis in range(3)])
+        s = unit_vectors(30)
+        basis, reflected = vsh_basis(s, 12), vsh_basis(s * flip, 12)
+        h = harmonics.reflection_signs(12)[pattern].reshape(-1, 3)
+        for family in Family:
+            assert_allclose(reflected.family(family), h[:, family, None, None] * basis.family(family) * flip,
+                            rtol=0, atol=1e-12)
+
 
 class TestOrthogonality:
     def test_gram_matrix(self):

@@ -166,9 +166,12 @@ class TestValidation:
         assert len(err.value.errors) == 1
         assert "the dense system of 22356 unknowns" in err.value.errors[0]
         assert validate(r3) is r3
-        # GMRES runs matrix-free: r5's 4 322 distinct 46 x 46 blocks and a
-        # Krylov basis of 51 bordered vectors, 82 MB; it passes at 1 GiB
-        assert solver_bytes(lattice_config(5), "matrix_free") == 8 * 4322 * 46**2 + 8 * 51 * 22362
+        # GMRES runs matrix-free: r5's 698 46 x 46 blocks, one per key up to
+        # coordinate reflections, and a Krylov basis of 51 bordered vectors,
+        # 21 MB; it passes at 1 GiB
+        assert solver_bytes(lattice_config(5), "matrix_free") == 8 * 698 * 46**2 + 8 * 51 * 22362
+        for radius, keys, n in ((2, 42, 1288), (3, 150, 4324)):
+            assert solver_bytes(lattice_config(radius), "matrix_free") == 8 * keys * 46**2 + 8 * 51 * (n + 6)
         validate(lattice_config(5))
         monkeypatch.setattr(problem, "available_memory", lambda: 2**30)
         validate(lattice_config(5))
@@ -176,7 +179,8 @@ class TestValidation:
         assert solver_bytes(lattice_config(5), "dense") == 8 * 22356**2 + 8 * 51 * 22362
         with pytest.raises(ValidationError, match="the dense system of 22356 unknowns"):
             validate(lattice_config(5), product="dense")
-        monkeypatch.setattr(problem, "available_memory", lambda: 2**26)
+        # 16 MiB is below the operator's 21 MB
+        monkeypatch.setattr(problem, "available_memory", lambda: 2**24)
         with pytest.raises(ValidationError, match="the operator of 22356 unknowns"):
             validate(lattice_config(5))
 

@@ -61,6 +61,25 @@ class TestRuleTable:
         assert rule.weights.tobytes() == w.tobytes()
 
 
+    @pytest.mark.parametrize("degree", [degree for degree, _count in LEBEDEV_TABLE])
+    def test_closed_under_coordinate_flips(self, degree):
+        # the matrix-free coupling holds one block per displacement up to
+        # these flips; it needs each node's mirror image, with its weight
+        rule = rule_for_degree(degree)
+
+        def canonical(points):
+            order = np.lexsort(points.T[::-1])
+            return points[order], rule.weights[order]
+
+        points, weights = canonical(rule.points)
+        for axis in range(3):
+            flip = np.ones(3)
+            flip[axis] = -1.0
+            flipped, flipped_weights = canonical(rule.points * flip)
+            assert_array_equal(flipped, points)
+            assert_array_equal(flipped_weights, weights)
+
+
 def test_import_leaves_out_scipy_integrate():
     # a fresh interpreter: pytest's own process has imported them already
     probe = ("import sys, elastisph, elastisph.cli; "

@@ -4,12 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import lstsq, null_space
 
 from elastisph import harmonics
 from elastisph import system as system_module
-from elastisph.harmonics import Family, VshExpansion, sh_index
+from elastisph.harmonics import Family, VshExpansion, sh_index, vsh_basis
 from elastisph.materials import LameParams
 from elastisph.presets import lattice_config, one_sphere_config, three_sphere_config
 from elastisph.problem import BoundaryData, ProblemConfig, SphereSpec, validate
@@ -270,7 +271,7 @@ class TestPairBlocks:
 
         monkeypatch.setattr(system_module, "_chunk_blocks", counting)
         CouplingOperator(cfg, cfg.rule(), MODE_SELF_CONSISTENT)
-        assert sum(blocks) == 178  # of 756 ordered pairs
+        assert sum(blocks) == 42  # of 756 ordered pairs
         blocks.clear()
         assemble(cfg)
         assert sum(blocks) == 756
@@ -289,18 +290,18 @@ class TestPairBlocks:
         monkeypatch.setattr(system_module, "_chunk_blocks", counting)
         coupling_operator.cache_clear()
         first = apply_operator(cfg, lam)
-        assert sum(blocks) == 178
+        assert sum(blocks) == 42
         blocks.clear()
         second = apply_operator(cfg, lam)
         assert blocks == []
         assert np.array_equal(first, second)
         operator = coupling_operator(cfg, cfg.rule(), MODE_SELF_CONSISTENT)
-        assert operator.blocks.shape == (178, 46, 46)
+        assert operator.blocks.shape == (42, 46, 46)
         assert not operator.blocks.flags.writeable
         assert blocks == []
         # another mode builds its own blocks and replaces the held ones
         apply_operator(cfg, lam, mode=MODE_AS_PRINTED)
-        assert sum(blocks) == 178
+        assert sum(blocks) == 42
         assert coupling_operator.cache_info().currsize == 1
 
     @pytest.mark.parametrize("cfg", [
@@ -337,39 +338,92 @@ _LAYOUT_CONFIGS = pytest.mark.parametrize("cfg", [
 ], ids=["lattice_r1", "lattice_r2", "lattice_r3", "table3_n3"])
 
 
+def _patterns(cfg, targets, sources):
+    """Reflection pattern of each pair: bit a set where (x_tgt - x_src)_a < 0."""
+    centers = np.array([s.frame.center for s in cfg.spheres])
+    return ((centers[targets] - centers[sources] < 0) * [1, 2, 4]).sum(axis=1)
+
+
+def _reflection_diagonal(rule, degree, flip):
+    """H over the canonical modes, read from the basis at the reflected
+    nodes: the sign h of F(R s) = h R F(s), as its Galerkin moment."""
+    basis, reflected = vsh_basis(rule.points, degree), vsh_basis(rule.points * flip, degree)
+    moments = [np.einsum("t,ptc,ptc->p", rule.weights, reflected.family(f), basis.family(f) * flip)
+               for f in Family]
+    return np.sign(np.stack(moments, axis=1)).reshape(-1)
+
+
+_COORDS = st.sampled_from([-0.6, -0.3, 0.0, 0.3, 0.6])
+
+
+class TestReflectedBlocks:
+    @settings(max_examples=30, deadline=None)
+    @given(centers=st.lists(st.tuples(_COORDS, _COORDS, _COORDS), min_size=1, max_size=3, unique=True),
+           radius=st.sampled_from([0.05, 0.1]), degree=st.integers(1, 4), pattern=st.integers(1, 7))
+    def test_reflected_geometry_gives_the_signed_block(self, centers, radius, degree, pattern):
+        # inclusions of one radius (0.3 apart at least) in an enclosing sphere,
+        # whose pairs take the 'in' side; every center is reflected
+        inclusions = [SphereSpec(id=i + 1, frame=SphereFrame(c, radius), role="transmission",
+                                 material=LameParams(2.0, 1.5)) for i, c in enumerate(centers)]
+        enclosing = SphereSpec(id=len(centers) + 1, frame=SphereFrame((0.0, 0.0, 0.0), 2.0),
+                               role="neumann", enclosing=True)
+        cfg = ProblemConfig(spheres=(*inclusions, enclosing), background=P11, degree=degree)
+        flip = np.array([-1.0 if pattern >> axis & 1 else 1.0 for axis in range(3)])
+        reflected = dataclasses.replace(cfg, spheres=tuple(
+            dataclasses.replace(s, frame=SphereFrame(tuple(flip * s.frame.center), s.frame.radius))
+            for s in cfg.spheres))
+        rule, dofmap = cfg.rule(), system_module._dofmap(cfg)
+        pairs = system_module._ordered_pairs(cfg)
+        blocks, mirrored = (np.concatenate([raw for *_, raw in system_module._pair_blocks(
+            c, rule, dofmap, *pairs)]) for c in (cfg, reflected))
+        h = _reflection_diagonal(rule, degree, flip)[dofmap.active_mask()]
+        expected = h[:, None] * blocks * h
+        assert np.all(np.abs(mirrored - expected).max(axis=(1, 2)) <= 1e-14 * np.abs(blocks).max(axis=(1, 2)))
+
+
 class TestPairClasses:
     @_LAYOUT_CONFIGS
     def test_classes_cover_each_pair_once(self, cfg):
         cfg = validate(cfg)
         operator = CouplingOperator(cfg, cfg.rule(), MODE_SELF_CONSISTENT)
+        M = len(cfg.spheres)
         pairs, k = [], 0
         for cls in operator.classes:
             assert cls.k0 == k
             k += cls.keys
             scatter = cls.scatter.tocoo()
-            assert scatter.shape == (len(cfg.spheres), cls.keys * cls.count)
+            assert scatter.shape == (8 * M, cls.keys * cls.count)
             assert np.array_equal(np.sort(scatter.col), np.arange(scatter.shape[1]))
             assert np.all(scatter.data == 1.0)
-            targets = scatter.row[np.argsort(scatter.col)]
-            pairs += zip(targets.tolist(), cls.sources.tolist())
+            rows = scatter.row[np.argsort(scatter.col)]
+            # a pair reads its source and writes its target under one pattern
+            assert np.array_equal(rows // M, cls.sources // M)
+            pairs += zip((rows % M).tolist(), (cls.sources % M).tolist(), (rows // M).tolist())
         assert k == len(operator.blocks)
         counts = [cls.count for cls in operator.classes]
         assert counts == sorted(set(counts))
-        assert sorted(pairs) == sorted(zip(*(a.tolist() for a in system_module._ordered_pairs(cfg))))
+        targets, sources = system_module._ordered_pairs(cfg)
+        expected = zip(targets.tolist(), sources.tolist(), _patterns(cfg, targets, sources).tolist())
+        assert sorted(pairs) == sorted(expected)
 
     @_LAYOUT_CONFIGS
     @pytest.mark.parametrize("mode", [MODE_SELF_CONSISTENT, MODE_AS_PRINTED])
     def test_product_matches_per_key_loop(self, cfg, mode):
         cfg = validate(cfg)
         operator = CouplingOperator(cfg, cfg.rule(), mode)
-        (rep_targets, rep_sources), (targets, sources, bounds) = system_module._distinct_pairs(cfg)
+        (rep_targets, rep_sources, rep_patterns), (targets, sources, patterns, bounds) = \
+            system_module._distinct_pairs(cfg)
         raw = np.concatenate([blocks for *_, blocks in system_module._pair_blocks(
             cfg, cfg.rule(), operator.dofmap, rep_targets, rep_sources)])
+        signs = harmonics.reflection_signs(cfg.degree)[:, operator.dofmap.active_mask()]
         lam = np.random.default_rng(8).normal(size=(len(cfg.spheres), operator.dofmap.modes_per_sphere))
         expected = operator.diag * lam
         for k, block in enumerate(raw):
-            pairs = slice(bounds[k], bounds[k + 1])
-            expected[targets[pairs]] += (operator.C * lam)[sources[pairs]] @ block.T
+            h = signs[rep_patterns[k]]
+            canonical = h[:, None] * block * h
+            for n in range(bounds[k], bounds[k + 1]):
+                h = signs[patterns[n]]
+                expected[targets[n]] += (h[:, None] * canonical * h) @ (operator.C * lam)[sources[n]]
         product = operator.coupling(lam.reshape(-1)).reshape(lam.shape)
         assert np.abs(product - expected).max() <= 1e-14 * np.abs(expected).max()
 
@@ -528,6 +582,16 @@ class TestBorderedLU:
         left_null = null_space(system.matrix.T)[:, 0]
         system.F += 1e-2 * np.linalg.norm(system.F) * left_null
         with pytest.raises(SolverError, match="incompatible"):
+            solve_direct(system, cfg)
+
+    def test_non_null_rigid_traces_raise(self):
+        # the check reads N only on the rows where Z is nonzero: perturb one
+        cfg = validate(three_sphere_config(3))
+        system = assemble(cfg)
+        Z = rigid_trace_vectors(cfg, system.dofmap, system.mode)
+        column = np.flatnonzero(np.abs(Z).max(axis=1) > 0.1)[-1]
+        system.Nmat[:, column] += 1e-6 * np.abs(system.Nmat).max()
+        with pytest.raises(SolverError, match="rigid traces are not null vectors"):
             solve_direct(system, cfg)
 
     def test_one_bordered_allocation(self):
