@@ -60,7 +60,6 @@ class TestRuleTable:
         assert rule.points.tobytes() == x.T.tobytes()
         assert rule.weights.tobytes() == w.tobytes()
 
-
     @pytest.mark.parametrize("degree", [degree for degree, _count in LEBEDEV_TABLE])
     def test_closed_under_coordinate_flips(self, degree):
         # the matrix-free coupling holds one block per displacement up to
