@@ -3,7 +3,7 @@
 Run from the repository root:
 
     PYTHONPATH=src python docs/acceptance_evidence.py            # every table, a few minutes
-    PYTHONPATH=src python docs/acceptance_evidence.py --part 6b  # one part: 6b, data or 7
+    PYTHONPATH=src python docs/acceptance_evidence.py --part 6b  # one part: 6b, data, 7 or direct
 
 Each part prints markdown tables:
 
@@ -17,19 +17,29 @@ Each part prints markdown tables:
 - ``7``: the smooth three-sphere error against the N=20 reference, next
   to the floor no degree-N trace can beat (the reference's own content
   above N), for the shipped rule and for ``quad_margin=40``.
+- ``direct``: the direct solver's float32 factors, refined in float64,
+  against float64 factors of the same bordered matrix, on the
+  configurations of the acceptance criteria and a stiff inclusion, in
+  both spectra modes: the D-weighted trace agreement, the consistency
+  floors, rcond and the refinement steps of psi and x.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 
 import numpy as np
 
 from elastisph.harmonics import project
+from elastisph.materials import LameParams
 from elastisph.postprocess import norm_difference, one_sphere_reference, relative_error
-from elastisph.presets import ONE_SPHERE_LEX, one_sphere_config, one_sphere_data, three_sphere_config
+from elastisph.presets import (ONE_SPHERE_LEX, SWEEP_NU1_MIN, lattice_config, one_sphere_config,
+                               one_sphere_data, poisson_sweep_config, three_sphere_config)
+from elastisph.problem import validate
 from elastisph.quadrature import LEBEDEV_TABLE, SphereFrame, rule_for_degree
-from elastisph.system import assemble, solve_direct
+from elastisph.spectra import MODE_AS_PRINTED, MODE_SELF_CONSISTENT
+from elastisph.system import _bordered_solve, assemble, rigid_trace_vectors, solve_direct
 
 # the pinned Table-2 cells of criterion 6b: (case, N) -> (value, relative tolerance)
 PINNED = {(3, 2): (1.985e-1, 0.01), (3, 5): (4.020e-3, 0.01),
@@ -135,7 +145,53 @@ def part_7() -> None:
           f"{size * size * 8 / 1e6:.0f} MB per dense copy\n")
 
 
-PARTS = {"6b": part_6b, "data": part_data, "7": part_7}
+def stiff_inclusion(degree: int):
+    """The three-sphere case with its inclusion at mu = lambda = 1e6."""
+    config = three_sphere_config(degree)
+    stiff = dataclasses.replace(config.spheres[0], material=LameParams(1e6, 1e6))
+    return dataclasses.replace(config, spheres=(stiff, *config.spheres[1:]))
+
+
+def part_direct() -> None:
+    print("## Direct solver: float32 factors refined in float64, against float64 factors\n")
+    configs = {
+        "table3 N=3": three_sphere_config(3), "table3 N=8": three_sphere_config(8),
+        "table3 N=8 piecewise": three_sphere_config(8, "piecewise"),
+        "table3 N=16": three_sphere_config(16), "table3 N=20": three_sphere_config(20),
+        "lattice r1": lattice_config(1), "lattice r2": lattice_config(2),
+        "one sphere case 3 N=8": one_sphere_config(3, 8), "one sphere case 4 N=30": one_sphere_config(4, 30),
+        "Poisson nu1 min": poisson_sweep_config(1.0 / 6.0, SWEEP_NU1_MIN),
+        "stiff inclusion N=8": stiff_inclusion(8),
+    }
+    print("Each row solves one assembled system twice: with the float32 factors that "
+          "`solve_direct` tries first (\"retried\" where it falls back to float64) and "
+          "with float64 factors. Agreement is |x32 - x64|_D / |x64|_D; steps are the "
+          "refinement steps of (psi, x).\n")
+    print("| configuration | mode | unknowns | trace agreement | floor, float32 | floor, float64 | "
+          "floor rel. diff. | rcond, float32 | rcond, float64 | steps, float32 | steps, float64 |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|")
+    for label, config in configs.items():
+        config = validate(config)
+        for mode in (MODE_SELF_CONSISTENT, MODE_AS_PRINTED):
+            system = assemble(config, mode=mode)
+            Z = rigid_trace_vectors(config, system.dofmap, mode)
+            x64, floor64, rcond64, steps64 = _bordered_solve(system, config, Z, np.float64)
+            single = _bordered_solve(system, config, Z, np.float32)
+            if single is None:
+                cells = ["retried", "—", f"{floor64:.6e}", "—", "—", f"{rcond64:.2e}", "—"]
+            else:
+                x32, floor32, rcond32, steps32 = single
+                w = np.sqrt(system.D)
+                agreement = np.linalg.norm(w * (x32 - x64)) / np.linalg.norm(w * x64)
+                cells = [f"{agreement:.1e}", f"{floor32:.6e}", f"{floor64:.6e}",
+                         f"{abs(floor32 - floor64) / floor64:.1e}", f"{rcond32:.2e}", f"{rcond64:.2e}",
+                         f"{steps32['psi']}, {steps32['x']}"]
+            print("| " + " | ".join([label, mode, str(system.dofmap.size), *cells,
+                                     f"{steps64['psi']}, {steps64['x']}"]) + " |")
+    print()
+
+
+PARTS = {"6b": part_6b, "data": part_data, "7": part_7, "direct": part_direct}
 
 
 def main() -> None:

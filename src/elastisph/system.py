@@ -35,7 +35,12 @@ self-consistent value), mirroring the rigid kernel of the continuous
 Neumann problem.  The direct solver borders the operator with the known
 rigid traces and factors the bordered matrix once by LU: it measures the
 part of the load outside the operator's range, solves for the rest and
-fixes the gauge in the same solve.  GMRES iterates on a nonsingular
+fixes the gauge in the same solve.  It factors a float32 copy, whose
+entries below 2^-40 of its largest diagonal entry are set to zero so
+that none is a float32 subnormal, and refines both solves with residuals
+computed in float64 from N itself, so its results keep float64 accuracy;
+a system too ill-conditioned for float32 factors is factored in float64
+instead.  GMRES iterates on a nonsingular
 bordered system too, row-scaled by 1/D, with either the dense or the
 matrix-free product: its column border r C Z spans the left null space
 up to the quadrature asymmetry of the single-layer form (see
@@ -51,8 +56,7 @@ from math import pi, sqrt
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dgecon, dlange
+from scipy.linalg import get_lapack_funcs, lu_factor
 from scipy.sparse import csr_array
 from scipy.sparse._sparsetools import csr_matvecs
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -134,7 +138,10 @@ class DenseSystem:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.diag(self.D) - self.Nmat
+        """A fresh D - N, made as one n x n array."""
+        A = np.negative(self.Nmat)
+        A.reshape(-1)[::A.shape[0] + 1] += self.D
+        return A
 
     @property
     def held_block_bytes(self) -> int:
@@ -570,24 +577,37 @@ def solver_bytes(config: ProblemConfig, product: str) -> int:
     """Bytes of the largest arrays a solve of ``config`` holds.
 
     ``product`` is ``"dense"`` (the n x n N of ``assemble``) or
-    ``"matrix_free"`` (a ``CouplingOperator``: one raw block per key of
-    ``_distinct_pairs``, which pairs whose displacements differ only in
-    the signs of their components share; 42 / 150 / 698 blocks on
-    lattice r2 / r3 / r5, of 756 / 8 742 / 235 710 ordered pairs).  The
-    direct solver adds the bordered copy of the dense N (at most six
-    rigid traces); GMRES adds its Krylov basis of restart + 1 bordered
-    vectors.  Not charged: the operator's class index arrays and the
-    work arrays of its product, the sources turned by each pattern, their
-    accumulated products, and the stacked sources and their products of
-    one class (on lattice r5 about 5.8 MB, 2 x 1.4 MB and 2 x 4.3 MB,
-    against 11.3 MB of blocks).
+    ``"matrix_free"`` (a ``CouplingOperator``).  The operator holds one
+    raw block per key of ``_distinct_pairs``, which pairs whose
+    displacements differ only in the signs of their components share
+    (42 / 150 / 698 blocks on lattice r2 / r3 / r5, of 756 / 8 742 /
+    235 710 ordered pairs), and per pair its source row (int64) and its
+    scatter entry (float64 value, int32 column), per class the scatter's
+    int32 row pointers.  Its product adds the sources turned by each
+    pattern and their accumulated products, (8 M, n_a) each, and per
+    class the stacked sources and their products, three arrays of the
+    largest class (the previous class's products are still held while
+    the next are formed).  On lattice r5 that is 11.8 MB of blocks,
+    6.1 MB of class arrays and 15.8 MB of work arrays, against 18.6 MB
+    held and a 13.9 MB product peak measured by tracemalloc.
+
+    The direct solver adds the bordered copy of the dense N (at most
+    six rigid traces), charged in float64: the float32 copy it factors
+    first takes half that, but the float64 retry of an ill-conditioned
+    system (see ``solve_direct``) takes all of it.  GMRES adds its
+    Krylov basis of restart + 1 bordered vectors.
     """
     dofmap = _dofmap(config)
     n, na = dofmap.size, dofmap.modes_per_sphere
     if product == "dense":
         held = 8 * n * n
     elif product == "matrix_free":
-        held = 8 * _distinct_pairs(config)[0][0].size * na * na
+        (rep_targets, _, _), (_, _, _, bounds) = _distinct_pairs(config)
+        counts, keys_per_count = np.unique(np.diff(bounds), return_counts=True)
+        spheres = len(config.spheres)
+        largest = int((counts * keys_per_count).max(initial=0))
+        held = (8 * rep_targets.size * na * na + 20 * int(bounds[-1])
+                + 4 * (8 * spheres + 1) * counts.size + 8 * na * (2 * 8 * spheres + 3 * largest))
     else:
         raise ValueError(f"unknown product {product!r}; expected 'dense' or 'matrix_free'")
     if config.solver.method == "direct":
@@ -672,13 +692,26 @@ def _gauge_project(x: np.ndarray, Z: np.ndarray, D: np.ndarray) -> np.ndarray:
     return x - Z @ np.linalg.solve(G, rhs)
 
 
-# A bordered matrix with a smaller reciprocal condition number (dgecon, 1-norm)
+# A bordered matrix with a smaller reciprocal condition number (gecon, 1-norm)
 # is numerically singular: the null space of (D - N) exceeds the rigid traces.
 _RCOND_MIN = 1e-13
 # (D - N) Z must vanish to rounding relative to the bordered matrix's norm.
 _NULL_TOL = 1e-12
 # Largest incompatible share |F - F_c| / |F| of the load that is accepted.
 _FLOOR_MAX = 1e-3
+# Float32 factors with a smaller reciprocal condition number (16 float32 unit
+# roundoffs) leave refinement too little contraction: float64 factors are used.
+_RCOND_F32 = 2.0**-20
+# Entries of the float32 bordered matrix below this share of its largest
+# diagonal entry are set to zero, so that none becomes a float32 subnormal.
+_FLUSH = 2.0**-40
+# Entries of N negated, flushed and rounded to float32 per row block.
+_ROW_BLOCK = 2**15
+# Correction steps of one refinement before it counts as not converged, as
+# in LAPACK's dsgesv.
+_REFINE_MAX = 30
+# float64 unit roundoff, LAPACK's dlamch('E')
+_EPS64 = np.finfo(np.float64).eps / 2
 
 
 def _check_floor(floor: float, n: int, k: int) -> None:
@@ -690,8 +723,170 @@ def _check_floor(floor: float, n: int, k: int) -> None:
         )
 
 
+def _left_null_border(config: ProblemConfig, dofmap: DofMap, mode: str, Z: np.ndarray) -> np.ndarray:
+    """Orthonormalised r C Z (radius and C per sphere and mode), which spans
+    the left null space of D - N up to the quadrature asymmetry of the
+    single-layer form (see ``solve_iterative``)."""
+    radii = _geometry(config)[1]
+    C = _diag_coupling(config, dofmap, mode)[2]
+    return np.linalg.qr((radii[:, None] * C).reshape(-1, 1) * Z)[0]
+
+
+def _bordered_matrix(Nmat: np.ndarray, D: np.ndarray, DZ: np.ndarray, dtype) -> np.ndarray:
+    """B = [[D - N, D Z], [Z^T D, 0]] in ``dtype``, with no n x n temporary.
+
+    In float32, -N is rounded in row blocks of about ``_ROW_BLOCK``
+    entries, and its entries below ``_FLUSH`` of the largest diagonal
+    entry of B are set to zero first.
+    """
+    n, k = DZ.shape
+    B = np.empty((n + k, n + k), dtype)
+    diagonal = D - np.diagonal(Nmat)
+    if dtype == np.float64:
+        np.negative(Nmat, out=B[:n, :n])
+    else:
+        tiny = _FLUSH * np.abs(diagonal).max()
+        rows = max(1, _ROW_BLOCK // n)
+        for r0 in range(0, n, rows):
+            block = np.negative(Nmat[r0:r0 + rows])
+            block *= np.abs(block) >= tiny  # 3x faster than block[mask] = 0
+            B[r0:r0 + len(block), :n] = block
+    B.reshape(-1)[:n * (n + k + 1):n + k + 1] = diagonal
+    B[:n, n:] = DZ
+    B[n:, :n] = DZ.T
+    B[n:, n:] = 0.0
+    return B
+
+
+def _refine(factors, trans: int, subtract_product, left, right, y: np.ndarray | None,
+            tol: float):
+    """Iterative refinement of bordered solves, residuals in float64.
+
+    ``factors`` are LU factors of B^T in either precision; ``trans`` = 0
+    solves B^T v = b and 1 solves B v = b, for each row v of ``y`` and
+    b of the right-hand side.  b's first n entries are ``left`` (an array
+    or a scalar that broadcasts), its last k the matching row of
+    ``right`` (rows, k).  Rows keep each vector contiguous, for ``getrs``
+    and the products.  ``subtract_product(r, y)`` subtracts the matrix
+    times each row of y from that row of r, in float64.  From ``y``
+    (None: the factors' own solve of b), each step adds the factors'
+    solve for the residual r = b - (B or B^T) v.  It stops, as LAPACK's
+    ``dgerfs``, once the residual of some row no longer halves, and has
+    converged if every row then meets LAPACK dsgesv's test
+    |r|_inf <= tol |v|_inf.  Returns the float64 y, the correction steps
+    and whether it converged within ``_REFINE_MAX`` steps.
+    """
+    lu, piv = factors
+    getrs, = get_lapack_funcs(("getrs",), (lu,))
+    rows, k = right.shape
+
+    def rhs(r):
+        r[:, :-k], r[:, -k:] = left, right
+        return r
+
+    def correction(r):
+        # row by row: OpenBLAS's sgetrs takes 2x longer on six right-hand
+        # sides at once than on six single ones.  Each row is scaled to a
+        # largest entry of 1, or a converging residual drives the float32
+        # solve into subnormals and slows it 3x.
+        for row in r:
+            scale = np.abs(row).max()
+            if scale > 0.0:
+                scaled = (row / scale).astype(lu.dtype, copy=False)
+                row[:] = scale * getrs(lu, piv, scaled, trans=trans, overwrite_b=True)[0]
+        return r
+
+    r = np.empty((rows, len(lu)))
+    y = correction(rhs(r)).astype(np.float64) if y is None else y
+    last = np.inf
+    for step in range(_REFINE_MAX + 1):
+        subtract_product(rhs(r), y)
+        residual = np.abs(r).max(axis=1)
+        if not np.all(residual < last / 2):
+            return y, step, bool(np.all(residual <= tol * np.abs(y).max(axis=1)))
+        last = residual
+        if step < _REFINE_MAX:
+            y += correction(r)
+    return y, _REFINE_MAX, False
+
+
+def _bordered_solve(system: DenseSystem, config: ProblemConfig, Z: np.ndarray, dtype):
+    """The two bordered solves of ``solve_direct`` with LU factors in ``dtype``.
+
+    Returns the gauge-fixed least-squares x, the consistency floor, the
+    factors' rcond and the refinement steps ``{"psi": .., "x": ..}``,
+    or None when float32 factors are too ill-conditioned or a refinement
+    does not converge.  Every large array it makes is freed on return.
+    """
+    D, F, Nmat = system.D, system.F, system.Nmat
+    n, k = Z.shape
+    retry = dtype == np.float32
+    DZ = D[:, None] * Z
+    # Z has a few nonzero rows per sphere: N Z reads only those columns.
+    # Taken before B exists, so that its temporaries do not add to B.
+    rows = np.flatnonzero(Z.any(axis=1))
+    null_resid = np.abs(DZ - Nmat[:, rows] @ Z[rows]).max()
+    B = _bordered_matrix(Nmat, D, DZ, dtype)
+    # B.T is B's memory in Fortran order: its 1-norm is B's infinity norm,
+    # its infinity norm B's 1-norm, and LAPACK factors it without a copy
+    lange, = get_lapack_funcs(("lange",), (B,))
+    norm_inf, norm_one = lange("1", B.T), lange("I", B.T)
+    factors = lu_factor(B.T, overwrite_a=True, check_finite=False)
+    del B
+    gecon, = get_lapack_funcs(("gecon",), (factors[0],))
+    rcond = float(gecon(factors[0], norm_inf, norm="1")[0])
+    if retry and not rcond >= _RCOND_F32:
+        return None
+    if not rcond >= _RCOND_MIN:
+        raise SolverError(
+            f"bordered matrix is numerically singular (rcond {rcond:.3e}); the null "
+            f"space of the operator is larger than the {k} rigid traces"
+        )
+    null_resid = float(null_resid / norm_inf)
+    if null_resid > _NULL_TOL:
+        raise SolverError(
+            f"rigid traces are not null vectors of the operator "
+            f"(|(D - N) Z| = {null_resid:.3e} of its norm)"
+        )
+
+    def subtract_product(N):
+        # rows of r -= v^T [[D - N, D Z], [Z^T D, 0]]: B^T v with N and B v
+        # with N^T, since the border is symmetric
+        def subtract(r, y):
+            # row by row, on contiguous vectors: numpy buffers elementwise
+            # operations on the strided (rows, n) blocks
+            for rj, yj, pj in zip(r, y, y[:, :n] @ N):
+                rj[:n] += pj
+                rj[:n] -= D * yj[:n]
+                rj[:n] -= DZ @ yj[n:]
+                rj[n:] -= yj[:n] @ DZ
+        return subtract
+
+    tol = _EPS64 * sqrt(n + k)
+    # B^T [psi; nu] = [0; I] gives nu = 0 and (D - N)^T psi = 0; the seed
+    # is scaled to Z^T D psi = I.  Row j of psi is column j.
+    seed = _left_null_border(config, system.dofmap, system.mode, Z)
+    psi = np.zeros((k, n + k))
+    psi[:, :n] = np.linalg.solve(seed.T @ DZ, seed.T)
+    del seed
+    psi, psi_steps, converged = _refine(factors, 0, subtract_product(Nmat), 0.0, np.eye(k), psi,
+                                        tol * norm_one)
+    if retry and not converged:
+        return None
+    psi = np.linalg.qr(psi[:, :n].T)[0]
+    incompatible = psi @ (psi.T @ F)
+    fnorm = np.linalg.norm(F)
+    floor = float(np.linalg.norm(incompatible) / fnorm) if fnorm > 0 else 0.0
+    _check_floor(floor, n, k)
+    x, x_steps, converged = _refine(factors, 1, subtract_product(Nmat.T), F - incompatible,
+                                    np.zeros((1, k)), None, tol * norm_inf)
+    if retry and not converged:
+        return None
+    return x[0, :n], floor, rcond, {"psi": psi_steps, "x": x_steps}
+
+
 def solve_direct(system: DenseSystem, config: ProblemConfig) -> Solution:
-    """Bordered LU solve in the rigid-trace gauge.
+    """Bordered LU solve in the rigid-trace gauge, float32 factors refined in float64.
 
     With Z the orthonormal rigid-trace basis (k = 3 or 6 columns) and
     A = D - N, one LU factorisation of
@@ -706,54 +901,51 @@ def solve_direct(system: DenseSystem, config: ProblemConfig) -> Solution:
     solution of A x = F in the D-weighted rigid-trace gauge, and
     |F - F_c| / |F| is the measured incompatible share of the load.
 
-    B is built in place of one (n+k)^2 array; its transpose is
-    Fortran-ordered, so LAPACK factors it without a copy.
+    Precision.  B is built in float32 and factored by LAPACK ``sgetrf``;
+    its transpose is Fortran-ordered, so no copy is made, and the float32
+    B is the only n x n array besides ``Nmat``.  While -N is rounded in
+    row blocks, its entries below 2^-40 of B's largest diagonal entry are
+    set to zero: the coupling of distant high-degree modes decays to
+    values that would become float32 subnormals, and those slow the
+    factorisation from 0.3 s to 15 s at N=20 (2-core x86-64, OpenBLAS).
+    The change is far below
+    float32 rounding.  Both solves are refined: each step solves with the
+    float32 factors for the residual, which is computed in float64 from
+    the untouched ``Nmat``, until the residual of some right-hand side no
+    longer halves (as LAPACK's ``dgerfs``); the refinement has converged
+    when every residual then meets LAPACK ``dsgesv``'s test
+    |r|_inf <= |v|_inf |B|_inf eps sqrt(n + k).  dsgesv's test alone
+    stops one step early: at N=8 it leaves the consistency floor off by
+    1.6e-6 of itself.  psi starts from the orthonormalised column border
+    r C Z of ``solve_iterative``, scaled to Z^T D psi = I, and x from the
+    factors' own solve.
+
+    Retry.  When the float32 factors' rcond is below 2^-20, or a
+    refinement does not converge within 30 steps, the float32 arrays are
+    freed and the same code runs with float64 factors of B, built in
+    place without the flush; the memory guard (``solver_bytes``) charges
+    that float64 B.  On either path an rcond below 1e-13 is refused as a
+    null space beyond the rigid traces, (D - N) Z must vanish to 1e-12 of
+    |B|, and a consistency floor above 1e-3 is refused.  The diagnostics
+    name the ``factorisation`` ("float32" or "float64") and the
+    ``refinement_steps`` {"psi": .., "x": ..}.
     """
-    D, F, Nmat = system.D, system.F, system.Nmat
-    n = D.size
     Z = rigid_trace_vectors(config, system.dofmap, system.mode)
-    k = Z.shape[1]
-    DZ = D[:, None] * Z
-    B = np.empty((n + k, n + k))
-    np.negative(Nmat, out=B[:n, :n])
-    B.reshape(-1)[:n * (n + k + 1):n + k + 1] += D
-    B[:n, n:] = DZ
-    B[n:, :n] = DZ.T
-    B[n:, n:] = 0.0
-    # B.T is B's memory in Fortran order: its 1-norm is B's infinity norm
-    anorm = dlange("1", B.T)
-    factors = lu_factor(B.T, overwrite_a=True, check_finite=False)
-    rcond, _info = dgecon(factors[0], anorm, norm="1")
-    if not rcond >= _RCOND_MIN:
-        raise SolverError(
-            f"bordered matrix is numerically singular (rcond {rcond:.3e}); the null "
-            f"space of the operator is larger than the {k} rigid traces"
-        )
-    # Z has a few nonzero rows per sphere: N Z reads only those columns
-    rows = np.flatnonzero(Z.any(axis=1))
-    null_resid = float(np.abs(DZ - Nmat[:, rows] @ Z[rows]).max() / anorm)
-    if null_resid > _NULL_TOL:
-        raise SolverError(
-            f"rigid traces are not null vectors of the operator "
-            f"(|(D - N) Z| = {null_resid:.3e} of its norm)"
-        )
-    # factors hold LU of B^T: trans=0 solves with B^T, trans=1 with B
-    unit = np.zeros((n + k, k))
-    unit[n:] = np.eye(k)
-    psi = np.linalg.qr(lu_solve(factors, unit, trans=0, check_finite=False)[:n])[0]
-    incompatible = psi @ (psi.T @ F)
+    for dtype in (np.float32, np.float64):
+        solved = _bordered_solve(system, config, Z, dtype)
+        if solved is not None:
+            break
+    x, floor, rcond, steps = solved
+    D, F, Nmat = system.D, system.F, system.Nmat
+    n, k = Z.shape
     fnorm = np.linalg.norm(F)
-    floor = float(np.linalg.norm(incompatible) / fnorm) if fnorm > 0 else 0.0
-    _check_floor(floor, n, k)
-    rhs = np.zeros(n + k)
-    rhs[:n] = F - incompatible
-    x = lu_solve(factors, rhs, trans=1, check_finite=False)[:n]
     resid = float(np.linalg.norm(D * x - Nmat @ x - F) / fnorm) if fnorm > 0 else 0.0
     return Solution(
         lambda_=x, residual=resid, iterations=None,
         dofmap=system.dofmap, sigma=system.sigma, mode=system.mode,
         diagnostics={"solver_path": "bordered_lu", "rank": n - k, "null_dim": k,
-                     "rcond": float(rcond), "consistency_floor": floor},
+                     "rcond": rcond, "consistency_floor": floor,
+                     "factorisation": np.dtype(dtype).name, "refinement_steps": steps},
     )
 
 
@@ -799,10 +991,8 @@ def solve_iterative(
     Z = rigid_trace_vectors(config, system.dofmap, system.mode)
     k = Z.shape[1]
     DZ = D[:, None] * Z
-    radii = _geometry(config)[1]
-    C = _diag_coupling(config, system.dofmap, system.mode)[2]
-    # r C Z, orthonormalised and scaled to the columns of the row border D Z
-    U = np.linalg.qr((radii[:, None] * C).reshape(-1, 1) * Z)[0] * np.linalg.norm(DZ, axis=0)
+    # scaled to the columns of the row border D Z
+    U = _left_null_border(config, system.dofmap, system.mode, Z) * np.linalg.norm(DZ, axis=0)
     products = 0
 
     def apply(v):

@@ -50,6 +50,19 @@ def test_direct_solver_recorded(table3_path, tmp_path):
     assert "solver" not in manifest["timings_seconds"]
 
 
+def test_direct_solver_precision_recorded(tmp_path):
+    out = tmp_path / "run"
+    rc = main(["solve", "--preset", "table3_smooth", "--degree", "8", "--solver", "direct",
+               "--out-dir", str(out)])
+    assert rc == EXIT_OK
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    assert (solver["solver_path"], solver["factorisation"]) == ("bordered_lu", "float32")
+    assert solver["rcond"] >= 2.0**-20
+    steps = solver["refinement_steps"]
+    assert set(steps) == {"psi", "x"}
+    assert all(1 <= s <= 30 for s in steps.values())
+
+
 def test_dense_memory_refused(table3_path, tmp_path, monkeypatch, capsys):
     # table3 at N=3 has 138 unknowns: Nmat and the bordered copy need 318 KB
     monkeypatch.setattr(problem, "available_memory", lambda: 2**18)

@@ -137,6 +137,18 @@ class TestAssembly:
             off = block - np.diag(np.diag(block))
             assert np.max(np.abs(off)) == 0.0
 
+    def test_matrix_is_one_array(self):
+        cfg = validate(three_sphere_config(4))
+        system = assemble(cfg)
+        tracemalloc.start()
+        try:
+            A = system.matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_allclose(A, np.diag(system.D) - system.Nmat, rtol=0.0, atol=0.0)
+        assert peak < 1.5 * A.nbytes
+
     def test_rule_too_weak(self):
         from elastisph.quadrature import rule_for_degree
 
@@ -530,6 +542,13 @@ class TestSolvers:
             assert sol.residual < 1e-5
 
 
+def _stiff_inclusion(degree):
+    """The three-sphere case with its inclusion at mu = lambda = 1e6."""
+    cfg = three_sphere_config(degree)
+    stiff = dataclasses.replace(cfg.spheres[0], material=LameParams(1e6, 1e6))
+    return dataclasses.replace(cfg, spheres=(stiff, *cfg.spheres[1:]))
+
+
 def _gelsy_oracle(system, Z):
     """Rank-revealing QR least squares plus gauge projection, and the
     relative remainder it leaves."""
@@ -553,6 +572,7 @@ class TestBorderedLU:
         diag = sol.diagnostics
         n, k = system.dofmap.size, Z.shape[1]
         assert diag["solver_path"] == "bordered_lu"
+        assert diag["factorisation"] == "float32"
         assert (diag["rank"], diag["null_dim"]) == (n - k, k)
         assert 1e-13 < diag["rcond"] <= 1.0
         floor = diag["consistency_floor"]
@@ -595,6 +615,8 @@ class TestBorderedLU:
             solve_direct(system, cfg)
 
     def test_one_bordered_allocation(self):
+        # the float32 bordered matrix is the one (n+k)^2 array: no float64
+        # copy of N is made, also not in the row blocks that round it
         cfg = validate(three_sphere_config(8))
         system = assemble(cfg)
         solve_direct(system, cfg)  # rule, spectra and LAPACK set-up
@@ -604,8 +626,46 @@ class TestBorderedLU:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bordered = 8 * (system.dofmap.size + sol.diagnostics["null_dim"]) ** 2
+        assert sol.diagnostics["factorisation"] == "float32"
+        bordered = 4 * (system.dofmap.size + sol.diagnostics["null_dim"]) ** 2
         assert bordered < peak < 2 * bordered
+
+    def test_float32_bordered_matrix_has_no_subnormals(self):
+        cfg = validate(three_sphere_config(12))
+        system = assemble(cfg)
+        Z = rigid_trace_vectors(cfg, system.dofmap, system.mode)
+        tiny = np.finfo(np.float32).tiny
+        # rounded as they are, 44 entries of N would land below float32's
+        # normal range and slow the factorisation
+        assert np.count_nonzero((system.Nmat != 0) & (np.abs(system.Nmat) < tiny)) > 0
+        B = system_module._bordered_matrix(system.Nmat, system.D, system.D[:, None] * Z, np.float32)
+        assert B.dtype == np.float32
+        assert np.count_nonzero((B != 0) & (np.abs(B) < tiny)) == 0
+
+    def test_stiff_inclusion_factors_in_float64(self):
+        # the inclusion at mu = lambda = 1e6 takes rcond to 4.6e-9, below the
+        # 2^-20 from which float32 factors refine
+        cfg = validate(_stiff_inclusion(8))
+        system = assemble(cfg)
+        Z = rigid_trace_vectors(cfg, system.dofmap, system.mode)
+        expected, _remainder = _gelsy_oracle(system, Z)
+        solve_direct(system, cfg)
+        tracemalloc.start()
+        try:
+            sol = solve_direct(system, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        diag = sol.diagnostics
+        assert diag["factorisation"] == "float64"
+        assert 1e-13 < diag["rcond"] < 2.0**-20
+        dw = np.sqrt(system.D)
+        assert np.linalg.norm(dw * (sol.lambda_ - expected)) < 1e-12 * np.linalg.norm(dw * expected)
+        # the float32 arrays are freed before the float64 retry: the peak
+        # stays below the 1.053 of the float64 B that the float64-only solve
+        # reached (keeping the float32 B would add 0.5)
+        bordered = 8 * (system.dofmap.size + diag["null_dim"]) ** 2
+        assert bordered < peak < 1.053 * bordered
 
 
 class TestBorderedGMRES:
