@@ -3,7 +3,7 @@
 Run from the repository root:
 
     PYTHONPATH=src python docs/acceptance_evidence.py            # every table, a few minutes
-    PYTHONPATH=src python docs/acceptance_evidence.py --part 6b  # one part: 6b, data, 7 or direct
+    PYTHONPATH=src python docs/acceptance_evidence.py --part 6b  # one part: 6b, data, 7, direct or folding
 
 Each part prints markdown tables:
 
@@ -22,16 +22,24 @@ Each part prints markdown tables:
   configurations of the acceptance criteria and a stiff inclusion, in
   both spectra modes: the D-weighted trace agreement, the consistency
   floors, rcond and the refinement steps of psi and x.
+- ``folding``: the pair blocks folded by each pair's reflection
+  stabilizer, as ``assemble`` makes them, against the same blocks
+  summed over every node of the rule with no character mask: the change
+  of N (relative to its largest entry) and of F, the D-weighted change
+  of the direct solver's traces, both consistency floors, and the nodes
+  at which the pair fields are evaluated, against pairs x rule size.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 
 import numpy as np
 
-from elastisph.harmonics import project
+from elastisph import system
+from elastisph.harmonics import project, weighted_basis
 from elastisph.materials import LameParams
 from elastisph.postprocess import norm_difference, one_sphere_reference, relative_error
 from elastisph.presets import (ONE_SPHERE_LEX, SWEEP_NU1_MIN, lattice_config, one_sphere_config,
@@ -191,7 +199,71 @@ def part_direct() -> None:
     print()
 
 
-PARTS = {"6b": part_6b, "data": part_data, "7": part_7, "direct": part_direct}
+@contextlib.contextmanager
+def pair_nodes(nodes: list[int], unfold: bool):
+    """Appends to ``nodes`` the nodes each chunk of pair blocks evaluates;
+    with ``unfold``, every pair is summed over all nodes of the rule with
+    no mask while active."""
+    folded_table, chunk_blocks = system._folded_table, system._chunk_blocks
+
+    def full_table(rule, degree, axes):
+        return np.arange(rule.size), weighted_basis(rule, degree)[system._active_mask(degree)], None
+
+    def counted(background, degree, rows, y, *rest):
+        nodes.append(len(y))
+        return chunk_blocks(background, degree, rows, y, *rest)
+
+    system._chunk_blocks = counted
+    if unfold:
+        system._folded_table = full_table
+    try:
+        yield
+    finally:
+        system._folded_table, system._chunk_blocks = folded_table, chunk_blocks
+
+
+def part_folding() -> None:
+    print("## Pair blocks folded by their reflection stabilizer, against the full rule\n")
+    configs = {
+        "table3 N=8": three_sphere_config(8), "table3 N=8 piecewise": three_sphere_config(8, "piecewise"),
+        "table3 N=20": three_sphere_config(20), "table3 N=20 piecewise": three_sphere_config(20, "piecewise"),
+        "lattice r2": lattice_config(2), "lattice r3": lattice_config(3),
+        "one sphere case 3 N=8": one_sphere_config(3, 8),
+    }
+    print("Each row assembles one configuration twice, folded (as shipped) and with every "
+          "pair summed over all nodes of the rule and no mask, and solves both with "
+          "`solve_direct`. The changes are max |N_fold - N_full| / max |N_full|, the same "
+          "for F, and |x_fold - x_full|_D / |x_full|_D. The nodes are those at which the "
+          "pair fields are evaluated.\n")
+    print("| configuration | unknowns | rule | pairs | N change | F change | trace change | "
+          "floor, folded | floor, full | nodes, folded | pairs x rule size |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|")
+    for label, config in configs.items():
+        config = validate(config)
+        counts: dict[bool, list[int]] = {True: [], False: []}
+        systems = {}
+        for unfold in (True, False):
+            with pair_nodes(counts[unfold], unfold):
+                systems[unfold] = assemble(config)
+        full, folded = systems[True], systems[False]
+        x_full, x_fold = solve_direct(full, config), solve_direct(folded, config)
+        w = np.sqrt(full.D)
+        n_change = np.abs(folded.Nmat - full.Nmat).max() / np.abs(full.Nmat).max()
+        f_change = np.abs(folded.F - full.F).max() / np.abs(full.F).max()
+        trace_change = (np.linalg.norm(w * (x_fold.lambda_ - x_full.lambda_))
+                        / np.linalg.norm(w * x_full.lambda_))
+        pairs = len(config.spheres) * (len(config.spheres) - 1)
+        print("| " + " | ".join([
+            label, str(full.dofmap.size), str(config.rule().degree), str(pairs),
+            f"{n_change:.1e}", f"{f_change:.1e}", f"{trace_change:.1e}",
+            f"{x_fold.diagnostics['consistency_floor']:.6e}",
+            f"{x_full.diagnostics['consistency_floor']:.6e}",
+            f"{sum(counts[False])}", f"{sum(counts[True])}"]) + " |")
+    print()
+
+
+PARTS = {"6b": part_6b, "data": part_data, "7": part_7, "direct": part_direct,
+         "folding": part_folding}
 
 
 def main() -> None:

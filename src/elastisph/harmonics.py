@@ -348,11 +348,11 @@ def weighted_basis(rule: LebedevRule, max_degree: int) -> np.ndarray:
 
 
 def _weighted_basis(rule: LebedevRule, max_degree: int) -> np.ndarray:
-    return _weighted_rows(rule.points, rule.weights, max_degree)
+    return weighted_rows(rule.points, rule.weights, max_degree)
 
 
-def _weighted_rows(points: np.ndarray, weights: np.ndarray, max_degree: int) -> np.ndarray:
-    """``weighted_basis`` restricted to the given nodes and weights."""
+def weighted_rows(points: np.ndarray, weights: np.ndarray, max_degree: int) -> np.ndarray:
+    """``weighted_basis``'s rows for the given unit nodes (T, 3) and their weights (T,)."""
     basis = vsh_basis(points, max_degree)
     rows = np.empty((basis.V.shape[0], 3) + basis.V.shape[1:])  # (L2, 3, T, 3)
     for k, fam in enumerate((basis.V, basis.W, basis.X)):
@@ -538,7 +538,7 @@ def project(fn, frame: SphereFrame, max_degree: int, rule: LebedevRule) -> VshEx
         # accumulate the moments over blocks of nodes instead of
         # materialising the whole weighted basis
         step = max(1, _PROJECT_BLOCK_BYTES // node_bytes)
-        raw = sum(_weighted_rows(rule.points[t:t + step], rule.weights[t:t + step], max_degree)
+        raw = sum(weighted_rows(rule.points[t:t + step], rule.weights[t:t + step], max_degree)
                   @ values[t:t + step].reshape(-1) for t in range(0, rule.size, step))
     raw = raw.reshape(-1, 3)
     norms = norm_sq_table(max_degree)

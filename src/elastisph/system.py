@@ -17,6 +17,19 @@ as +), has exactly the block H_sigma B H_sigma, where B is the block at
 flip gives (-1)^(l-|m|); an x flip (-1)^|m| for m >= 0 and (-1)^(|m|+1)
 for m < 0; a y flip -1 for m < 0; X also takes det sigma.
 
+The same flips fold each block's quadrature.  Those of the axes on which
+d is exactly zero form the pair's stabilizer S: each maps the pair and
+the rule onto themselves.  Entry (r, p) of the block has an S-even
+integrand when test mode r and source mode p take the same signs under
+S, and its sum over an orbit of nodes is then the orbit size times its
+value at one node; otherwise the orbit sums vanish.  So ``_pair_blocks``
+evaluates such a pair only at the orbit representatives (nodes with
+nonnegative coordinates on the axes of S), weights each by its orbit
+size, 2^(its nonzero coordinates on those axes), and sets the odd
+entries to exact zeros by a 0/1 character mask.  A pair with no zero
+component takes every node and no mask.  The three-sphere pairs, all on
+the x axis, take 162 of the 590 nodes of rule 41.
+
 ``assemble`` generates the block of every ordered pair into the dense
 N.  ``CouplingOperator`` generates one block per key (|d|, r_tgt, r_src,
 source is enclosing), turned to sigma = + by its representative pair's
@@ -62,7 +75,7 @@ from scipy.sparse._sparsetools import csr_matvecs
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .harmonics import (Family, VshExpansion, norm_sq_table, num_scalar_modes, per_degree,
-                        reflection_signs, vsh_basis, weighted_basis)
+                        reflection_signs, vsh_basis, weighted_basis, weighted_rows)
 from .materials import LameParams
 from .problem import ProblemConfig, ROLE_TRANSMISSION, SphereSpec, build_sigma
 from .quadrature import LebedevRule
@@ -227,13 +240,19 @@ def _active_read_only(flat: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-# Bound on one chunk's working set.  Its measured peak (basis evaluation,
-# single-layer factors, fields, blocks and their temporaries) is about
-# _PAIR_DOUBLES doubles per pair, source mode and node.  From degree 6 on,
-# at the assembly rule, one pair alone exceeds the bound and runs as a
-# chunk of one.
+# Bound on one chunk's working set.  Its measured peak per pair is that of
+# the larger of two phases: _PAIR_DOUBLES doubles per source mode and
+# evaluated node while the fields are formed (basis evaluation,
+# single-layer factors, fields and their temporaries), and _RAW_DOUBLES
+# per test row and source mode in the product (the raw block rows and
+# their active copy, which is masked and C-scaled in place).  A
+# folded pair evaluates only its orbit representatives, so its chunks
+# take more pairs, until the raw rows bound them.  At the assembly rule
+# one pair runs alone from degree 6 on without folding, and from degree
+# 8 on with it.
 _CHUNK_BYTES = 5 * 2**18
 _PAIR_DOUBLES = 28
+_RAW_DOUBLES = 2
 
 
 def _geometry(config: ProblemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -243,14 +262,57 @@ def _geometry(config: ProblemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray
             np.array([s.enclosing for s in config.spheres]))
 
 
+def _zero_axes(d: np.ndarray) -> np.ndarray:
+    """Axis pattern of each displacement d (pairs, 3): bit a set when d_a
+    is exactly zero, so that the flip of axis a maps the pair onto itself."""
+    return (d == 0.0) @ np.array([1, 2, 4])
+
+
 def _ordered_pairs(config: ProblemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Targets and sources of all ordered pairs of distinct spheres, those
-    whose source is the enclosing sphere first (the order ``_pair_blocks``
-    needs)."""
-    enclosing = _geometry(config)[2]
+    """Targets and sources of all ordered pairs of distinct spheres, sorted
+    stably by axis pattern and, within one pattern, those whose source is
+    the enclosing sphere first (the order ``_pair_blocks`` needs)."""
+    centers, _radii, enclosing = _geometry(config)
     targets, sources = np.nonzero(~np.eye(enclosing.size, dtype=bool))
-    first = np.argsort(~enclosing[sources], kind="stable")
+    first = np.lexsort((~enclosing[sources], _zero_axes(centers[targets] - centers[sources])))
     return targets[first], sources[first]
+
+
+def _orbits(rule: LebedevRule, axes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit representatives of the rule's nodes under the flips of the
+    axes in the pattern ``axes``, and their orbit sizes.
+
+    A representative has a nonnegative coordinate on each of those axes;
+    its orbit holds 2^(its nonzero coordinates on them) nodes.  Exact for
+    a rule that each flip maps onto itself, node for node and with equal
+    weights, as every embedded Lebedev rule.
+    """
+    flipped = rule.points[:, [a for a in range(3) if axes >> a & 1]]
+    nodes = np.flatnonzero((flipped >= 0.0).all(axis=1))
+    return nodes, 2.0 ** np.count_nonzero(flipped[nodes], axis=1)
+
+
+@lru_cache(maxsize=16)
+def _folded_table(rule: LebedevRule, degree: int, axes: int):
+    """Nodes, test rows and character mask of the pairs of axis pattern
+    ``axes`` (nonzero); see ``_pair_blocks``.
+
+    ``nodes`` are the orbit representatives of ``_orbits``, ``rows`` the
+    active rows of ``weighted_basis`` at them, each node's columns times
+    its orbit size, (n_a, 3 nodes), and ``mask`` (n_a, n_a) is True where
+    test mode and source mode take the same signs under every flip of the
+    pattern (rows 1, 2 and 4 of ``reflection_signs``).  Read-only.
+    """
+    active = _active_mask(degree)
+    nodes, orbit = _orbits(rule, axes)
+    # orbit sizes are powers of two: the rows are weighted_basis's to the bit
+    rows = weighted_rows(rule.points[nodes], rule.weights[nodes] * orbit, degree)[active]
+    flips = [1 << a for a in range(3) if axes >> a & 1]
+    character = (reflection_signs(degree)[flips][:, active] < 0.0).T @ (1 << np.arange(len(flips)))
+    mask = character[:, None] == character
+    for a in (nodes, rows, mask):
+        a.setflags(write=False)
+    return nodes, rows, mask
 
 
 def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
@@ -259,7 +321,9 @@ def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
 
     Yields ``(ipos, jpos, raw)`` for consecutive chunks of the pairs
     (target ``targets[n]``, source ``sources[n]``) of distinct spheres,
-    which must list the pairs whose source is the enclosing sphere first.
+    in the given order.  A chunk holds pairs of one axis pattern
+    (``_zero_axes``), and those whose source is the enclosing sphere must
+    lead each run of one pattern (``_ordered_pairs`` sorts so).
     ``raw[n]`` is the (n_a, n_a) block coupling source ``jpos[n]``'s
     densities (columns, active modes) into the test modes of target
     ``ipos[n]`` (rows).  Entry ((p,k), (p',k')) is
@@ -268,32 +332,58 @@ def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
 
     with y = x_tgt + r_tgt s_t - x_src; the single-layer matrices use the
     'in' side exactly on the nodes whose source is the enclosing sphere.
-    No C factors and no radius factors.  Each chunk takes one basis
-    evaluation over the mapped nodes of all its pairs, one single-layer
-    evaluation over all degrees per side, and one product against the
-    test rows, which are the same for every target.
+    No C factors and no radius factors.
+
+    Folding.  The flips of the axes on which d = x_tgt - x_src is exactly
+    zero form the pair's stabilizer S: each maps the pair and the rule
+    onto themselves, and multiplies the integrand of entry (r, p) by the
+    product of the two modes' signs under it.  Where test and source
+    mode take the same signs under S the integrand is S-even, and its
+    sum over an orbit of nodes is the orbit size times its value at the
+    orbit's representative; otherwise the orbit sums vanish.  So a pair
+    with a nonzero pattern is evaluated only at the representatives of
+    ``_folded_table``, with the test rows weighted by orbit size, and the
+    odd entries are set to exact zeros by its character mask.  A pair
+    with no zero component takes every node and no mask.  Concentric
+    pairs (d = 0) fold the 26 nodes of rule 7 to 7.
+
+    Each chunk takes one basis evaluation over the evaluated nodes of all
+    its pairs, one single-layer evaluation over all degrees per side, and
+    one product against the test rows, which are the same for every
+    target.
     """
-    rows = weighted_basis(rule, dofmap.degree)[dofmap.active_mask()]
+    degree, L2 = dofmap.degree, num_scalar_modes(dofmap.degree)
     centers, radii, enclosing = _geometry(config)
-    pair_bytes = _PAIR_DOUBLES * num_scalar_modes(dofmap.degree) * rule.size * 8
-    per_chunk = max(1, _CHUNK_BYTES // pair_bytes)
-    for c0 in range(0, targets.size, per_chunk):
-        ipos, jpos = targets[c0:c0 + per_chunk], sources[c0:c0 + per_chunk]
-        y = centers[ipos][:, None, :] + radii[ipos][:, None, None] * rule.points
-        y = (y - centers[jpos][:, None, :]).reshape(-1, 3)
-        yield ipos, jpos, _chunk_blocks(config.background, rule, dofmap.degree, rows, y,
-                                        radii[jpos], int(enclosing[jpos].sum()))
+    axes = _zero_axes(centers[targets] - centers[sources])
+    starts = np.flatnonzero(np.diff(axes, prepend=-1))
+    for r0, r1 in zip(starts, (*starts[1:], targets.size)):
+        if axes[r0]:
+            nodes, rows, mask = _folded_table(rule, degree, int(axes[r0]))
+            points = rule.points[nodes]
+        else:
+            rows, mask, points = weighted_basis(rule, degree)[dofmap.active_mask()], None, rule.points
+        pair_bytes = 8 * max(_PAIR_DOUBLES * L2 * len(points), _RAW_DOUBLES * len(rows) * 3 * L2)
+        per_chunk = max(1, _CHUNK_BYTES // pair_bytes)
+        for c0 in range(r0, r1, per_chunk):
+            chunk = slice(c0, min(c0 + per_chunk, r1))
+            ipos, jpos = targets[chunk], sources[chunk]
+            y = centers[ipos][:, None, :] + radii[ipos][:, None, None] * points
+            y = (y - centers[jpos][:, None, :]).reshape(-1, 3)
+            yield ipos, jpos, _chunk_blocks(config.background, degree, rows, y, radii[jpos],
+                                            int(enclosing[jpos].sum()), mask)
 
 
-def _chunk_blocks(background: LameParams, rule: LebedevRule, degree: int, rows: np.ndarray,
-                  y: np.ndarray, src_radii: np.ndarray, n_in: int) -> np.ndarray:
+def _chunk_blocks(background: LameParams, degree: int, rows: np.ndarray, y: np.ndarray,
+                  src_radii: np.ndarray, n_in: int, mask: np.ndarray | None) -> np.ndarray:
     """Raw blocks of one chunk of pairs, (pairs, n_a, n_a); see ``_pair_blocks``.
 
-    ``y`` holds x_tgt + r_tgt s_t - x_src pair-major, and the first
-    ``n_in`` pairs take the 'in' side.  A function of its own so that the
-    chunk's temporaries are freed before the next one.
+    ``y`` holds x_tgt + r_tgt s_t - x_src pair-major at the T nodes whose
+    test rows (n_a, 3 T) are ``rows``, the first ``n_in`` pairs take the
+    'in' side, and ``mask`` (n_a, n_a), unless None, zeroes the entries
+    where it is False.  A function of its own so that the chunk's
+    temporaries are freed before the next one.
     """
-    L2, T, n = num_scalar_modes(degree), rule.size, src_radii.size
+    L2, T, n = num_scalar_modes(degree), rows.shape[1] // 3, src_radii.size
     ells = np.arange(degree + 1)
     dist = np.sqrt((y * y).sum(axis=1))
     basis = vsh_basis(y / dist[:, None], degree)
@@ -311,7 +401,11 @@ def _chunk_blocks(background: LameParams, rule: LebedevRule, degree: int, rows: 
         G[sl] = np.einsum("kptc,tkq->pqtc", np.stack([V[sl], W[sl], X[sl]]), A[ell])
     del V, W, X
     raw = (rows @ G.reshape(3 * L2 * n, 3 * T).T).reshape(rows.shape[0], 3 * L2, n)
-    return raw[:, _active_mask(degree)].transpose(2, 0, 1)
+    del G
+    raw = raw[:, _active_mask(degree)]
+    if mask is not None:
+        raw *= mask[:, :, None]
+    return raw.transpose(2, 0, 1)
 
 
 @lru_cache(maxsize=1)
@@ -329,10 +423,11 @@ def _distinct_pairs(config: ProblemConfig):
     of one canonical block B (that of pattern 0), H_sigma being the
     pattern's diagonal of mode signs, up to the rounding of their mapped
     nodes.  Returns ``(rep_targets, rep_sources, rep_patterns)``, one
-    representative pair per key in ``_ordered_pairs`` order (so enclosing
-    sources still lead), and ``(targets, sources, patterns, bounds)``: the
-    pairs of key k are ``targets[bounds[k]:bounds[k + 1]]`` with the
-    matching sources and patterns.
+    representative pair per key in ``_ordered_pairs`` order (so the keys
+    of one axis pattern stay together, enclosing sources first), and
+    ``(targets, sources, patterns, bounds)``: the pairs of key k are
+    ``targets[bounds[k]:bounds[k + 1]]`` with the matching sources and
+    patterns.
 
     The last configuration's grouping is kept (read-only), so that
     ``solver_bytes``, called by ``validate``, and the ``CouplingOperator``
@@ -411,10 +506,13 @@ def assemble(
     F = (radii[:, None] * sig * tau0 * norms).reshape(-1)
     loaded = np.any(sig != 0.0, axis=1)
     for ipos, jpos, raw in _pair_blocks(config, rule, dofmap, *_ordered_pairs(config)):
-        blocks[ipos, :, jpos] = raw * C[jpos][:, None, :]
         for n in np.flatnonzero(loaded[jpos]):
             i, j = ipos[n], jpos[n]
             F[dofmap.sphere_slice(i)] += radii[j] * (raw[n] @ sig[j])
+        raw *= C[jpos][:, None, :]
+        blocks[ipos, :, jpos] = raw
+        # freed before the next chunk is generated
+        del raw
     return DenseSystem(dofmap=dofmap, D=D, Nmat=Nmat, F=F, sigma=sigma, mode=mode)
 
 
@@ -533,7 +631,10 @@ class CouplingOperator:
         for cls in self.classes:
             stacked = turned[cls.sources].reshape(cls.keys, cls.count, na)
             res = np.matmul(stacked, self.blocks[cls.k0:cls.k0 + cls.keys].transpose(0, 2, 1))
+            del stacked
             _scatter_add(acc, cls.scatter, res.reshape(-1, na))
+            # freed before the next class forms its own
+            del res
         out += np.einsum("bn,bmn->mn", self.signs, acc.reshape(len(self.signs), -1, na))
         return out
 
@@ -585,11 +686,11 @@ def solver_bytes(config: ProblemConfig, product: str) -> int:
     scatter entry (float64 value, int32 column), per class the scatter's
     int32 row pointers.  Its product adds the sources turned by each
     pattern and their accumulated products, (8 M, n_a) each, and per
-    class the stacked sources and their products, three arrays of the
-    largest class (the previous class's products are still held while
-    the next are formed).  On lattice r5 that is 11.8 MB of blocks,
-    6.1 MB of class arrays and 15.8 MB of work arrays, against 18.6 MB
-    held and a 13.9 MB product peak measured by tracemalloc.
+    class the stacked sources and their products, two arrays of the
+    largest class (each class's are freed before the next class forms
+    its own).  On lattice r5 that is 11.8 MB of blocks, 6.1 MB of class
+    arrays and 11.5 MB of work arrays, against 18.7 MB held and an
+    11.8 MB product peak measured by tracemalloc.
 
     The direct solver adds the bordered copy of the dense N (at most
     six rigid traces), charged in float64: the float32 copy it factors
@@ -607,7 +708,7 @@ def solver_bytes(config: ProblemConfig, product: str) -> int:
         spheres = len(config.spheres)
         largest = int((counts * keys_per_count).max(initial=0))
         held = (8 * rep_targets.size * na * na + 20 * int(bounds[-1])
-                + 4 * (8 * spheres + 1) * counts.size + 8 * na * (2 * 8 * spheres + 3 * largest))
+                + 4 * (8 * spheres + 1) * counts.size + 8 * na * (2 * 8 * spheres + 2 * largest))
     else:
         raise ValueError(f"unknown product {product!r}; expected 'dense' or 'matrix_free'")
     if config.solver.method == "direct":

@@ -170,11 +170,11 @@ class TestValidation:
         # coordinate reflections; 20 bytes per pair (source row, scatter
         # value and column) and the scatter row pointers of 88 classes; the
         # work arrays of a product, two (8 M, 46) arrays of M = 486 spheres
-        # and three of the largest class, 11 712 pairs; and a Krylov basis
-        # of 51 bordered vectors: 43 MB.  It passes at 1 GiB
+        # and two of the largest class, 11 712 pairs; and a Krylov basis
+        # of 51 bordered vectors: 39 MB.  It passes at 1 GiB
         def matrix_free(spheres, keys, pairs, classes, largest, n):
             return (8 * keys * 46**2 + 20 * pairs + 4 * (8 * spheres + 1) * classes
-                    + 8 * 46 * (2 * 8 * spheres + 3 * largest) + 8 * 51 * (n + 6))
+                    + 8 * 46 * (2 * 8 * spheres + 2 * largest) + 8 * 51 * (n + 6))
 
         for radius, case in ((2, (28, 42, 756, 12, 144, 1288)), (3, (94, 150, 8742, 25, 1440, 4324)),
                              (5, (486, 698, 235710, 88, 11712, 22356))):
@@ -186,8 +186,8 @@ class TestValidation:
         assert solver_bytes(lattice_config(5), "dense") == 8 * 22356**2 + 8 * 51 * 22362
         with pytest.raises(ValidationError, match="the dense system of 22356 unknowns"):
             validate(lattice_config(5), product="dense")
-        # 32 MiB is below the 43 MB charged (tracemalloc: 18.6 MB held and a
-        # 13.9 MB product peak, plus the Krylov basis)
+        # 32 MiB is below the 39 MB charged (tracemalloc: 18.7 MB held and an
+        # 11.8 MB product peak, plus the Krylov basis)
         monkeypatch.setattr(problem, "available_memory", lambda: 2**25)
         with pytest.raises(ValidationError, match="the operator of 22356 unknowns"):
             validate(lattice_config(5))

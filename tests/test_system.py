@@ -14,7 +14,7 @@ from elastisph.harmonics import Family, VshExpansion, sh_index, vsh_basis
 from elastisph.materials import LameParams
 from elastisph.presets import lattice_config, one_sphere_config, three_sphere_config
 from elastisph.problem import BoundaryData, ProblemConfig, SphereSpec, validate
-from elastisph.quadrature import SphereFrame
+from elastisph.quadrature import LEBEDEV_TABLE, SphereFrame, rule_for_degree
 from elastisph.spectra import MODE_AS_PRINTED, MODE_SELF_CONSISTENT, adjoint_double_eigs, single_layer_eigs
 from elastisph.system import (
     DofMap,
@@ -393,6 +393,65 @@ class TestReflectedBlocks:
         assert np.all(np.abs(mirrored - expected).max(axis=(1, 2)) <= 1e-14 * np.abs(blocks).max(axis=(1, 2)))
 
 
+# a displacement with no zero component; each axis pattern zeroes some of it
+_FOLD_D = np.array([0.8, -0.9, 0.7])
+
+
+def _pair_config(axes, side):
+    """Two spheres whose displacement d = x_tgt - x_src is zero exactly on
+    the axes of the pattern: the source is the radius-2 enclosing sphere
+    ('in' side) or a radius-0.1 inclusion ('out' side)."""
+    d = np.where([axes >> a & 1 for a in range(3)], 0.0, _FOLD_D)
+    target = SphereSpec(id=1, frame=SphereFrame(tuple(d), 0.2), role="neumann")
+    source = SphereSpec(id=2, frame=SphereFrame((0.0, 0.0, 0.0), 2.0 if side == "in" else 0.1),
+                        role="neumann", enclosing=side == "in")
+    return ProblemConfig(spheres=(target, source), background=P11, degree=1)
+
+
+class TestFolding:
+    @pytest.mark.parametrize("rule_degree", [7, 17, 41])
+    @pytest.mark.parametrize("side", ["in", "out"])
+    def test_folded_block_matches_full_rule(self, rule_degree, side):
+        rule = rule_for_degree(rule_degree)
+        for axes in range(8):
+            cfg = _pair_config(axes, side)
+            targets, sources = np.array([0]), np.array([1])
+            centers, radii, _enclosing = system_module._geometry(cfg)
+            y = centers[0] + radii[0] * rule.points - centers[1]
+            flips = harmonics.reflection_signs(8)[[1 << a for a in range(3) if axes >> a & 1]]
+            for degree in range(1, 9):
+                dofmap = system_module.DofMap(degree=degree, sphere_ids=(1, 2))
+                active = dofmap.active_mask()
+                (_, _, folded), = system_module._pair_blocks(cfg, rule, dofmap, targets, sources)
+                full = system_module._chunk_blocks(
+                    cfg.background, degree, harmonics.weighted_basis(rule, degree)[active], y,
+                    radii[1:], int(side == "in"), None)
+                scale = np.abs(full).max()
+                assert scale > 0.0
+                assert np.abs(folded - full).max() <= 1e-14 * scale
+                # a mode pair whose signs differ under a flip of the pattern
+                signs = flips[:, :3 * (degree + 1) ** 2][:, active]
+                odd = (signs[:, :, None] != signs[:, None, :]).any(axis=0)
+                assert odd.any() == (axes != 0)
+                assert np.all(folded[0][odd] == 0.0)
+
+    @pytest.mark.parametrize("rule_degree", [d for d, _count in LEBEDEV_TABLE])
+    def test_orbits_cover_the_rule(self, rule_degree):
+        # the folding is exact only for a rule that each flip maps onto
+        # itself, node for node and with equal weights
+        rule = rule_for_degree(rule_degree)
+        for axes in range(1, 8):
+            nodes, orbit = system_module._orbits(rule, axes)
+            assert np.isclose((rule.weights[nodes] * orbit).sum(), rule.weights.sum(), rtol=1e-14, atol=0)
+            flipped = [a for a in range(3) if axes >> a & 1]
+            canonical = rule.points.copy()
+            canonical[:, flipped] = np.abs(canonical[:, flipped])
+            position = {tuple(rule.points[n]): k for k, n in enumerate(nodes)}
+            image = np.array([position[tuple(p)] for p in canonical])
+            assert np.array_equal(rule.weights, rule.weights[nodes][image])
+            assert np.array_equal(np.bincount(image, minlength=nodes.size), orbit)
+
+
 class TestPairClasses:
     @_LAYOUT_CONFIGS
     def test_classes_cover_each_pair_once(self, cfg):
@@ -631,11 +690,11 @@ class TestBorderedLU:
         assert bordered < peak < 2 * bordered
 
     def test_float32_bordered_matrix_has_no_subnormals(self):
-        cfg = validate(three_sphere_config(12))
+        cfg = validate(three_sphere_config(16))
         system = assemble(cfg)
         Z = rigid_trace_vectors(cfg, system.dofmap, system.mode)
         tiny = np.finfo(np.float32).tiny
-        # rounded as they are, 44 entries of N would land below float32's
+        # rounded as they are, 1 913 entries of N would land below float32's
         # normal range and slow the factorisation
         assert np.count_nonzero((system.Nmat != 0) & (np.abs(system.Nmat) < tiny)) > 0
         B = system_module._bordered_matrix(system.Nmat, system.D, system.D[:, None] * Z, np.float32)
