@@ -21,10 +21,13 @@ Each part prints markdown tables:
   against float64 factors of the same bordered matrix, on the
   configurations of the acceptance criteria and a stiff inclusion, in
   both spectra modes: the D-weighted trace agreement, the consistency
-  floors, rcond and the refinement steps of psi and x.
+  floors, rcond and the refinement steps of psi and x; and the sizes
+  of the character classes that ``solve_direct`` factors one at a time,
+  with its traces against those of the same solve with every unknown
+  in one class.
 - ``folding``: the pair blocks folded by each pair's reflection
   stabilizer, as ``assemble`` makes them, against the same blocks
-  summed over every node of the rule with no character mask: the change
+  summed over every node of the rule, every entry computed: the change
   of N (relative to its largest entry) and of F, the D-weighted change
   of the direct solver's traces, both consistency floors, and the nodes
   at which the pair fields are evaluated, against pairs x rule size.
@@ -47,7 +50,7 @@ from elastisph.presets import (ONE_SPHERE_LEX, SWEEP_NU1_MIN, lattice_config, on
 from elastisph.problem import validate
 from elastisph.quadrature import LEBEDEV_TABLE, SphereFrame, rule_for_degree
 from elastisph.spectra import MODE_AS_PRINTED, MODE_SELF_CONSISTENT
-from elastisph.system import _bordered_solve, assemble, rigid_trace_vectors, solve_direct
+from elastisph.system import _bordered_solve, _solve_classes, assemble, rigid_trace_vectors, solve_direct
 
 # the pinned Table-2 cells of criterion 6b: (case, N) -> (value, relative tolerance)
 PINNED = {(3, 2): (1.985e-1, 0.01), (3, 5): (4.020e-3, 0.01),
@@ -160,6 +163,18 @@ def stiff_inclusion(degree: int):
     return dataclasses.replace(config, spheres=(stiff, *config.spheres[1:]))
 
 
+@contextlib.contextmanager
+def one_class():
+    """While active, ``solve_direct`` and ``rigid_trace_vectors`` take every
+    unknown as one character class."""
+    classes = system._character_classes
+    system._character_classes = lambda config, dofmap: (np.arange(dofmap.size),)
+    try:
+        yield
+    finally:
+        system._character_classes = classes
+
+
 def part_direct() -> None:
     print("## Direct solver: float32 factors refined in float64, against float64 factors\n")
     configs = {
@@ -174,36 +189,46 @@ def part_direct() -> None:
     print("Each row solves one assembled system twice: with the float32 factors that "
           "`solve_direct` tries first (\"retried\" where it falls back to float64) and "
           "with float64 factors. Agreement is |x32 - x64|_D / |x64|_D; steps are the "
-          "refinement steps of (psi, x).\n")
-    print("| configuration | mode | unknowns | trace agreement | floor, float32 | floor, float64 | "
-          "floor rel. diff. | rcond, float32 | rcond, float64 | steps, float32 | steps, float64 |")
-    print("|---|---|---|---|---|---|---|---|---|---|---|")
+          "refinement steps of (psi, x), the most of any class. Classes are the unknowns "
+          "of each character class, factored one at a time; the last column is "
+          "|x - x_1|_D / |x_1|_D between `solve_direct` and the same solve with every "
+          "unknown in one class.\n")
+    print("| configuration | mode | unknowns | classes | trace agreement | floor, float32 | "
+          "floor, float64 | floor rel. diff. | rcond, float32 | rcond, float64 | steps, float32 | "
+          "steps, float64 | per class vs one class |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|---|---|")
     for label, config in configs.items():
         config = validate(config)
         for mode in (MODE_SELF_CONSISTENT, MODE_AS_PRINTED):
-            system = assemble(config, mode=mode)
-            Z = rigid_trace_vectors(config, system.dofmap, mode)
-            x64, floor64, rcond64, steps64 = _bordered_solve(system, config, Z, np.float64)
-            single = _bordered_solve(system, config, Z, np.float32)
+            dense = assemble(config, mode=mode)
+            w = np.sqrt(dense.D)
+            Z = rigid_trace_vectors(config, dense.dofmap, mode)
+            classes = _solve_classes(dense, config)
+            x64, floor64, rcond64, steps64 = _bordered_solve(dense, config, Z, np.float64, classes)
+            single = _bordered_solve(dense, config, Z, np.float32, classes)
             if single is None:
                 cells = ["retried", "—", f"{floor64:.6e}", "—", "—", f"{rcond64:.2e}", "—"]
             else:
                 x32, floor32, rcond32, steps32 = single
-                w = np.sqrt(system.D)
                 agreement = np.linalg.norm(w * (x32 - x64)) / np.linalg.norm(w * x64)
                 cells = [f"{agreement:.1e}", f"{floor32:.6e}", f"{floor64:.6e}",
                          f"{abs(floor32 - floor64) / floor64:.1e}", f"{rcond32:.2e}", f"{rcond64:.2e}",
                          f"{steps32['psi']}, {steps32['x']}"]
-            print("| " + " | ".join([label, mode, str(system.dofmap.size), *cells,
-                                     f"{steps64['psi']}, {steps64['x']}"]) + " |")
+            split = solve_direct(dense, config).lambda_
+            with one_class():
+                whole = solve_direct(dense, config).lambda_
+            split_change = np.linalg.norm(w * (split - whole)) / np.linalg.norm(w * whole)
+            print("| " + " | ".join([label, mode, str(dense.dofmap.size),
+                                     "/".join(str(rows.size) for rows in classes), *cells,
+                                     f"{steps64['psi']}, {steps64['x']}", f"{split_change:.1e}"]) + " |")
     print()
 
 
 @contextlib.contextmanager
 def pair_nodes(nodes: list[int], unfold: bool):
     """Appends to ``nodes`` the nodes each chunk of pair blocks evaluates;
-    with ``unfold``, every pair is summed over all nodes of the rule with
-    no mask while active."""
+    with ``unfold``, every pair is summed over all nodes of the rule, all
+    of its entries computed, while active."""
     folded_table, chunk_blocks = system._folded_table, system._chunk_blocks
 
     def full_table(rule, degree, axes):
@@ -231,7 +256,8 @@ def part_folding() -> None:
         "one sphere case 3 N=8": one_sphere_config(3, 8),
     }
     print("Each row assembles one configuration twice, folded (as shipped) and with every "
-          "pair summed over all nodes of the rule and no mask, and solves both with "
+          "pair summed over all nodes of the rule and all of its entries computed, and "
+          "solves both with "
           "`solve_direct`. The changes are max |N_fold - N_full| / max |N_full|, the same "
           "for F, and |x_fold - x_full|_D / |x_full|_D. The nodes are those at which the "
           "pair fields are evaluated.\n")

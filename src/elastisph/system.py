@@ -25,10 +25,20 @@ S, and its sum over an orbit of nodes is then the orbit size times its
 value at one node; otherwise the orbit sums vanish.  So ``_pair_blocks``
 evaluates such a pair only at the orbit representatives (nodes with
 nonnegative coordinates on the axes of S), weights each by its orbit
-size, 2^(its nonzero coordinates on those axes), and sets the odd
-entries to exact zeros by a 0/1 character mask.  A pair with no zero
-component takes every node and no mask.  The three-sphere pairs, all on
-the x axis, take 162 of the 590 nodes of rule 41.
+size, 2^(its nonzero coordinates on those axes), and computes only the
+even entries, one product per character class (modes of equal signs
+under S); the odd entries are exact zeros.  A pair with no zero
+component takes every node and all entries.  The three-sphere pairs,
+all on the x axis, take 162 of the 590 nodes of rule 41 and a quarter
+of the entries.
+
+When every sphere centre lies on one plane of symmetry, or on several,
+every pair's stabilizer holds the flips about them, so N couples only
+unknowns of one character under those flips, and so do the rigid traces
+below: the system splits into one independent block per character
+class (``_character_classes``), four of about n/4 unknowns each for the
+three spheres on the x axis.  The direct solver factors and solves
+these blocks one at a time.
 
 ``assemble`` generates the block of every ordered pair into the dense
 N.  ``CouplingOperator`` generates one block per key (|d|, r_tgt, r_src,
@@ -46,7 +56,8 @@ The operator is singular on rigid-motion traces (translations always;
 rotations too when the toroidal adjoint eigenvalue takes its
 self-consistent value), mirroring the rigid kernel of the continuous
 Neumann problem.  The direct solver borders the operator with the known
-rigid traces and factors the bordered matrix once by LU: it measures the
+rigid traces and factors the bordered matrix once by LU, per character
+class: it measures the
 part of the load outside the operator's range, solves for the rest and
 fixes the gauge in the same solve.  It factors a float32 copy, whose
 entries below 2^-40 of its largest diagonal entry are set to zero so
@@ -244,8 +255,8 @@ def _active_read_only(flat: np.ndarray, degree: int) -> np.ndarray:
 # the larger of two phases: _PAIR_DOUBLES doubles per source mode and
 # evaluated node while the fields are formed (basis evaluation,
 # single-layer factors, fields and their temporaries), and _RAW_DOUBLES
-# per test row and source mode in the product (the raw block rows and
-# their active copy, which is masked and C-scaled in place).  A
+# per test row and source mode in the product (the raw blocks, which are
+# C-scaled in place, and one character class's product).  A
 # folded pair evaluates only its orbit representatives, so its chunks
 # take more pairs, until the raw rows bound them.  At the assembly rule
 # one pair runs alone from degree 6 on without folding, and from degree
@@ -293,26 +304,45 @@ def _orbits(rule: LebedevRule, axes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=16)
+def _characters(degree: int, axes: int) -> np.ndarray:
+    """Character of each active mode under the flips of the axes in the
+    pattern ``axes``, (n_a,): bit a is set when the flip of axis a changes
+    the mode's sign (rows 1, 2 and 4 of ``reflection_signs``).  Read-only.
+
+    A matrix that commutes with those flips couples only modes of one
+    character: the pair blocks of a pair whose stabilizer holds them, and
+    the whole N when every sphere centre lies on their planes.
+    """
+    bits = np.array([1 << a for a in range(3) if axes >> a & 1], dtype=int)
+    character = (reflection_signs(degree)[bits][:, _active_mask(degree)] < 0.0).T @ bits
+    character.setflags(write=False)
+    return character
+
+
+def _classes(character: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Indices of each distinct value of ``character``, in increasing value."""
+    return tuple(np.flatnonzero(character == c) for c in np.unique(character))
+
+
+@lru_cache(maxsize=16)
 def _folded_table(rule: LebedevRule, degree: int, axes: int):
-    """Nodes, test rows and character mask of the pairs of axis pattern
+    """Nodes, test rows and character classes of the pairs of axis pattern
     ``axes`` (nonzero); see ``_pair_blocks``.
 
-    ``nodes`` are the orbit representatives of ``_orbits``, ``rows`` the
-    active rows of ``weighted_basis`` at them, each node's columns times
-    its orbit size, (n_a, 3 nodes), and ``mask`` (n_a, n_a) is True where
-    test mode and source mode take the same signs under every flip of the
-    pattern (rows 1, 2 and 4 of ``reflection_signs``).  Read-only.
+    ``nodes`` are the orbit representatives of ``_orbits``, ``classes``
+    the active modes of each character under the flips of the pattern
+    (``_characters``), and ``rows`` the active rows of ``weighted_basis``
+    at the nodes, each node's columns times its orbit size, taken in the
+    order of the concatenated classes, (n_a, 3 nodes).  Read-only.
     """
-    active = _active_mask(degree)
     nodes, orbit = _orbits(rule, axes)
+    classes = _classes(_characters(degree, axes))
     # orbit sizes are powers of two: the rows are weighted_basis's to the bit
-    rows = weighted_rows(rule.points[nodes], rule.weights[nodes] * orbit, degree)[active]
-    flips = [1 << a for a in range(3) if axes >> a & 1]
-    character = (reflection_signs(degree)[flips][:, active] < 0.0).T @ (1 << np.arange(len(flips)))
-    mask = character[:, None] == character
-    for a in (nodes, rows, mask):
+    rows = weighted_rows(rule.points[nodes], rule.weights[nodes] * orbit, degree)[_active_mask(degree)]
+    rows = rows[np.concatenate(classes)]
+    for a in (nodes, rows, *classes):
         a.setflags(write=False)
-    return nodes, rows, mask
+    return nodes, rows, classes
 
 
 def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
@@ -342,15 +372,16 @@ def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
     sum over an orbit of nodes is the orbit size times its value at the
     orbit's representative; otherwise the orbit sums vanish.  So a pair
     with a nonzero pattern is evaluated only at the representatives of
-    ``_folded_table``, with the test rows weighted by orbit size, and the
-    odd entries are set to exact zeros by its character mask.  A pair
-    with no zero component takes every node and no mask.  Concentric
-    pairs (d = 0) fold the 26 nodes of rule 7 to 7.
+    ``_folded_table``, with the test rows weighted by orbit size, and only
+    the entries between modes of one character under S are computed; the
+    others are exact zeros.  A pair with no zero component takes every
+    node and all entries.  Concentric pairs (d = 0) fold the 26 nodes of
+    rule 7 to 7.
 
     Each chunk takes one basis evaluation over the evaluated nodes of all
     its pairs, one single-layer evaluation over all degrees per side, and
-    one product against the test rows, which are the same for every
-    target.
+    one product per character class against the test rows, which are the
+    same for every target.
     """
     degree, L2 = dofmap.degree, num_scalar_modes(dofmap.degree)
     centers, radii, enclosing = _geometry(config)
@@ -358,10 +389,10 @@ def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
     starts = np.flatnonzero(np.diff(axes, prepend=-1))
     for r0, r1 in zip(starts, (*starts[1:], targets.size)):
         if axes[r0]:
-            nodes, rows, mask = _folded_table(rule, degree, int(axes[r0]))
+            nodes, rows, classes = _folded_table(rule, degree, int(axes[r0]))
             points = rule.points[nodes]
         else:
-            rows, mask, points = weighted_basis(rule, degree)[dofmap.active_mask()], None, rule.points
+            rows, classes, points = weighted_basis(rule, degree)[dofmap.active_mask()], None, rule.points
         pair_bytes = 8 * max(_PAIR_DOUBLES * L2 * len(points), _RAW_DOUBLES * len(rows) * 3 * L2)
         per_chunk = max(1, _CHUNK_BYTES // pair_bytes)
         for c0 in range(r0, r1, per_chunk):
@@ -370,20 +401,26 @@ def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
             y = centers[ipos][:, None, :] + radii[ipos][:, None, None] * points
             y = (y - centers[jpos][:, None, :]).reshape(-1, 3)
             yield ipos, jpos, _chunk_blocks(config.background, degree, rows, y, radii[jpos],
-                                            int(enclosing[jpos].sum()), mask)
+                                            int(enclosing[jpos].sum()), classes)
 
 
 def _chunk_blocks(background: LameParams, degree: int, rows: np.ndarray, y: np.ndarray,
-                  src_radii: np.ndarray, n_in: int, mask: np.ndarray | None) -> np.ndarray:
+                  src_radii: np.ndarray, n_in: int, classes: tuple | None) -> np.ndarray:
     """Raw blocks of one chunk of pairs, (pairs, n_a, n_a); see ``_pair_blocks``.
 
     ``y`` holds x_tgt + r_tgt s_t - x_src pair-major at the T nodes whose
-    test rows (n_a, 3 T) are ``rows``, the first ``n_in`` pairs take the
-    'in' side, and ``mask`` (n_a, n_a), unless None, zeroes the entries
-    where it is False.  A function of its own so that the chunk's
-    temporaries are freed before the next one.
+    test rows (n_a, 3 T) are ``rows``, and the first ``n_in`` pairs take
+    the 'in' side.  ``classes``, unless None, are the active modes of each
+    character under the pairs' stabilizer, and ``rows`` are taken in the
+    order of the concatenated classes: one product per class computes the
+    entries between its modes, into a block whose other entries are exact
+    zeros.  None is one class of all modes in their own order.  A
+    function of its own so that the chunk's temporaries are freed before
+    the next one.
     """
     L2, T, n = num_scalar_modes(degree), rows.shape[1] // 3, src_radii.size
+    active = np.flatnonzero(_active_mask(degree))
+    classes = (np.arange(active.size),) if classes is None else classes
     ells = np.arange(degree + 1)
     dist = np.sqrt((y * y).sum(axis=1))
     basis = vsh_basis(y / dist[:, None], degree)
@@ -394,17 +431,32 @@ def _chunk_blocks(background: LameParams, degree: int, rows: np.ndarray, y: np.n
     for side, nodes in (("in", slice(None, n_in * T)), ("out", slice(n_in * T, None))):
         if rho[nodes].size:
             A[:, nodes] = single_layer_matrix(ells, background, rho[nodes], side)
+    # row of G of each source mode p and density family q, (L2, 3): G holds
+    # the active ones in class order
+    at = np.zeros(3 * L2, dtype=int)
+    at[active[np.concatenate(classes)]] = np.arange(active.size)
+    at = at.reshape(L2, 3)
     # the field of density family q at each node is sum_k (V, W, X)_k A_kq
-    G = np.empty((L2, 3, rho.size, 3))  # (source mode, density family, node, component)
+    G = np.empty((active.size, n, 3 * T))  # (row, pair, node and component)
+    fields = G.reshape(active.size, rho.size, 3)
     for ell in range(degree + 1):
         sl = slice(ell * ell, (ell + 1) * (ell + 1))
-        G[sl] = np.einsum("kptc,tkq->pqtc", np.stack([V[sl], W[sl], X[sl]]), A[ell])
+        # (l=0, W) and (l=0, X) are not active
+        families = slice(None, 1 if ell == 0 else None)
+        fields[at[sl, families]] = np.einsum("kptc,tkq->pqtc", np.stack([V[sl], W[sl], X[sl]]),
+                                             A[ell][:, :, families])
     del V, W, X
-    raw = (rows @ G.reshape(3 * L2 * n, 3 * T).T).reshape(rows.shape[0], 3 * L2, n)
-    del G
-    raw = raw[:, _active_mask(degree)]
-    if mask is not None:
-        raw *= mask[:, :, None]
+    if len(classes) == 1:
+        raw = (rows @ G.reshape(-1, 3 * T).T).reshape(active.size, active.size, n)
+    else:
+        raw = np.zeros((active.size, active.size, n))
+        start = 0
+        for modes in classes:
+            stop = start + modes.size
+            part = rows[start:stop] @ G[start:stop].reshape(-1, 3 * T).T
+            raw[modes[:, None], modes] = part.reshape(modes.size, modes.size, n)
+            del part
+            start = stop
     return raw.transpose(2, 0, 1)
 
 
@@ -693,10 +745,14 @@ def solver_bytes(config: ProblemConfig, product: str) -> int:
     11.8 MB product peak measured by tracemalloc.
 
     The direct solver adds the bordered copy of the dense N (at most
-    six rigid traces), charged in float64: the float32 copy it factors
-    first takes half that, but the float64 retry of an ill-conditioned
-    system (see ``solve_direct``) takes all of it.  GMRES adds its
-    Krylov basis of restart + 1 bordered vectors.
+    six rigid traces), charged in float64.  That is what it takes with
+    one character class in the float64 retry of an ill-conditioned
+    system (see ``solve_direct``); the float32 copy it factors first
+    takes half of it, and a split into character classes takes less
+    (with four classes of about n/4 unknowns, the float64 copy of one
+    class's N and its float64 B hold an eighth of it), so the charge
+    stays an upper bound.  GMRES adds its Krylov basis of
+    restart + 1 bordered vectors.
     """
     dofmap = _dofmap(config)
     n, na = dofmap.size, dofmap.modes_per_sphere
@@ -758,6 +814,27 @@ _EPS[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
 _EPS[[0, 1, 2], [2, 0, 1], [1, 2, 0]] = -1.0
 
 
+def _common_axes(config: ProblemConfig) -> int:
+    """Axis pattern on which every sphere centre has exactly the same
+    coordinate: the flip of each such axis about that coordinate maps
+    every sphere onto itself."""
+    centers = _geometry(config)[0]
+    return int((centers == centers[0]).all(axis=0) @ np.array([1, 2, 4]))
+
+
+def _character_classes(config: ProblemConfig, dofmap: DofMap) -> tuple[np.ndarray, ...]:
+    """The unknowns of each character under the configuration's common
+    flips (``_common_axes``, ``_characters``), as sorted index arrays.
+
+    Every pair's stabilizer holds those flips, so the blocks of N couple
+    only unknowns of one character, and the diagonal blocks are diagonal:
+    N is block-diagonal over these classes, up to a reordering.  A
+    configuration with no common flip has one class.
+    """
+    character = _characters(dofmap.degree, _common_axes(config))
+    return _classes(np.tile(character, len(dofmap.sphere_ids)))
+
+
 def rigid_trace_vectors(config: ProblemConfig, dofmap: DofMap, mode: str) -> np.ndarray:
     """Known null vectors of (D - N): traces of rigid motions.
 
@@ -768,6 +845,12 @@ def rigid_trace_vectors(config: ProblemConfig, dofmap: DofMap, mode: str) -> np.
     degree 1, so they join the basis only in that mode.  Returns a
     (size, 3 or 6) orthonormalized basis of the translations along e_a
     and, after them, the rotations about e_a.
+
+    The rotations are taken about a point on every common plane of
+    symmetry (``_common_axes``; the origin when there is none), so that
+    each motion is of one character under the common flips.  The columns
+    are orthonormalised within each class of ``_character_classes``, on
+    its rows only: every column is nonzero in one class alone.
     """
     c = sqrt(4.0 * pi / 3.0)
     M = len(config.spheres)
@@ -776,9 +859,17 @@ def rigid_trace_vectors(config: ProblemConfig, dofmap: DofMap, mode: str) -> np.
     Z[:, _AXIS_W, :3] = c * np.eye(3)
     if rotations:
         centers, radii, _enclosing = _geometry(config)
-        Z[:, _AXIS_W, 3:] = c * (_EPS @ centers.T).transpose(2, 0, 1)  # c (e_a x center)
+        common = [_common_axes(config) >> a & 1 for a in range(3)]
+        offsets = centers - np.where(common, centers[0], 0.0)
+        Z[:, _AXIS_W, 3:] = c * (_EPS @ offsets.T).transpose(2, 0, 1)  # c (e_a x offset)
         Z[:, _AXIS_X, 3 + np.arange(3)] = -c * radii[:, None]
-    return np.linalg.qr(Z.reshape(M * dofmap.modes_per_sphere, -1))[0]
+    Z = Z.reshape(M * dofmap.modes_per_sphere, -1)
+    Q = np.zeros_like(Z)
+    for rows in _character_classes(config, dofmap):
+        cols = np.flatnonzero(Z[rows].any(axis=0))
+        if cols.size:
+            Q[np.ix_(rows, cols)] = np.linalg.qr(Z[np.ix_(rows, cols)])[0]
+    return Q
 
 
 def _gauge_project(x: np.ndarray, Z: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -824,21 +915,24 @@ def _check_floor(floor: float, n: int, k: int) -> None:
         )
 
 
-def _left_null_border(config: ProblemConfig, dofmap: DofMap, mode: str, Z: np.ndarray) -> np.ndarray:
+def _left_null_border(config: ProblemConfig, dofmap: DofMap, mode: str, Z: np.ndarray,
+                      rows=slice(None)) -> np.ndarray:
     """Orthonormalised r C Z (radius and C per sphere and mode), which spans
     the left null space of D - N up to the quadrature asymmetry of the
-    single-layer form (see ``solve_iterative``)."""
+    single-layer form (see ``solve_iterative``).  ``Z`` holds the given
+    rows of the rigid traces."""
     radii = _geometry(config)[1]
     C = _diag_coupling(config, dofmap, mode)[2]
-    return np.linalg.qr((radii[:, None] * C).reshape(-1, 1) * Z)[0]
+    return np.linalg.qr((radii[:, None] * C).reshape(-1)[rows, None] * Z)[0]
 
 
-def _bordered_matrix(Nmat: np.ndarray, D: np.ndarray, DZ: np.ndarray, dtype) -> np.ndarray:
+def _bordered_matrix(Nmat: np.ndarray, D: np.ndarray, DZ: np.ndarray, dtype,
+                     top: float | None = None) -> np.ndarray:
     """B = [[D - N, D Z], [Z^T D, 0]] in ``dtype``, with no n x n temporary.
 
     In float32, -N is rounded in row blocks of about ``_ROW_BLOCK``
-    entries, and its entries below ``_FLUSH`` of the largest diagonal
-    entry of B are set to zero first.
+    entries, and its entries below ``_FLUSH`` of ``top`` (by default the
+    largest diagonal entry of B) are set to zero first.
     """
     n, k = DZ.shape
     B = np.empty((n + k, n + k), dtype)
@@ -846,7 +940,7 @@ def _bordered_matrix(Nmat: np.ndarray, D: np.ndarray, DZ: np.ndarray, dtype) -> 
     if dtype == np.float64:
         np.negative(Nmat, out=B[:n, :n])
     else:
-        tiny = _FLUSH * np.abs(diagonal).max()
+        tiny = _FLUSH * (np.abs(diagonal).max() if top is None else top)
         rows = max(1, _ROW_BLOCK // n)
         for r0 in range(0, n, rows):
             block = np.negative(Nmat[r0:r0 + rows])
@@ -874,15 +968,20 @@ def _refine(factors, trans: int, subtract_product, left, right, y: np.ndarray | 
     solve for the residual r = b - (B or B^T) v.  It stops, as LAPACK's
     ``dgerfs``, once the residual of some row no longer halves, and has
     converged if every row then meets LAPACK dsgesv's test
-    |r|_inf <= tol |v|_inf.  Returns the float64 y, the correction steps
-    and whether it converged within ``_REFINE_MAX`` steps.
+    |r|_inf <= tol |v|_inf.  It also stops once every row's residual is
+    below eps times that bound, as dgerfs stops at a backward error of
+    eps: on a small, nearly diagonal block a lone right-hand side's
+    residual can keep halving far below rounding.  Returns the float64
+    y, the correction steps and whether it converged within
+    ``_REFINE_MAX`` steps.
     """
     lu, piv = factors
     getrs, = get_lapack_funcs(("getrs",), (lu,))
     rows, k = right.shape
+    n = len(lu) - k
 
     def rhs(r):
-        r[:, :-k], r[:, -k:] = left, right
+        r[:, :n], r[:, n:] = left, right
         return r
 
     def correction(r):
@@ -903,87 +1002,142 @@ def _refine(factors, trans: int, subtract_product, left, right, y: np.ndarray | 
     for step in range(_REFINE_MAX + 1):
         subtract_product(rhs(r), y)
         residual = np.abs(r).max(axis=1)
-        if not np.all(residual < last / 2):
-            return y, step, bool(np.all(residual <= tol * np.abs(y).max(axis=1)))
+        bound = tol * np.abs(y).max(axis=1)
+        if not np.all(residual < last / 2) or np.all(residual <= _EPS64 * bound):
+            return y, step, bool(np.all(residual <= bound))
         last = residual
         if step < _REFINE_MAX:
             y += correction(r)
     return y, _REFINE_MAX, False
 
 
-def _bordered_solve(system: DenseSystem, config: ProblemConfig, Z: np.ndarray, dtype):
-    """The two bordered solves of ``solve_direct`` with LU factors in ``dtype``.
+def _bordered_solve(system: DenseSystem, config: ProblemConfig, Z: np.ndarray, dtype,
+                    classes: tuple[np.ndarray, ...]):
+    """The two bordered solves of ``solve_direct`` with LU factors in ``dtype``,
+    one character class at a time.
 
-    Returns the gauge-fixed least-squares x, the consistency floor, the
-    factors' rcond and the refinement steps ``{"psi": .., "x": ..}``,
-    or None when float32 factors are too ill-conditioned or a refinement
-    does not converge.  Every large array it makes is freed on return.
+    ``classes`` are sorted index arrays of the unknowns over which N is
+    block-diagonal (``_character_classes``), and each column of ``Z`` is
+    nonzero in one class only.  Returns the gauge-fixed least-squares x,
+    the consistency floor, the rcond of the block-diagonal bordered
+    matrix and the most refinement steps of any class
+    ``{"psi": .., "x": ..}``, or None when float32 factors are too
+    ill-conditioned or a refinement does not converge.  Only one class's
+    arrays are alive at a time, and every large array it makes is freed
+    on return.  With one class, N is read in place.
     """
     D, F, Nmat = system.D, system.F, system.Nmat
     n, k = Z.shape
     retry = dtype == np.float32
-    DZ = D[:, None] * Z
-    # Z has a few nonzero rows per sphere: N Z reads only those columns.
-    # Taken before B exists, so that its temporaries do not add to B.
-    rows = np.flatnonzero(Z.any(axis=1))
-    null_resid = np.abs(DZ - Nmat[:, rows] @ Z[rows]).max()
-    B = _bordered_matrix(Nmat, D, DZ, dtype)
-    # B.T is B's memory in Fortran order: its 1-norm is B's infinity norm,
-    # its infinity norm B's 1-norm, and LAPACK factors it without a copy
-    lange, = get_lapack_funcs(("lange",), (B,))
-    norm_inf, norm_one = lange("1", B.T), lange("I", B.T)
-    factors = lu_factor(B.T, overwrite_a=True, check_finite=False)
-    del B
-    gecon, = get_lapack_funcs(("gecon",), (factors[0],))
-    rcond = float(gecon(factors[0], norm_inf, norm="1")[0])
+    top = np.abs(D - np.diagonal(Nmat)).max()
+    x = np.empty(n)
+    steps = {"psi": 0, "x": 0}
+    # per class: rcond times |B_c|, |B_c| and |(D - N) Z| (infinity norms)
+    # and the squared norm of the incompatible load
+    scaled, norms, nulls, incompatible = [], [], [], 0.0
+    for rows in classes:
+        if len(classes) == 1:
+            N, d, f, z = Nmat, D, F, Z
+        else:
+            N, d, f, z = Nmat[np.ix_(rows, rows)], D[rows], F[rows], Z[rows]
+            z = z[:, z.any(axis=0)]
+        m, kc = z.shape
+        dz = d[:, None] * z
+        # z has a few nonzero rows per sphere: N z reads only those columns.
+        # Taken before B exists, so that its temporaries do not add to B.
+        nonzero = np.flatnonzero(z.any(axis=1))
+        nulls.append(np.abs(dz - N[:, nonzero] @ z[nonzero]).max(initial=0.0))
+        B = _bordered_matrix(N, d, dz, dtype, top)
+        # B.T is B's memory in Fortran order: its 1-norm is B's infinity norm,
+        # its infinity norm B's 1-norm, and LAPACK factors it without a copy
+        lange, = get_lapack_funcs(("lange",), (B,))
+        norm_inf, norm_one = lange("1", B.T), lange("I", B.T)
+        factors = lu_factor(B.T, overwrite_a=True, check_finite=False)
+        del B
+        gecon, = get_lapack_funcs(("gecon",), (factors[0],))
+        rcond = float(gecon(factors[0], norm_inf, norm="1")[0])
+        # the rcond of the whole B is at most the class's: refused as it would be
+        if retry and not rcond >= _RCOND_F32:
+            return None
+        _check_rcond(rcond, k)
+        scaled.append(rcond * norm_inf)
+        norms.append(norm_inf)
+
+        def subtract_product(N):
+            # rows of r -= v^T [[D - N, D Z], [Z^T D, 0]]: B^T v with N and B v
+            # with N^T, since the border is symmetric
+            def subtract(r, y):
+                # row by row, on contiguous vectors: numpy buffers elementwise
+                # operations on the strided (rows, m) blocks
+                for rj, yj, pj in zip(r, y, y[:, :m] @ N):
+                    rj[:m] += pj
+                    rj[:m] -= d * yj[:m]
+                    rj[:m] -= dz @ yj[m:]
+                    rj[m:] -= yj[:m] @ dz
+            return subtract
+
+        tol = _EPS64 * sqrt(m + kc)
+        compatible = f
+        if kc:
+            # B^T [psi; nu] = [0; I] gives nu = 0 and (D - N)^T psi = 0; the
+            # seed is scaled to Z^T D psi = I.  Row j of psi is column j.
+            seed = _left_null_border(config, system.dofmap, system.mode, z, rows)
+            psi = np.zeros((kc, m + kc))
+            psi[:, :m] = np.linalg.solve(seed.T @ dz, seed.T)
+            del seed
+            psi, psi_steps, converged = _refine(factors, 0, subtract_product(N), 0.0, np.eye(kc),
+                                                psi, tol * norm_one)
+            if retry and not converged:
+                return None
+            steps["psi"] = max(steps["psi"], psi_steps)
+            psi = np.linalg.qr(psi[:, :m].T)[0]
+            part = psi @ (psi.T @ f)
+            incompatible += float(part @ part)
+            compatible = f - part
+            del psi
+        xc, x_steps, converged = _refine(factors, 1, subtract_product(N.T), compatible,
+                                         np.zeros((1, kc)), None, tol * norm_inf)
+        if retry and not converged:
+            return None
+        steps["x"] = max(steps["x"], x_steps)
+        x[rows] = xc[0, :m]
+        del N, factors
+    # the 1-norm rcond of the block-diagonal B.T and its (D - N) Z check
+    rcond = min(scaled) / max(norms)
     if retry and not rcond >= _RCOND_F32:
         return None
-    if not rcond >= _RCOND_MIN:
-        raise SolverError(
-            f"bordered matrix is numerically singular (rcond {rcond:.3e}); the null "
-            f"space of the operator is larger than the {k} rigid traces"
-        )
-    null_resid = float(null_resid / norm_inf)
+    _check_rcond(rcond, k)
+    null_resid = float(max(nulls) / max(norms))
     if null_resid > _NULL_TOL:
         raise SolverError(
             f"rigid traces are not null vectors of the operator "
             f"(|(D - N) Z| = {null_resid:.3e} of its norm)"
         )
-
-    def subtract_product(N):
-        # rows of r -= v^T [[D - N, D Z], [Z^T D, 0]]: B^T v with N and B v
-        # with N^T, since the border is symmetric
-        def subtract(r, y):
-            # row by row, on contiguous vectors: numpy buffers elementwise
-            # operations on the strided (rows, n) blocks
-            for rj, yj, pj in zip(r, y, y[:, :n] @ N):
-                rj[:n] += pj
-                rj[:n] -= D * yj[:n]
-                rj[:n] -= DZ @ yj[n:]
-                rj[n:] -= yj[:n] @ DZ
-        return subtract
-
-    tol = _EPS64 * sqrt(n + k)
-    # B^T [psi; nu] = [0; I] gives nu = 0 and (D - N)^T psi = 0; the seed
-    # is scaled to Z^T D psi = I.  Row j of psi is column j.
-    seed = _left_null_border(config, system.dofmap, system.mode, Z)
-    psi = np.zeros((k, n + k))
-    psi[:, :n] = np.linalg.solve(seed.T @ DZ, seed.T)
-    del seed
-    psi, psi_steps, converged = _refine(factors, 0, subtract_product(Nmat), 0.0, np.eye(k), psi,
-                                        tol * norm_one)
-    if retry and not converged:
-        return None
-    psi = np.linalg.qr(psi[:, :n].T)[0]
-    incompatible = psi @ (psi.T @ F)
     fnorm = np.linalg.norm(F)
-    floor = float(np.linalg.norm(incompatible) / fnorm) if fnorm > 0 else 0.0
+    floor = float(sqrt(incompatible) / fnorm) if fnorm > 0 else 0.0
     _check_floor(floor, n, k)
-    x, x_steps, converged = _refine(factors, 1, subtract_product(Nmat.T), F - incompatible,
-                                    np.zeros((1, k)), None, tol * norm_inf)
-    if retry and not converged:
-        return None
-    return x[0, :n], floor, rcond, {"psi": psi_steps, "x": x_steps}
+    return x, floor, rcond, steps
+
+
+def _check_rcond(rcond: float, k: int) -> None:
+    """Refuse a bordered matrix that is numerically singular."""
+    if not rcond >= _RCOND_MIN:
+        raise SolverError(
+            f"bordered matrix is numerically singular (rcond {rcond:.3e}); the null "
+            f"space of the operator is larger than the {k} rigid traces"
+        )
+
+
+def _solve_classes(system: DenseSystem, config: ProblemConfig) -> tuple[np.ndarray, ...]:
+    """``_character_classes``, once N is checked to vanish exactly outside
+    them: the nonzeros of N must be those of its class blocks.  Otherwise
+    (N changed by its caller, say) one class of all unknowns."""
+    classes = _character_classes(config, system.dofmap)
+    Nmat = system.Nmat
+    if len(classes) > 1 and np.count_nonzero(Nmat) != sum(
+            np.count_nonzero(Nmat[np.ix_(rows, rows)]) for rows in classes):
+        return (np.arange(system.dofmap.size),)
+    return classes
 
 
 def solve_direct(system: DenseSystem, config: ProblemConfig) -> Solution:
@@ -1002,20 +1156,36 @@ def solve_direct(system: DenseSystem, config: ProblemConfig) -> Solution:
     solution of A x = F in the D-weighted rigid-trace gauge, and
     |F - F_c| / |F| is the measured incompatible share of the load.
 
-    Precision.  B is built in float32 and factored by LAPACK ``sgetrf``;
-    its transpose is Fortran-ordered, so no copy is made, and the float32
-    B is the only n x n array besides ``Nmat``.  While -N is rounded in
-    row blocks, its entries below 2^-40 of B's largest diagonal entry are
-    set to zero: the coupling of distant high-degree modes decays to
-    values that would become float32 subnormals, and those slow the
-    factorisation from 0.3 s to 15 s at N=20 (2-core x86-64, OpenBLAS).
-    The change is far below
-    float32 rounding.  Both solves are refined: each step solves with the
+    Characters.  When every sphere centre lies on a common plane of
+    symmetry, each flip about such a plane multiplies every unknown by a
+    sign, and N couples only unknowns of one character
+    (``_character_classes``); so does B, since each column of Z is of one
+    character.  B is then block-diagonal up to a reordering, and each
+    class's block [[A_c, D_c Z_c], [Z_c^T D_c, 0]] is factored and solved
+    on its own, one class at a time: the three-sphere case, on the x
+    axis, has four classes of about n/4 unknowns.  The classes are used
+    only when the nonzeros of N are exactly those of its class blocks;
+    otherwise (N changed by its caller, or no common plane) one class
+    holds every unknown and N is read in place.  The reported rcond is
+    the 1-norm rcond of the block-diagonal B, min_c(rcond_c |B_c|) /
+    max_c |B_c|, and the diagnostics list the class sizes
+    (``characters``).
+
+    Precision.  Each class's B is built in float32 and factored by LAPACK
+    ``sgetrf``; its transpose is Fortran-ordered, so no copy is made.
+    Besides ``Nmat``, a class holds its float32 B and, unless it is the
+    only class, a float64 copy of its rows and columns of N.  While -N is
+    rounded in row blocks, its entries below 2^-40 of the largest
+    diagonal entry of the whole B are set to zero: the coupling of
+    distant high-degree modes decays to values that would become float32
+    subnormals, and those slow the factorisation from 0.3 s to 15 s at
+    N=20 (2-core x86-64, OpenBLAS).  The change is far below float32
+    rounding.  Both solves are refined: each step solves with the
     float32 factors for the residual, which is computed in float64 from
-    the untouched ``Nmat``, until the residual of some right-hand side no
-    longer halves (as LAPACK's ``dgerfs``); the refinement has converged
-    when every residual then meets LAPACK ``dsgesv``'s test
-    |r|_inf <= |v|_inf |B|_inf eps sqrt(n + k).  dsgesv's test alone
+    the untouched entries of N, until the residual of some right-hand
+    side no longer halves (as LAPACK's ``dgerfs``); the refinement has
+    converged when every residual then meets LAPACK ``dsgesv``'s test
+    |r|_inf <= |v|_inf |B_c|_inf eps sqrt(n_c + k_c).  dsgesv's test alone
     stops one step early: at N=8 it leaves the consistency floor off by
     1.6e-6 of itself.  psi starts from the orthonormalised column border
     r C Z of ``solve_iterative``, scaled to Z^T D psi = I, and x from the
@@ -1023,17 +1193,18 @@ def solve_direct(system: DenseSystem, config: ProblemConfig) -> Solution:
 
     Retry.  When the float32 factors' rcond is below 2^-20, or a
     refinement does not converge within 30 steps, the float32 arrays are
-    freed and the same code runs with float64 factors of B, built in
-    place without the flush; the memory guard (``solver_bytes``) charges
-    that float64 B.  On either path an rcond below 1e-13 is refused as a
+    freed and the same code runs with float64 factors, built without the
+    flush; the memory guard (``solver_bytes``) charges a float64 B of
+    all unknowns.  On either path an rcond below 1e-13 is refused as a
     null space beyond the rigid traces, (D - N) Z must vanish to 1e-12 of
     |B|, and a consistency floor above 1e-3 is refused.  The diagnostics
     name the ``factorisation`` ("float32" or "float64") and the
-    ``refinement_steps`` {"psi": .., "x": ..}.
+    ``refinement_steps`` {"psi": .., "x": ..}, the most of any class.
     """
     Z = rigid_trace_vectors(config, system.dofmap, system.mode)
+    classes = _solve_classes(system, config)
     for dtype in (np.float32, np.float64):
-        solved = _bordered_solve(system, config, Z, dtype)
+        solved = _bordered_solve(system, config, Z, dtype, classes)
         if solved is not None:
             break
     x, floor, rcond, steps = solved
@@ -1046,7 +1217,8 @@ def solve_direct(system: DenseSystem, config: ProblemConfig) -> Solution:
         dofmap=system.dofmap, sigma=system.sigma, mode=system.mode,
         diagnostics={"solver_path": "bordered_lu", "rank": n - k, "null_dim": k,
                      "rcond": rcond, "consistency_floor": floor,
-                     "factorisation": np.dtype(dtype).name, "refinement_steps": steps},
+                     "factorisation": np.dtype(dtype).name, "refinement_steps": steps,
+                     "characters": [len(rows) for rows in classes]},
     )
 
 

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from elastisph import problem, system
+from elastisph import harmonics, problem, system
 from elastisph.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from elastisph.presets import one_sphere_config, one_sphere_data, three_sphere_config
 from elastisph.problem import config_to_dict, load_config, save_config
@@ -61,6 +61,12 @@ def test_direct_solver_precision_recorded(tmp_path):
     steps = solver["refinement_steps"]
     assert set(steps) == {"psi", "x"}
     assert all(1 <= s <= 30 for s in steps.values())
+    # the centres lie on the x axis: one class per pattern of signs under
+    # the y and z flips (bits 1 and 2 of its number), each holding those
+    # modes of all three spheres
+    signs = harmonics.reflection_signs(8)[[2, 4]][:, system.DofMap(8, (1,)).active_mask()]
+    counts = np.bincount(np.array([2, 4]) @ (signs < 0.0))
+    assert solver["characters"] == (3 * counts[counts > 0]).tolist()
 
 
 def test_dense_memory_refused(table3_path, tmp_path, monkeypatch, capsys):

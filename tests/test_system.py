@@ -12,7 +12,8 @@ from elastisph import harmonics
 from elastisph import system as system_module
 from elastisph.harmonics import Family, VshExpansion, sh_index, vsh_basis
 from elastisph.materials import LameParams
-from elastisph.presets import lattice_config, one_sphere_config, three_sphere_config
+from elastisph.presets import (SWEEP_NU1_MIN, lattice_config, one_sphere_config, poisson_sweep_config,
+                               three_sphere_config)
 from elastisph.problem import BoundaryData, ProblemConfig, SphereSpec, validate
 from elastisph.quadrature import LEBEDEV_TABLE, SphereFrame, rule_for_degree
 from elastisph.spectra import MODE_AS_PRINTED, MODE_SELF_CONSISTENT, adjoint_double_eigs, single_layer_eigs
@@ -608,6 +609,15 @@ def _stiff_inclusion(degree):
     return dataclasses.replace(cfg, spheres=(stiff, *cfg.spheres[1:]))
 
 
+def _largest_class_bytes(cfg, system, itemsize):
+    """Bytes of the largest character class's float64 rows and columns of N
+    and of its bordered matrix in the factors' precision."""
+    Z = rigid_trace_vectors(cfg, system.dofmap, system.mode)
+    sizes = [(rows.size, np.count_nonzero(Z[rows].any(axis=0)))
+             for rows in system_module._character_classes(cfg, system.dofmap)]
+    return max(8 * m * m + itemsize * (m + k) ** 2 for m, k in sizes)
+
+
 def _gelsy_oracle(system, Z):
     """Rank-revealing QR least squares plus gauge projection, and the
     relative remainder it leaves."""
@@ -674,8 +684,10 @@ class TestBorderedLU:
             solve_direct(system, cfg)
 
     def test_one_bordered_allocation(self):
-        # the float32 bordered matrix is the one (n+k)^2 array: no float64
-        # copy of N is made, also not in the row blocks that round it
+        # one character class at a time: its float64 rows and columns of N
+        # and its float32 bordered matrix are the largest arrays, and the
+        # peak stays below the float32 bordered matrix of all unknowns: no
+        # float64 copy of N is made, also not in the row blocks that round it
         cfg = validate(three_sphere_config(8))
         system = assemble(cfg)
         solve_direct(system, cfg)  # rule, spectra and LAPACK set-up
@@ -686,8 +698,9 @@ class TestBorderedLU:
         finally:
             tracemalloc.stop()
         assert sol.diagnostics["factorisation"] == "float32"
+        assert len(sol.diagnostics["characters"]) == 4
         bordered = 4 * (system.dofmap.size + sol.diagnostics["null_dim"]) ** 2
-        assert bordered < peak < 2 * bordered
+        assert _largest_class_bytes(cfg, system, 4) < peak < bordered
 
     def test_float32_bordered_matrix_has_no_subnormals(self):
         cfg = validate(three_sphere_config(16))
@@ -718,13 +731,112 @@ class TestBorderedLU:
         diag = sol.diagnostics
         assert diag["factorisation"] == "float64"
         assert 1e-13 < diag["rcond"] < 2.0**-20
+        assert len(diag["characters"]) == 4
         dw = np.sqrt(system.D)
         assert np.linalg.norm(dw * (sol.lambda_ - expected)) < 1e-12 * np.linalg.norm(dw * expected)
-        # the float32 arrays are freed before the float64 retry: the peak
-        # stays below the 1.053 of the float64 B that the float64-only solve
-        # reached (keeping the float32 B would add 0.5)
+        # the float32 arrays are freed before the float64 retry, and the
+        # classes run one at a time: the largest class's float64 rows and
+        # columns of N and its float64 bordered matrix set the peak, which
+        # stays below the float64 bordered matrix of all unknowns
         bordered = 8 * (system.dofmap.size + diag["null_dim"]) ** 2
-        assert bordered < peak < 1.053 * bordered
+        assert _largest_class_bytes(cfg, system, 8) < peak < bordered
+
+
+def _unknown_characters(cfg):
+    """Signs of every unknown under the flips of the axes on which all
+    sphere centres share their coordinate, (unknowns, flips), from
+    ``reflection_signs``."""
+    centers = np.array([s.frame.center for s in cfg.spheres])
+    flips = [1 << a for a in range(3) if np.all(centers[:, a] == centers[0, a])]
+    signs = harmonics.reflection_signs(cfg.degree)[flips][:, system_module._active_mask(cfg.degree)]
+    return np.tile(signs.T, (len(cfg.spheres), 1))
+
+
+_CHARACTER_CONFIGS = pytest.mark.parametrize("cfg,classes", [
+    (three_sphere_config(8), 4),
+    (three_sphere_config(8, "piecewise"), 4),
+    (lattice_config(1), 8),
+    (one_sphere_config(3, 8), 8),
+    (poisson_sweep_config(0.3, SWEEP_NU1_MIN), 8),
+], ids=["table3_n8", "table3_n8_piecewise", "lattice_r1", "one_sphere_case3", "poisson_nu1_min"])
+
+
+class TestCharacterBlocks:
+    @_CHARACTER_CONFIGS
+    def test_off_character_coupling_is_exactly_zero(self, cfg, classes):
+        cfg = validate(cfg)
+        system = assemble(cfg)
+        signs = _unknown_characters(cfg)
+        assert len(np.unique(signs, axis=0)) == classes
+        differ = (signs[:, None, :] != signs[None, :, :]).any(axis=2)
+        assert np.all(system.Nmat[differ] == 0.0)
+        # between spheres, the couplings within one character are not all zero
+        # (one sphere has only its diagonal)
+        assert (np.count_nonzero(system.Nmat[~differ]) > system.dofmap.size) == (len(cfg.spheres) > 1)
+
+    @_CHARACTER_CONFIGS
+    @pytest.mark.parametrize("mode", [MODE_SELF_CONSISTENT, MODE_AS_PRINTED])
+    def test_rigid_traces_are_pure(self, cfg, classes, mode):
+        cfg = validate(cfg)
+        dofmap = system_module._dofmap(cfg)
+        Z = rigid_trace_vectors(cfg, dofmap, mode)
+        signs = _unknown_characters(cfg)
+        for column in Z.T:
+            support = signs[column != 0.0]
+            assert np.all(support == support[0])
+        assert_allclose(Z.T @ Z, np.eye(Z.shape[1]), atol=1e-14)
+
+    @_CHARACTER_CONFIGS
+    @pytest.mark.parametrize("mode", [MODE_SELF_CONSISTENT, MODE_AS_PRINTED])
+    def test_agrees_with_one_class(self, cfg, classes, mode, monkeypatch):
+        cfg = validate(cfg)
+        system = assemble(cfg, mode=mode)
+        split = solve_direct(system, cfg)
+        assert len(split.diagnostics["characters"]) == classes
+        assert sum(split.diagnostics["characters"]) == system.dofmap.size
+        monkeypatch.setattr(system_module, "_character_classes",
+                            lambda config, dofmap: (np.arange(dofmap.size),))
+        whole = solve_direct(system, cfg)
+        assert whole.diagnostics["characters"] == [system.dofmap.size]
+        dw = np.sqrt(system.D)
+        assert np.linalg.norm(dw * (split.lambda_ - whole.lambda_)) <= 1e-14 * np.linalg.norm(dw * whole.lambda_)
+        floor = whole.diagnostics["consistency_floor"]
+        if floor > 1e-12:
+            assert split.diagnostics["consistency_floor"] == pytest.approx(floor, rel=1e-10)
+        else:
+            assert split.diagnostics["consistency_floor"] < 1e-14
+        assert split.diagnostics["factorisation"] == whole.diagnostics["factorisation"]
+
+    def test_corrupted_coupling_takes_one_class(self):
+        # a rank-one change that couples every character, as in
+        # test_extra_null_vector_raises: the split would not hold
+        cfg = validate(three_sphere_config(3))
+        system = assemble(cfg)
+        assert len(system_module._solve_classes(system, cfg)) == 4
+        Z = rigid_trace_vectors(cfg, system.dofmap, system.mode)
+        v = np.random.default_rng(11).normal(size=system.dofmap.size)
+        v -= Z @ (Z.T @ v)
+        system.Nmat += np.outer(system.matrix @ v, v) / (v @ v)
+        classes = system_module._solve_classes(system, cfg)
+        assert len(classes) == 1 and np.array_equal(classes[0], np.arange(system.dofmap.size))
+        with pytest.raises(SolverError, match="rcond"):
+            solve_direct(system, cfg)
+
+    def test_no_common_flip_reads_n_in_place(self):
+        # lattice r2 has no plane of symmetry through every centre: one
+        # class, factored as one float32 bordered matrix with no copy of N
+        cfg = validate(lattice_config(2))
+        system = assemble(cfg)
+        solve_direct(system, cfg)
+        tracemalloc.start()
+        try:
+            sol = solve_direct(system, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.diagnostics["characters"] == [system.dofmap.size]
+        bordered = 4 * (system.dofmap.size + sol.diagnostics["null_dim"]) ** 2
+        assert bordered < peak < 1.5 * bordered
 
 
 class TestBorderedGMRES:
