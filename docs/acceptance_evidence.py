@@ -165,8 +165,8 @@ def stiff_inclusion(degree: int):
 
 @contextlib.contextmanager
 def one_class():
-    """While active, ``solve_direct`` and ``rigid_trace_vectors`` take every
-    unknown as one character class."""
+    """While active, ``solve_direct`` takes every unknown as one character
+    class."""
     classes = system._character_classes
     system._character_classes = lambda config, dofmap: (np.arange(dofmap.size),)
     try:

@@ -848,27 +848,26 @@ def rigid_trace_vectors(config: ProblemConfig, dofmap: DofMap, mode: str) -> np.
 
     The rotations are taken about a point on every common plane of
     symmetry (``_common_axes``; the origin when there is none), so that
-    each motion is of one character under the common flips.  The columns
-    are orthonormalised within each class of ``_character_classes``, on
-    its rows only: every column is nonzero in one class alone.
+    each motion is of one character under the common flips, and so is
+    each orthonormalised column in exact arithmetic.  The QR leaves
+    rounding, up to 7e-17, in the rows of other characters; it is set to
+    zero, so that every column is pure (and orthonormal to rounding).
     """
     c = sqrt(4.0 * pi / 3.0)
-    M = len(config.spheres)
+    M, na = len(config.spheres), dofmap.modes_per_sphere
+    axes = _common_axes(config)
     rotations = mode == MODE_SELF_CONSISTENT
-    Z = np.zeros((M, dofmap.modes_per_sphere, 6 if rotations else 3))  # (sphere, mode, column)
+    Z = np.zeros((M, na, 6 if rotations else 3))  # (sphere, mode, column)
     Z[:, _AXIS_W, :3] = c * np.eye(3)
     if rotations:
         centers, radii, _enclosing = _geometry(config)
-        common = [_common_axes(config) >> a & 1 for a in range(3)]
-        offsets = centers - np.where(common, centers[0], 0.0)
+        offsets = centers - np.where([axes >> a & 1 for a in range(3)], centers[0], 0.0)
         Z[:, _AXIS_W, 3:] = c * (_EPS @ offsets.T).transpose(2, 0, 1)  # c (e_a x offset)
         Z[:, _AXIS_X, 3 + np.arange(3)] = -c * radii[:, None]
-    Z = Z.reshape(M * dofmap.modes_per_sphere, -1)
-    Q = np.zeros_like(Z)
-    for rows in _character_classes(config, dofmap):
-        cols = np.flatnonzero(Z[rows].any(axis=0))
-        if cols.size:
-            Q[np.ix_(rows, cols)] = np.linalg.qr(Z[np.ix_(rows, cols)])[0]
+    Q = np.linalg.qr(Z.reshape(M * na, -1))[0]
+    if axes:
+        character = np.tile(_characters(dofmap.degree, axes), M)
+        Q[character[:, None] != character[np.abs(Q).argmax(axis=0)]] = 0.0
     return Q
 
 
