@@ -57,9 +57,8 @@ rotations too when the toroidal adjoint eigenvalue takes its
 self-consistent value), mirroring the rigid kernel of the continuous
 Neumann problem.  The direct solver borders the operator with the known
 rigid traces and factors the bordered matrix once by LU, per character
-class: it measures the
-part of the load outside the operator's range, solves for the rest and
-fixes the gauge in the same solve.  It factors a float32 copy, whose
+class: it measures the part of the load outside the operator's range,
+solves for the rest and fixes the gauge in the same solve.  It factors a float32 copy, whose
 entries below 2^-40 of its largest diagonal entry are set to zero so
 that none is a float32 subnormal, and refines both solves with residuals
 computed in float64 from N itself, so its results keep float64 accuracy;
