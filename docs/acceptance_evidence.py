@@ -22,13 +22,15 @@ Each part prints markdown tables:
   configurations of the acceptance criteria and a stiff inclusion, in
   both spectra modes: the D-weighted trace agreement, the consistency
   floors, rcond and the refinement steps of psi and x; and the sizes
-  of the character classes that ``solve_direct`` factors one at a time,
-  with its traces against those of the same solve with every unknown
-  in one class.
+  of the character classes that ``assemble`` holds and ``solve_direct``
+  factors one at a time, with its traces against those of the same
+  system assembled and solved with every unknown in one class.
 - ``folding``: the pair blocks folded by each pair's reflection
   stabilizer, as ``assemble`` makes them, against the same blocks
-  summed over every node of the rule, every entry computed: the change
-  of N (relative to its largest entry) and of F, the D-weighted change
+  summed over every node of the rule, every entry computed and held as
+  one class: the change of N (relative to its largest entry, the full
+  rule's entries between character classes included) and of F, the
+  D-weighted change
   of the direct solver's traces, both consistency floors, and the nodes
   at which the pair fields are evaluated, against pairs x rule size.
 """
@@ -50,7 +52,7 @@ from elastisph.presets import (ONE_SPHERE_LEX, SWEEP_NU1_MIN, lattice_config, on
 from elastisph.problem import validate
 from elastisph.quadrature import LEBEDEV_TABLE, SphereFrame, rule_for_degree
 from elastisph.spectra import MODE_AS_PRINTED, MODE_SELF_CONSISTENT
-from elastisph.system import _bordered_solve, _solve_classes, assemble, rigid_trace_vectors, solve_direct
+from elastisph.system import _bordered_solve, assemble, rigid_trace_vectors, solve_direct
 
 # the pinned Table-2 cells of criterion 6b: (case, N) -> (value, relative tolerance)
 PINNED = {(3, 2): (1.985e-1, 0.01), (3, 5): (4.020e-3, 0.01),
@@ -165,10 +167,11 @@ def stiff_inclusion(degree: int):
 
 @contextlib.contextmanager
 def one_class():
-    """While active, ``solve_direct`` takes every unknown as one character
-    class."""
+    """While active, ``assemble`` holds every unknown as one character
+    class, and ``solve_direct`` solves it as one."""
     classes = system._character_classes
-    system._character_classes = lambda config, dofmap: (np.arange(dofmap.size),)
+    system._character_classes = lambda config, dofmap: system._class_layout(
+        dofmap.degree, 0, len(dofmap.sphere_ids))
     try:
         yield
     finally:
@@ -203,9 +206,9 @@ def part_direct() -> None:
             dense = assemble(config, mode=mode)
             w = np.sqrt(dense.D)
             Z = rigid_trace_vectors(config, dense.dofmap, mode)
-            classes = _solve_classes(dense, config)
-            x64, floor64, rcond64, steps64 = _bordered_solve(dense, config, Z, np.float64, classes)
-            single = _bordered_solve(dense, config, Z, np.float32, classes)
+            classes = dense.Nmat.classes
+            x64, floor64, rcond64, steps64 = _bordered_solve(dense, config, Z, np.float64)
+            single = _bordered_solve(dense, config, Z, np.float32)
             if single is None:
                 cells = ["retried", "—", f"{floor64:.6e}", "—", "—", f"{rcond64:.2e}", "—"]
             else:
@@ -216,7 +219,7 @@ def part_direct() -> None:
                          f"{steps32['psi']}, {steps32['x']}"]
             split = solve_direct(dense, config).lambda_
             with one_class():
-                whole = solve_direct(dense, config).lambda_
+                whole = solve_direct(assemble(config, mode=mode), config).lambda_
             split_change = np.linalg.norm(w * (split - whole)) / np.linalg.norm(w * whole)
             print("| " + " | ".join([label, mode, str(dense.dofmap.size),
                                      "/".join(str(rows.size) for rows in classes), *cells,
@@ -269,12 +272,15 @@ def part_folding() -> None:
         counts: dict[bool, list[int]] = {True: [], False: []}
         systems = {}
         for unfold in (True, False):
-            with pair_nodes(counts[unfold], unfold):
+            # the full rule leaves rounding between the character classes:
+            # held as one class, it is kept, compared and solved
+            with pair_nodes(counts[unfold], unfold), (one_class() if unfold else contextlib.nullcontext()):
                 systems[unfold] = assemble(config)
         full, folded = systems[True], systems[False]
         x_full, x_fold = solve_direct(full, config), solve_direct(folded, config)
         w = np.sqrt(full.D)
-        n_change = np.abs(folded.Nmat - full.Nmat).max() / np.abs(full.Nmat).max()
+        (full_n,) = full.Nmat.blocks
+        n_change = np.abs(folded.Nmat.toarray() - full_n).max() / np.abs(full_n).max()
         f_change = np.abs(folded.F - full.F).max() / np.abs(full.F).max()
         trace_change = (np.linalg.norm(w * (x_fold.lambda_ - x_full.lambda_))
                         / np.linalg.norm(w * x_full.lambda_))

@@ -37,14 +37,17 @@ every pair's stabilizer holds the flips about them, so N couples only
 unknowns of one character under those flips, and so do the rigid traces
 below: the system splits into one independent block per character
 class (``_character_classes``), four of about n/4 unknowns each for the
-three spheres on the x axis.  The direct solver factors and solves
-these blocks one at a time.
+three spheres on the x axis.
 
-``assemble`` generates the block of every ordered pair into the dense
-N.  ``CouplingOperator`` generates one block per key (|d|, r_tgt, r_src,
-source is enclosing), turned to sigma = + by its representative pair's
-H, and holds the blocks in classes of keys that share their pair count
-c.  Its product, for ``apply_operator`` and GMRES, makes no n x n
+``assemble`` holds N as just those blocks (``ClassBlocks``), one per
+class, and writes the class parts of every ordered pair's block, times
+the source's C, straight into them: the n^2 entries between classes are
+never made, and a configuration with no common plane has one class, the
+dense N.  The direct solver factors and solves the blocks one at a time,
+in place.  ``CouplingOperator`` generates one block per key (|d|, r_tgt,
+r_src, source is enclosing), turned to sigma = + by its representative
+pair's H, and holds the blocks in classes of keys that share their pair
+count c.  Its product, for ``apply_operator`` and GMRES, makes no n x n
 array: per class, one batched matmul applies each block to the c
 sources of its key, each turned by its pair's H, and the results are
 added to their (pattern, target) rows, which take their H at the end.
@@ -75,6 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import pi, sqrt
 from typing import NamedTuple
 
@@ -148,11 +152,81 @@ class DofMap:
         return out
 
 
+class ClassBlocks:
+    """A square matrix held as its diagonal blocks over classes of indices.
+
+    ``classes`` are disjoint sorted index arrays that hold every index
+    once, and ``blocks[c]`` is the float64 (m_c, m_c) block between the
+    indices of class c, m_c = ``classes[c].size``.  The entries between
+    two classes are zero and not held.  ``whole`` holds an arbitrary
+    matrix as one class, in place.
+    """
+
+    def __init__(self, classes: tuple[np.ndarray, ...], blocks: tuple[np.ndarray, ...]):
+        self.classes, self.blocks = classes, blocks
+        # the indices in class order, and each class's span of them
+        self.order = np.concatenate(classes)
+        self._stops = list(accumulate(rows.size for rows in classes))
+        self.size = self.order.size
+
+    @classmethod
+    def whole(cls, matrix: np.ndarray) -> ClassBlocks:
+        return cls((np.arange(len(matrix)),), (matrix,))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.size, self.size
+
+    @property
+    def nbytes(self) -> int:
+        return sum(block.nbytes for block in self.blocks)
+
+    def diagonal(self) -> np.ndarray:
+        out = np.empty(self.size)
+        for rows, block in zip(self.classes, self.blocks):
+            out[rows] = np.diagonal(block)
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product with a vector (n,) or the columns of an array (n, k)."""
+        if len(self.blocks) == 1:
+            return self.blocks[0] @ x
+        # one gather and one scatter: a few small classes cost little more
+        # than their products
+        ordered = x[self.order]
+        product = np.empty(ordered.shape)
+        start = 0
+        for stop, block in zip(self._stops, self.blocks):
+            block.dot(ordered[start:stop], out=product[start:stop])
+            start = stop
+        out = np.empty(x.shape)
+        out[self.order] = product
+        return out
+
+    def toarray(self) -> np.ndarray:
+        """A fresh n x n array of the matrix."""
+        if len(self.blocks) == 1:
+            return self.blocks[0].copy()
+        out = np.zeros(self.shape)
+        for rows, block in zip(self.classes, self.blocks):
+            out[np.ix_(rows, rows)] = block
+        return out
+
+
 @dataclass(eq=False)
 class DenseSystem:
+    """The Galerkin system (D - N) Lambda = F with N held in memory, as one
+    block per character class of ``_character_classes`` (``ClassBlocks``).
+
+    With no common plane of symmetry that is one block of all unknowns,
+    the dense n x n N; otherwise N couples only unknowns of one class,
+    and the classes hold sum_c 8 m_c^2 bytes instead of 8 n^2 (a quarter
+    of it for the three spheres on the x axis).
+    """
+
     dofmap: DofMap
     D: np.ndarray                    # diagonal entries, (size,)
-    Nmat: np.ndarray                 # dense coupling matrix, (size, size)
+    Nmat: ClassBlocks                # coupling matrix, one block per character class
     F: np.ndarray                    # right-hand side, (size,)
     sigma: dict[int, VshExpansion]
     mode: str
@@ -162,7 +236,8 @@ class DenseSystem:
     @property
     def matrix(self) -> np.ndarray:
         """A fresh D - N, made as one n x n array."""
-        A = np.negative(self.Nmat)
+        A = self.Nmat.toarray()
+        np.negative(A, out=A)
         A.reshape(-1)[::A.shape[0] + 1] += self.D
         return A
 
@@ -254,22 +329,30 @@ def _active_read_only(flat: np.ndarray, degree: int) -> np.ndarray:
 # the larger of two phases: _PAIR_DOUBLES doubles per source mode and
 # evaluated node while the fields are formed (basis evaluation,
 # single-layer factors, fields and their temporaries), and _RAW_DOUBLES
-# per test row and source mode in the product (the raw blocks, which are
-# C-scaled in place, and one character class's product).  A
-# folded pair evaluates only its orbit representatives, so its chunks
-# take more pairs, until the raw rows bound them.  At the assembly rule
-# one pair runs alone from degree 6 on without folding, and from degree
-# 8 on with it.
+# per test row and source mode in the product (the character classes'
+# products, at most one entry each, and a consumer's signed copy of one
+# class's).  A folded pair evaluates only its orbit representatives, so
+# its chunks take more pairs, until the raw rows bound them.  At the
+# assembly rule one pair runs alone from degree 6 on without folding,
+# and from degree 8 on with it.
 _CHUNK_BYTES = 5 * 2**18
 _PAIR_DOUBLES = 28
 _RAW_DOUBLES = 2
 
 
+@lru_cache(maxsize=8)
 def _geometry(config: ProblemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centers (M, 3), radii (M,) and enclosing flags (M,) of the spheres."""
-    return (np.array([s.frame.center for s in config.spheres], dtype=float),
-            np.array([s.frame.radius for s in config.spheres]),
-            np.array([s.enclosing for s in config.spheres]))
+    """Centers (M, 3), radii (M,) and enclosing flags (M,) of the spheres.
+
+    Read-only, and kept for the last few configurations: one assembly and
+    solve read them a few times over.
+    """
+    out = (np.array([s.frame.center for s in config.spheres], dtype=float),
+           np.array([s.frame.radius for s in config.spheres]),
+           np.array([s.enclosing for s in config.spheres]))
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def _zero_axes(d: np.ndarray) -> np.ndarray:
@@ -278,14 +361,20 @@ def _zero_axes(d: np.ndarray) -> np.ndarray:
     return (d == 0.0) @ np.array([1, 2, 4])
 
 
+@lru_cache(maxsize=1)
 def _ordered_pairs(config: ProblemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Targets and sources of all ordered pairs of distinct spheres, sorted
     stably by axis pattern and, within one pattern, those whose source is
-    the enclosing sphere first (the order ``_pair_blocks`` needs)."""
+    the enclosing sphere first (the order ``_pair_blocks`` needs).
+    Read-only; the last configuration's are kept, as ``_distinct_pairs``
+    keeps its grouping."""
     centers, _radii, enclosing = _geometry(config)
     targets, sources = np.nonzero(~np.eye(enclosing.size, dtype=bool))
     first = np.lexsort((~enclosing[sources], _zero_axes(centers[targets] - centers[sources])))
-    return targets[first], sources[first]
+    out = targets[first], sources[first]
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def _orbits(rule: LebedevRule, axes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -348,14 +437,16 @@ def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
                  targets: np.ndarray, sources: np.ndarray):
     """Raw Galerkin coupling blocks of the given ordered sphere pairs, in chunks.
 
-    Yields ``(ipos, jpos, raw)`` for consecutive chunks of the pairs
-    (target ``targets[n]``, source ``sources[n]``) of distinct spheres,
-    in the given order.  A chunk holds pairs of one axis pattern
+    Yields ``(ipos, jpos, classes, parts)`` for consecutive chunks of the
+    pairs (target ``targets[n]``, source ``sources[n]``) of distinct
+    spheres, in the given order.  A chunk holds pairs of one axis pattern
     (``_zero_axes``), and those whose source is the enclosing sphere must
-    lead each run of one pattern (``_ordered_pairs`` sorts so).
-    ``raw[n]`` is the (n_a, n_a) block coupling source ``jpos[n]``'s
+    lead each run of one pattern (``_ordered_pairs`` sorts so).  The raw
+    block of pair n is the (n_a, n_a) block coupling source ``jpos[n]``'s
     densities (columns, active modes) into the test modes of target
-    ``ipos[n]`` (rows).  Entry ((p,k), (p',k')) is
+    ``ipos[n]`` (rows); ``parts[c][n]`` is its (m_c, m_c) block between
+    the sorted active modes ``classes[c]``, and its entries outside these
+    class blocks are exact zeros (see Folding).  Entry ((p,k), (p',k')) is
 
         sum_t w_t Y^k_p(s_t) . [Ybar_p'(y/|y|) A_S(|y|/r_src)]_k'
 
@@ -372,10 +463,11 @@ def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
     orbit's representative; otherwise the orbit sums vanish.  So a pair
     with a nonzero pattern is evaluated only at the representatives of
     ``_folded_table``, with the test rows weighted by orbit size, and only
-    the entries between modes of one character under S are computed; the
-    others are exact zeros.  A pair with no zero component takes every
-    node and all entries.  Concentric pairs (d = 0) fold the 26 nodes of
-    rule 7 to 7.
+    the entries between modes of one character under S are computed, one
+    part per character class; the others are exact zeros and are not
+    made.  A pair with no zero component takes every node, and its one
+    part is the whole block.  Concentric pairs (d = 0) fold the 26 nodes
+    of rule 7 to 7.
 
     Each chunk takes one basis evaluation over the evaluated nodes of all
     its pairs, one single-layer evaluation over all degrees per side, and
@@ -385,6 +477,7 @@ def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
     degree, L2 = dofmap.degree, num_scalar_modes(dofmap.degree)
     centers, radii, enclosing = _geometry(config)
     axes = _zero_axes(centers[targets] - centers[sources])
+    whole = (np.arange(dofmap.modes_per_sphere),)
     starts = np.flatnonzero(np.diff(axes, prepend=-1))
     for r0, r1 in zip(starts, (*starts[1:], targets.size)):
         if axes[r0]:
@@ -399,23 +492,23 @@ def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
             ipos, jpos = targets[chunk], sources[chunk]
             y = centers[ipos][:, None, :] + radii[ipos][:, None, None] * points
             y = (y - centers[jpos][:, None, :]).reshape(-1, 3)
-            yield ipos, jpos, _chunk_blocks(config.background, degree, rows, y, radii[jpos],
-                                            int(enclosing[jpos].sum()), classes)
+            yield ipos, jpos, classes or whole, _chunk_blocks(
+                config.background, degree, rows, y, radii[jpos], int(enclosing[jpos].sum()), classes)
 
 
 def _chunk_blocks(background: LameParams, degree: int, rows: np.ndarray, y: np.ndarray,
-                  src_radii: np.ndarray, n_in: int, classes: tuple | None) -> np.ndarray:
-    """Raw blocks of one chunk of pairs, (pairs, n_a, n_a); see ``_pair_blocks``.
+                  src_radii: np.ndarray, n_in: int, classes: tuple | None) -> tuple[np.ndarray, ...]:
+    """Class parts of the raw blocks of one chunk of pairs; see ``_pair_blocks``.
 
     ``y`` holds x_tgt + r_tgt s_t - x_src pair-major at the T nodes whose
     test rows (n_a, 3 T) are ``rows``, and the first ``n_in`` pairs take
     the 'in' side.  ``classes``, unless None, are the active modes of each
     character under the pairs' stabilizer, and ``rows`` are taken in the
     order of the concatenated classes: one product per class computes the
-    entries between its modes, into a block whose other entries are exact
-    zeros.  None is one class of all modes in their own order.  A
-    function of its own so that the chunk's temporaries are freed before
-    the next one.
+    entries between its modes, (pairs, m_c, m_c), and the tuple of these
+    parts is returned.  None is one class of all modes in their own
+    order, whose one part holds the whole blocks.  A function of its own
+    so that the chunk's temporaries are freed before the next one.
     """
     L2, T, n = num_scalar_modes(degree), rows.shape[1] // 3, src_radii.size
     active = np.flatnonzero(_active_mask(degree))
@@ -445,18 +538,13 @@ def _chunk_blocks(background: LameParams, degree: int, rows: np.ndarray, y: np.n
         fields[at[sl, families]] = np.einsum("kptc,tkq->pqtc", np.stack([V[sl], W[sl], X[sl]]),
                                              A[ell][:, :, families])
     del V, W, X
-    if len(classes) == 1:
-        raw = (rows @ G.reshape(-1, 3 * T).T).reshape(active.size, active.size, n)
-    else:
-        raw = np.zeros((active.size, active.size, n))
-        start = 0
-        for modes in classes:
-            stop = start + modes.size
-            part = rows[start:stop] @ G[start:stop].reshape(-1, 3 * T).T
-            raw[modes[:, None], modes] = part.reshape(modes.size, modes.size, n)
-            del part
-            start = stop
-    return raw.transpose(2, 0, 1)
+    parts, start = [], 0
+    for modes in classes:
+        stop = start + modes.size
+        part = rows[start:stop] @ G[start:stop].reshape(-1, 3 * T).T
+        parts.append(part.reshape(modes.size, modes.size, n).transpose(2, 0, 1))
+        start = stop
+    return tuple(parts)
 
 
 @lru_cache(maxsize=1)
@@ -537,7 +625,17 @@ def assemble(
     mode: str = DEFAULT_MODE,
     sigma: dict[int, VshExpansion] | None = None,
 ) -> DenseSystem:
-    """Build the dense Galerkin system for a validated configuration."""
+    """Build the Galerkin system for a validated configuration.
+
+    N is held as one block per character class (``_character_classes``),
+    each made once, at its final size: class c takes the same active
+    modes s_c of every sphere, so its block is viewed as (target, target
+    mode, source, source mode), (M, s_c, M, s_c).  Each chunk of pair
+    blocks arrives as one part per character class of the pairs'
+    stabilizer, which holds the common flips, so each part lies in one
+    class of N: times the source's C, it is written straight into its
+    (target, source) sub-block there, after F has taken it.
+    """
     rule = config.rule() if rule is None else rule
     degree = config.degree
     _check_rule(rule, degree)
@@ -550,21 +648,49 @@ def assemble(
     sig = np.array([sigma[s.id].flat[mask] for s in config.spheres])
     radii = np.array([s.frame.radius for s in config.spheres])
     D = np.tile(norms, M)
-    Nmat = np.zeros((dofmap.size, dofmap.size))
-    # the diagonal blocks are exactly diagonal by orthogonality
-    Nmat.reshape(-1)[::dofmap.size + 1] = diag.reshape(-1)
-    blocks = Nmat.reshape(M, na, M, na)  # (target, target mode, source, source mode)
-    F = (radii[:, None] * sig * tau0 * norms).reshape(-1)
-    loaded = np.any(sig != 0.0, axis=1)
-    for ipos, jpos, raw in _pair_blocks(config, rule, dofmap, *_ordered_pairs(config)):
-        for n in np.flatnonzero(loaded[jpos]):
-            i, j = ipos[n], jpos[n]
-            F[dofmap.sphere_slice(i)] += radii[j] * (raw[n] @ sig[j])
-        raw *= C[jpos][:, None, :]
-        blocks[ipos, :, jpos] = raw
+    F = radii[:, None] * sig * tau0 * norms
+    layout = _character_classes(config, dofmap)
+    classes, owner, place = layout.classes, layout.owner, layout.place
+    sizes = [rows.size for rows in classes]
+    ends = list(accumulate(m * m for m in sizes))
+    flat = np.zeros(ends[-1])
+    # the diagonal blocks of N are exactly diagonal by orthogonality
+    Nmat = ClassBlocks(classes, tuple(flat[e - m * m:e].reshape(m, m) for e, m in zip(ends, sizes)))
+    flat[layout.diagonal] = diag.reshape(-1)[Nmat.order]
+    # per class: its block as (target, target mode, source, source mode),
+    # and the span of its modes in the loads, F and C taken class by class
+    views = [block.reshape(M, m // M, M, m // M) for block, m in zip(Nmat.blocks, sizes)]
+    spans = [slice(a, a + m // M) for a, m in zip(layout.starts.tolist(), sizes)]
+    loads, F_by_class, C_by_class = sig[:, layout.modes], F[:, layout.modes], C[:, layout.modes]
+    # whether the load of each sphere has modes in each class: if not, the
+    # class adds zeros to F
+    loaded = np.logical_or.reduceat(loads != 0.0, layout.starts, axis=1).tolist()
+    r = radii.tolist()
+    for ipos, jpos, pair_classes, parts in _pair_blocks(config, rule, dofmap, *_ordered_pairs(config)):
+        Cj = C_by_class[jpos][:, None, :]
+        pairs = list(enumerate(zip(ipos.tolist(), jpos.tolist())))
+        # as many classes as N has: each is one of N's, whole
+        whole = len(pair_classes) == len(classes)
+        for modes, part in zip(pair_classes, parts):
+            c = owner[modes[0]]
+            at = spans[c] if whole else layout.starts[c] + place[modes]
+            for n, (i, j) in pairs:
+                if loaded[j][c]:
+                    F_by_class[i, at] += r[j] * (part[n] @ loads[j, at])
+            part *= Cj[:, :, at]
+            if whole:
+                views[c][ipos, :, jpos] = part
+            else:
+                # a part of some of the class's modes: its entries' flat
+                # positions, one index each, scatter faster than four indices
+                s, p = views[c].shape[1], place[modes]
+                m = M * s
+                where = (ipos * (s * m) + jpos * s)[:, None, None] + (p[:, None] * m + p)
+                Nmat.blocks[c].reshape(-1)[where] = part
         # freed before the next chunk is generated
-        del raw
-    return DenseSystem(dofmap=dofmap, D=D, Nmat=Nmat, F=F, sigma=sigma, mode=mode)
+        del parts, part
+    F[:, layout.modes] = F_by_class
+    return DenseSystem(dofmap=dofmap, D=D, Nmat=Nmat, F=F.reshape(-1), sigma=sigma, mode=mode)
 
 
 def _scatter_add(acc: np.ndarray, scatter: csr_array, res: np.ndarray) -> None:
@@ -607,14 +733,15 @@ class CouplingOperator:
 
     Built from the same generator ``assemble`` reads, but only for one
     representative pair per key of ``_distinct_pairs``, whose keys ignore
-    the signs of the displacement.  Each generated block is turned to the
-    canonical orientation by its representative's H_sigma (a diagonal of
-    +-1 per active mode, ``signs[sigma]``) and held read-only in
-    ``blocks`` (keys, n_a, n_a).  A pair of pattern sigma couples its
-    source through H_sigma B H_sigma, exactly for the reflection-closed
-    Lebedev rules.  The keys are ordered by their pair count c, stably,
-    and the keys of one count form a class (``classes``, see
-    ``_PairClass``) whose blocks are consecutive.
+    the signs of the displacement.  Each generated class part is turned
+    to the canonical orientation by its representative's H_sigma (a
+    diagonal of +-1 per active mode, ``signs[sigma]``) and placed in its
+    key's block, held read-only in ``blocks`` (keys, n_a, n_a), whose
+    entries between the classes of a folded pair stay zero.  A pair of
+    pattern sigma couples its source through H_sigma B H_sigma, exactly
+    for the reflection-closed Lebedev rules.  The keys are ordered by
+    their pair count c, stably, and the keys of one count form a class
+    (``classes``, see ``_PairClass``) whose blocks are consecutive.
 
     A product turns every source by each pattern's H once, (8 M, n_a).
     Per class it takes one batched matmul of the blocks with the stacked
@@ -649,13 +776,20 @@ class CouplingOperator:
         slot = np.empty_like(order)
         slot[order] = np.arange(order.size)
         na = self.dofmap.modes_per_sphere
-        # each block goes straight to its slot: no second copy of the blocks
-        self.blocks = np.empty((order.size, na, na))
+        # each part goes straight to its slot: no second copy of the blocks
+        self.blocks = np.zeros((order.size, na, na))
         k = 0
-        for _ipos, _jpos, raw in _pair_blocks(config, rule, self.dofmap, rep_targets, rep_sources):
-            h = self.signs[rep_patterns[k:k + len(raw)]]
-            self.blocks[slot[k:k + len(raw)]] = h[:, :, None] * raw * h[:, None, :]
-            k += len(raw)
+        for _ipos, _jpos, pair_classes, parts in _pair_blocks(config, rule, self.dofmap,
+                                                              rep_targets, rep_sources):
+            keys = slice(k, k + len(parts[0]))
+            for modes, part in zip(pair_classes, parts):
+                h = self.signs[rep_patterns[keys]][:, modes]
+                turned = h[:, :, None] * part * h[:, None, :]
+                if modes.size == na:
+                    self.blocks[slot[keys]] = turned
+                else:
+                    self.blocks[slot[keys][:, None, None], modes[:, None], modes] = turned
+            k = keys.stop
         self.blocks.setflags(write=False)
         classes = []
         starts = np.flatnonzero(np.diff(counts[order], prepend=-1))
@@ -728,7 +862,7 @@ def coupling_operator(config: ProblemConfig, rule: LebedevRule, mode: str) -> Co
 def solver_bytes(config: ProblemConfig, product: str) -> int:
     """Bytes of the largest arrays a solve of ``config`` holds.
 
-    ``product`` is ``"dense"`` (the n x n N of ``assemble``) or
+    ``product`` is ``"dense"`` (the N of ``assemble``) or
     ``"matrix_free"`` (a ``CouplingOperator``).  The operator holds one
     raw block per key of ``_distinct_pairs``, which pairs whose
     displacements differ only in the signs of their components share
@@ -743,15 +877,17 @@ def solver_bytes(config: ProblemConfig, product: str) -> int:
     arrays and 11.5 MB of work arrays, against 18.7 MB held and an
     11.8 MB product peak measured by tracemalloc.
 
-    The direct solver adds the bordered copy of the dense N (at most
-    six rigid traces), charged in float64.  That is what it takes with
-    one character class in the float64 retry of an ill-conditioned
-    system (see ``solve_direct``); the float32 copy it factors first
-    takes half of it, and a split into character classes takes less
-    (with four classes of about n/4 unknowns, the float64 copy of one
-    class's N and its float64 B hold an eighth of it), so the charge
-    stays an upper bound.  GMRES adds its Krylov basis of
-    restart + 1 bordered vectors.
+    The dense N is charged 8 n^2 bytes, what it holds with one character
+    class.  Split into classes of m_c unknowns (``ClassBlocks``), it
+    holds sum_c 8 m_c^2, a quarter of that for the three spheres on the
+    x axis, so the charge is an upper bound.  The direct solver adds
+    the bordered copy of N (at most six rigid traces), charged in
+    float64.  That is what it takes with one class in the float64 retry
+    of an ill-conditioned system (see ``solve_direct``); the float32 copy
+    it factors first takes half of it, and a class takes less (with four
+    classes of about n/4 unknowns, one class's float64 B holds a
+    sixteenth of it), so that charge is an upper bound too.  GMRES adds
+    its Krylov basis of restart + 1 bordered vectors.
     """
     dofmap = _dofmap(config)
     n, na = dofmap.size, dofmap.modes_per_sphere
@@ -821,19 +957,63 @@ def _common_axes(config: ProblemConfig) -> int:
     return int((centers == centers[0]).all(axis=0) @ np.array([1, 2, 4]))
 
 
-def _character_classes(config: ProblemConfig, dofmap: DofMap) -> tuple[np.ndarray, ...]:
+class _ClassLayout(NamedTuple):
+    """The character classes of a configuration's unknowns and where
+    ``assemble`` puts each mode in their blocks (``_character_classes``).
+
+    Each class takes the same active modes of every sphere, s_c of them,
+    sphere-major: ``classes[c]`` holds the m_c = M s_c sorted indices of
+    its unknowns.  ``owner`` and ``place`` give each active mode's class
+    and its place among that class's modes of one sphere, (n_a,) each;
+    ``modes`` lists the active modes class by class, and class c's start
+    at ``starts[c]``.  The class blocks are held one after the other,
+    each row-major, and ``diagonal`` holds the flat positions of their
+    diagonal entries, in the order of the concatenated classes.
+    Read-only.
+    """
+
+    classes: tuple[np.ndarray, ...]
+    owner: np.ndarray
+    place: np.ndarray
+    diagonal: np.ndarray
+    modes: np.ndarray
+    starts: np.ndarray
+
+
+def _character_classes(config: ProblemConfig, dofmap: DofMap) -> _ClassLayout:
     """The unknowns of each character under the configuration's common
-    flips (``_common_axes``, ``_characters``), as sorted index arrays.
+    flips (``_common_axes``, ``_characters``), and their layout.
 
     Every pair's stabilizer holds those flips, so the blocks of N couple
     only unknowns of one character, and the diagonal blocks are diagonal:
     N is block-diagonal over these classes, up to a reordering.  A
     configuration with no common flip has one class.
     """
-    character = _characters(dofmap.degree, _common_axes(config))
-    return _classes(np.tile(character, len(dofmap.sphere_ids)))
+    return _class_layout(dofmap.degree, _common_axes(config), len(dofmap.sphere_ids))
 
 
+@lru_cache(maxsize=16)
+def _class_layout(degree: int, axes: int, spheres: int) -> _ClassLayout:
+    """``_character_classes`` of that many spheres under the flips of the
+    axes in the pattern ``axes``; the pattern 0 gives one class."""
+    modes = _classes(_characters(degree, axes))
+    sizes = np.array([c.size for c in modes])
+    na = int(sizes.sum())
+    classes = tuple((np.arange(spheres)[:, None] * na + c).reshape(-1) for c in modes)
+    owner, place = np.empty(na, dtype=int), np.empty(na, dtype=int)
+    for k, c in enumerate(modes):
+        owner[c], place[c] = k, np.arange(c.size)
+    # diagonal entry k of a class block of m unknowns is k (m + 1) past its start
+    m = spheres * sizes
+    diagonal = np.concatenate([start + np.arange(size) * (size + 1)
+                               for start, size in zip((np.cumsum(m * m) - m * m).tolist(), m.tolist())])
+    out = _ClassLayout(classes, owner, place, diagonal, np.concatenate(modes), np.cumsum(sizes) - sizes)
+    for a in (*classes, *out[1:]):
+        a.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=1)
 def rigid_trace_vectors(config: ProblemConfig, dofmap: DofMap, mode: str) -> np.ndarray:
     """Known null vectors of (D - N): traces of rigid motions.
 
@@ -851,6 +1031,9 @@ def rigid_trace_vectors(config: ProblemConfig, dofmap: DofMap, mode: str) -> np.
     each orthonormalised column in exact arithmetic.  The QR leaves
     rounding, up to 7e-17, in the rows of other characters; it is set to
     zero, so that every column is pure (and orthonormal to rounding).
+
+    Read-only.  The last configuration's are kept, so that the solves of
+    one configuration and their checks share one QR.
     """
     c = sqrt(4.0 * pi / 3.0)
     M, na = len(config.spheres), dofmap.modes_per_sphere
@@ -867,6 +1050,7 @@ def rigid_trace_vectors(config: ProblemConfig, dofmap: DofMap, mode: str) -> np.
     if axes:
         character = np.tile(_characters(dofmap.degree, axes), M)
         Q[character[:, None] != character[np.abs(Q).argmax(axis=0)]] = 0.0
+    Q.setflags(write=False)
     return Q
 
 
@@ -928,9 +1112,10 @@ def _bordered_matrix(Nmat: np.ndarray, D: np.ndarray, DZ: np.ndarray, dtype,
                      top: float | None = None) -> np.ndarray:
     """B = [[D - N, D Z], [Z^T D, 0]] in ``dtype``, with no n x n temporary.
 
-    In float32, -N is rounded in row blocks of about ``_ROW_BLOCK``
-    entries, and its entries below ``_FLUSH`` of ``top`` (by default the
-    largest diagonal entry of B) are set to zero first.
+    In float32, -N is rounded into B's rows in blocks of about
+    ``_ROW_BLOCK`` entries, and its rounded entries below ``_FLUSH`` of
+    ``top`` (by default the largest diagonal entry of B) are set to zero
+    there, so that every temporary is float32 or boolean.
     """
     n, k = DZ.shape
     B = np.empty((n + k, n + k), dtype)
@@ -941,9 +1126,9 @@ def _bordered_matrix(Nmat: np.ndarray, D: np.ndarray, DZ: np.ndarray, dtype,
         tiny = _FLUSH * (np.abs(diagonal).max() if top is None else top)
         rows = max(1, _ROW_BLOCK // n)
         for r0 in range(0, n, rows):
-            block = np.negative(Nmat[r0:r0 + rows])
+            block = B[r0:min(r0 + rows, n), :n]
+            np.negative(Nmat[r0:r0 + rows], out=block)
             block *= np.abs(block) >= tiny  # 3x faster than block[mask] = 0
-            B[r0:r0 + len(block), :n] = block
     B.reshape(-1)[:n * (n + k + 1):n + k + 1] = diagonal
     B[:n, n:] = DZ
     B[n:, :n] = DZ.T
@@ -1009,36 +1194,31 @@ def _refine(factors, trans: int, subtract_product, left, right, y: np.ndarray | 
     return y, _REFINE_MAX, False
 
 
-def _bordered_solve(system: DenseSystem, config: ProblemConfig, Z: np.ndarray, dtype,
-                    classes: tuple[np.ndarray, ...]):
+def _bordered_solve(system: DenseSystem, config: ProblemConfig, Z: np.ndarray, dtype):
     """The two bordered solves of ``solve_direct`` with LU factors in ``dtype``,
     one character class at a time.
 
-    ``classes`` are sorted index arrays of the unknowns over which N is
-    block-diagonal (``_character_classes``), and each column of ``Z`` is
-    nonzero in one class only.  Returns the gauge-fixed least-squares x,
-    the consistency floor, the rcond of the block-diagonal bordered
-    matrix and the most refinement steps of any class
-    ``{"psi": .., "x": ..}``, or None when float32 factors are too
-    ill-conditioned or a refinement does not converge.  Only one class's
-    arrays are alive at a time, and every large array it makes is freed
-    on return.  With one class, N is read in place.
+    N is block-diagonal over the classes of ``system.Nmat``, whose blocks
+    are read in place, and each column of ``Z`` is nonzero in one class
+    only.  Returns the gauge-fixed least-squares x, the consistency floor,
+    the rcond of the block-diagonal bordered matrix and the most
+    refinement steps of any class ``{"psi": .., "x": ..}``, or None when
+    float32 factors are too ill-conditioned or a refinement does not
+    converge.  Only one class's arrays are alive at a time, and every
+    large array it makes is freed on return.
     """
     D, F, Nmat = system.D, system.F, system.Nmat
     n, k = Z.shape
     retry = dtype == np.float32
-    top = np.abs(D - np.diagonal(Nmat)).max()
+    top = np.abs(D - Nmat.diagonal()).max()
     x = np.empty(n)
     steps = {"psi": 0, "x": 0}
     # per class: rcond times |B_c|, |B_c| and |(D - N) Z| (infinity norms)
     # and the squared norm of the incompatible load
     scaled, norms, nulls, incompatible = [], [], [], 0.0
-    for rows in classes:
-        if len(classes) == 1:
-            N, d, f, z = Nmat, D, F, Z
-        else:
-            N, d, f, z = Nmat[np.ix_(rows, rows)], D[rows], F[rows], Z[rows]
-            z = z[:, z.any(axis=0)]
+    for rows, N in zip(Nmat.classes, Nmat.blocks):
+        d, f, z = D[rows], F[rows], Z[rows]
+        z = z[:, z.any(axis=0)]
         m, kc = z.shape
         dz = d[:, None] * z
         # z has a few nonzero rows per sphere: N z reads only those columns.
@@ -1099,7 +1279,7 @@ def _bordered_solve(system: DenseSystem, config: ProblemConfig, Z: np.ndarray, d
             return None
         steps["x"] = max(steps["x"], x_steps)
         x[rows] = xc[0, :m]
-        del N, factors
+        del factors
     # the 1-norm rcond of the block-diagonal B.T and its (D - N) Z check
     rcond = min(scaled) / max(norms)
     if retry and not rcond >= _RCOND_F32:
@@ -1126,18 +1306,6 @@ def _check_rcond(rcond: float, k: int) -> None:
         )
 
 
-def _solve_classes(system: DenseSystem, config: ProblemConfig) -> tuple[np.ndarray, ...]:
-    """``_character_classes``, once N is checked to vanish exactly outside
-    them: the nonzeros of N must be those of its class blocks.  Otherwise
-    (N changed by its caller, say) one class of all unknowns."""
-    classes = _character_classes(config, system.dofmap)
-    Nmat = system.Nmat
-    if len(classes) > 1 and np.count_nonzero(Nmat) != sum(
-            np.count_nonzero(Nmat[np.ix_(rows, rows)]) for rows in classes):
-        return (np.arange(system.dofmap.size),)
-    return classes
-
-
 def solve_direct(system: DenseSystem, config: ProblemConfig) -> Solution:
     """Bordered LU solve in the rigid-trace gauge, float32 factors refined in float64.
 
@@ -1158,22 +1326,23 @@ def solve_direct(system: DenseSystem, config: ProblemConfig) -> Solution:
     symmetry, each flip about such a plane multiplies every unknown by a
     sign, and N couples only unknowns of one character
     (``_character_classes``); so does B, since each column of Z is of one
-    character.  B is then block-diagonal up to a reordering, and each
-    class's block [[A_c, D_c Z_c], [Z_c^T D_c, 0]] is factored and solved
-    on its own, one class at a time: the three-sphere case, on the x
-    axis, has four classes of about n/4 unknowns.  The classes are used
-    only when the nonzeros of N are exactly those of its class blocks;
-    otherwise (N changed by its caller, or no common plane) one class
-    holds every unknown and N is read in place.  The reported rcond is
-    the 1-norm rcond of the block-diagonal B, min_c(rcond_c |B_c|) /
-    max_c |B_c|, and the diagnostics list the class sizes
-    (``characters``).
+    character.  ``assemble`` holds N as one block per class
+    (``ClassBlocks``), so B is block-diagonal up to a reordering, and
+    each class's block [[A_c, D_c Z_c], [Z_c^T D_c, 0]] is built from its
+    block of N in place, factored and solved on its own, one class at a
+    time: the three-sphere case, on the x axis, has four classes of about
+    n/4 unknowns.  With no common plane, or for a system built from an
+    arbitrary N by ``ClassBlocks.whole``, one class holds every unknown.
+    The reported rcond is the 1-norm rcond of the block-diagonal B,
+    min_c(rcond_c |B_c|) / max_c |B_c|, and the diagnostics list the
+    class sizes (``characters``), the ``product`` ("dense") and the
+    bytes of the class blocks of N (``held_block_bytes``, sum_c 8 m_c^2),
+    as ``solve_iterative``'s name the memory its product holds.
 
     Precision.  Each class's B is built in float32 and factored by LAPACK
     ``sgetrf``; its transpose is Fortran-ordered, so no copy is made.
-    Besides ``Nmat``, a class holds its float32 B and, unless it is the
-    only class, a float64 copy of its rows and columns of N.  While -N is
-    rounded in row blocks, its entries below 2^-40 of the largest
+    Besides ``Nmat``, a class holds its float32 B.  While -N is
+    rounded into B's rows, its entries below 2^-40 of the largest
     diagonal entry of the whole B are set to zero: the coupling of
     distant high-degree modes decays to values that would become float32
     subnormals, and those slow the factorisation from 0.3 s to 15 s at
@@ -1200,9 +1369,8 @@ def solve_direct(system: DenseSystem, config: ProblemConfig) -> Solution:
     ``refinement_steps`` {"psi": .., "x": ..}, the most of any class.
     """
     Z = rigid_trace_vectors(config, system.dofmap, system.mode)
-    classes = _solve_classes(system, config)
     for dtype in (np.float32, np.float64):
-        solved = _bordered_solve(system, config, Z, dtype, classes)
+        solved = _bordered_solve(system, config, Z, dtype)
         if solved is not None:
             break
     x, floor, rcond, steps = solved
@@ -1216,7 +1384,8 @@ def solve_direct(system: DenseSystem, config: ProblemConfig) -> Solution:
         diagnostics={"solver_path": "bordered_lu", "rank": n - k, "null_dim": k,
                      "rcond": rcond, "consistency_floor": floor,
                      "factorisation": np.dtype(dtype).name, "refinement_steps": steps,
-                     "characters": [len(rows) for rows in classes]},
+                     "characters": [len(rows) for rows in Nmat.classes],
+                     "product": system.product, "held_block_bytes": system.held_block_bytes},
     )
 
 

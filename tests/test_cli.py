@@ -67,6 +67,9 @@ def test_direct_solver_precision_recorded(tmp_path):
     signs = harmonics.reflection_signs(8)[[2, 4]][:, system.DofMap(8, (1,)).active_mask()]
     counts = np.bincount(np.array([2, 4]) @ (signs < 0.0))
     assert solver["characters"] == (3 * counts[counts > 0]).tolist()
+    # N is held as one float64 block per class, as the record names
+    assert solver["product"] == "dense"
+    assert solver["held_block_bytes"] == sum(8 * (3 * int(c)) ** 2 for c in counts[counts > 0])
 
 
 def test_dense_memory_refused(table3_path, tmp_path, monkeypatch, capsys):

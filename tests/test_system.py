@@ -18,6 +18,7 @@ from elastisph.problem import BoundaryData, ProblemConfig, SphereSpec, validate
 from elastisph.quadrature import LEBEDEV_TABLE, SphereFrame, rule_for_degree
 from elastisph.spectra import MODE_AS_PRINTED, MODE_SELF_CONSISTENT, adjoint_double_eigs, single_layer_eigs
 from elastisph.system import (
+    ClassBlocks,
     DofMap,
     SolverError,
     _gauge_project,
@@ -94,7 +95,8 @@ class TestAssembly:
     def test_one_sphere_diagonal_closure(self):
         cfg = validate(one_sphere_config(1, 3))
         system = assemble(cfg)
-        off = system.Nmat - np.diag(np.diag(system.Nmat))
+        N = system.Nmat.toarray()
+        off = N - np.diag(np.diag(N))
         assert np.max(np.abs(off)) == 0.0
         sol = solve_direct(system, cfg)
         sigma = system.sigma[1]
@@ -122,8 +124,9 @@ class TestAssembly:
         validate(cfg)
         system = assemble(cfg)
         n = system.dofmap.modes_per_sphere
-        assert np.max(np.abs(system.Nmat[:, :n])) == 0.0  # columns of sphere 1
-        assert np.max(np.abs(system.Nmat[:n, :n])) == 0.0
+        N = system.Nmat.toarray()
+        assert np.max(np.abs(N[:, :n])) == 0.0  # columns of sphere 1
+        assert np.max(np.abs(N[:n, :n])) == 0.0
 
     def test_diagonal_block_no_toroidal_coupling(self):
         cfg = validate(three_sphere_config(3))
@@ -132,9 +135,10 @@ class TestAssembly:
         mask = dm.active_mask()
         labels = [(p // 3, p % 3) for p in range(3 * 16)]
         active = [lab for lab, keep in zip(labels, mask) if keep]
+        N = system.Nmat.toarray()
         for pos in range(3):
             sl = dm.sphere_slice(pos)
-            block = system.Nmat[sl, sl]
+            block = N[sl, sl]
             off = block - np.diag(np.diag(block))
             assert np.max(np.abs(off)) == 0.0
 
@@ -147,7 +151,7 @@ class TestAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert_allclose(A, np.diag(system.D) - system.Nmat, rtol=0.0, atol=0.0)
+        assert_allclose(A, np.diag(system.D) - system.Nmat.toarray(), rtol=0.0, atol=0.0)
         assert peak < 1.5 * A.nbytes
 
     def test_rule_too_weak(self):
@@ -173,7 +177,8 @@ class TestAssembly:
 
         s1 = assemble(cfg_at(1.0))
         s2 = assemble(cfg_at(2.0))
-        assert np.max(np.abs(s1.Nmat - s2.Nmat)) < 1e-12 * np.max(np.abs(s1.Nmat))
+        N1, N2 = s1.Nmat.toarray(), s2.Nmat.toarray()
+        assert np.max(np.abs(N1 - N2)) < 1e-12 * np.max(np.abs(N1))
         # with identical coefficient data the radius factors double every F row
         assert_allclose(s2.F, 2.0 * s1.F, atol=1e-12)
 
@@ -244,8 +249,8 @@ class TestPairBlocks:
                     operator = CouplingOperator(cfg, cfg.rule(), mode)
                 mv = operator.D * lam - operator.coupling(lam)
                 # chunks change only the blocking of the products
-                assert_allclose(single.Nmat, batched.Nmat, rtol=0,
-                                atol=1e-15 * np.abs(batched.Nmat).max())
+                N = batched.Nmat.toarray()
+                assert_allclose(single.Nmat.toarray(), N, rtol=0, atol=1e-15 * np.abs(N).max())
                 assert_allclose(single.F, batched.F, rtol=0, atol=1e-15 * np.abs(batched.F).max())
                 dense = batched.D * lam - batched.Nmat @ lam
                 assert np.max(np.abs(mv - dense)) < 1e-13 * max(1.0, np.max(np.abs(dense)))
@@ -278,9 +283,9 @@ class TestPairBlocks:
         original = system_module._chunk_blocks
 
         def counting(*args):
-            raw = original(*args)
-            blocks.append(len(raw))
-            return raw
+            parts = original(*args)
+            blocks.append(len(parts[0]))
+            return parts
 
         monkeypatch.setattr(system_module, "_chunk_blocks", counting)
         CouplingOperator(cfg, cfg.rule(), MODE_SELF_CONSISTENT)
@@ -296,9 +301,9 @@ class TestPairBlocks:
         original = system_module._chunk_blocks
 
         def counting(*args):
-            raw = original(*args)
-            blocks.append(len(raw))
-            return raw
+            parts = original(*args)
+            blocks.append(len(parts[0]))
+            return parts
 
         monkeypatch.setattr(system_module, "_chunk_blocks", counting)
         coupling_operator.cache_clear()
@@ -346,6 +351,18 @@ class TestPairBlocks:
         assert len(calls) <= 2 * M + 2
 
 
+def _raw_blocks(cfg, rule, dofmap, targets, sources):
+    """The raw blocks of the given pairs, (pairs, n_a, n_a), each made whole
+    from the class parts ``_pair_blocks`` generates: zero between classes."""
+    out = []
+    for _ipos, _jpos, classes, parts in system_module._pair_blocks(cfg, rule, dofmap, targets, sources):
+        raw = np.zeros((len(parts[0]), dofmap.modes_per_sphere, dofmap.modes_per_sphere))
+        for modes, part in zip(classes, parts):
+            raw[:, modes[:, None], modes] = part
+        out.append(raw)
+    return np.concatenate(out)
+
+
 _LAYOUT_CONFIGS = pytest.mark.parametrize("cfg", [
     lattice_config(1), lattice_config(2), lattice_config(3), three_sphere_config(3),
 ], ids=["lattice_r1", "lattice_r2", "lattice_r3", "table3_n3"])
@@ -387,8 +404,7 @@ class TestReflectedBlocks:
             for s in cfg.spheres))
         rule, dofmap = cfg.rule(), system_module._dofmap(cfg)
         pairs = system_module._ordered_pairs(cfg)
-        blocks, mirrored = (np.concatenate([raw for *_, raw in system_module._pair_blocks(
-            c, rule, dofmap, *pairs)]) for c in (cfg, reflected))
+        blocks, mirrored = (_raw_blocks(c, rule, dofmap, *pairs) for c in (cfg, reflected))
         h = _reflection_diagonal(rule, degree, flip)[dofmap.active_mask()]
         expected = h[:, None] * blocks * h
         assert np.all(np.abs(mirrored - expected).max(axis=(1, 2)) <= 1e-14 * np.abs(blocks).max(axis=(1, 2)))
@@ -423,8 +439,9 @@ class TestFolding:
             for degree in range(1, 9):
                 dofmap = system_module.DofMap(degree=degree, sphere_ids=(1, 2))
                 active = dofmap.active_mask()
-                (_, _, folded), = system_module._pair_blocks(cfg, rule, dofmap, targets, sources)
-                full = system_module._chunk_blocks(
+                (_, _, classes, _parts), = system_module._pair_blocks(cfg, rule, dofmap, targets, sources)
+                folded = _raw_blocks(cfg, rule, dofmap, targets, sources)
+                (full,) = system_module._chunk_blocks(
                     cfg.background, degree, harmonics.weighted_basis(rule, degree)[active], y,
                     radii[1:], int(side == "in"), None)
                 scale = np.abs(full).max()
@@ -434,7 +451,13 @@ class TestFolding:
                 signs = flips[:, :3 * (degree + 1) ** 2][:, active]
                 odd = (signs[:, :, None] != signs[:, None, :]).any(axis=0)
                 assert odd.any() == (axes != 0)
-                assert np.all(folded[0][odd] == 0.0)
+                # the parts are the blocks of the modes of one sign pattern, which
+                # hold every mode once: the odd entries are the ones not made
+                assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(dofmap.modes_per_sphere))
+                made = np.zeros_like(odd)
+                for modes in classes:
+                    made[modes[:, None], modes] = True
+                assert np.array_equal(made, ~odd)
 
     @pytest.mark.parametrize("rule_degree", [d for d, _count in LEBEDEV_TABLE])
     def test_orbits_cover_the_rule(self, rule_degree):
@@ -485,8 +508,7 @@ class TestPairClasses:
         operator = CouplingOperator(cfg, cfg.rule(), mode)
         (rep_targets, rep_sources, rep_patterns), (targets, sources, patterns, bounds) = \
             system_module._distinct_pairs(cfg)
-        raw = np.concatenate([blocks for *_, blocks in system_module._pair_blocks(
-            cfg, cfg.rule(), operator.dofmap, rep_targets, rep_sources)])
+        raw = _raw_blocks(cfg, cfg.rule(), operator.dofmap, rep_targets, rep_sources)
         signs = harmonics.reflection_signs(cfg.degree)[:, operator.dofmap.active_mask()]
         lam = np.random.default_rng(8).normal(size=(len(cfg.spheres), operator.dofmap.modes_per_sphere))
         expected = operator.diag * lam
@@ -610,12 +632,21 @@ def _stiff_inclusion(degree):
 
 
 def _largest_class_bytes(cfg, system, itemsize):
-    """Bytes of the largest character class's float64 rows and columns of N
-    and of its bordered matrix in the factors' precision."""
+    """Bytes of the largest character class's bordered matrix in the
+    factors' precision."""
     Z = rigid_trace_vectors(cfg, system.dofmap, system.mode)
-    sizes = [(rows.size, np.count_nonzero(Z[rows].any(axis=0)))
-             for rows in system_module._character_classes(cfg, system.dofmap)]
-    return max(8 * m * m + itemsize * (m + k) ** 2 for m, k in sizes)
+    sizes = [(rows.size, np.count_nonzero(Z[rows].any(axis=0))) for rows in system.Nmat.classes]
+    return max(itemsize * (m + k) ** 2 for m, k in sizes)
+
+
+def _corrupted(system, Z, seed):
+    """A one-class copy of the system with A' = A - (A v) v^T / v^T v, which
+    annihilates a random v orthogonal to the orthonormal Z; A' Z = A Z = 0
+    still, so null(A') exceeds span Z.  The change couples every character."""
+    v = np.random.default_rng(seed).normal(size=system.dofmap.size)
+    v -= Z @ (Z.T @ v)
+    N = system.Nmat.toarray() + np.outer(system.matrix @ v, v) / (v @ v)
+    return dataclasses.replace(system, Nmat=ClassBlocks.whole(N))
 
 
 def _gelsy_oracle(system, Z):
@@ -653,14 +684,10 @@ class TestBorderedLU:
         assert sol.residual == pytest.approx(floor, rel=1e-6, abs=1e-14)
 
     def test_extra_null_vector_raises(self):
-        # A' = A - (A v) v^T / v^T v annihilates v; with v orthogonal to the
-        # orthonormal Z it keeps A' Z = A Z = 0, so null(A') exceeds span Z
         cfg = validate(three_sphere_config(3))
         system = assemble(cfg)
         Z = rigid_trace_vectors(cfg, system.dofmap, system.mode)
-        v = np.random.default_rng(7).normal(size=system.dofmap.size)
-        v -= Z @ (Z.T @ v)
-        system.Nmat += np.outer(system.matrix @ v, v) / (v @ v)
+        system = _corrupted(system, Z, 7)
         assert np.abs(system.matrix @ Z).max() < 1e-12 * np.abs(system.matrix).max()
         with pytest.raises(SolverError, match="rcond"):
             solve_direct(system, cfg)
@@ -674,20 +701,23 @@ class TestBorderedLU:
             solve_direct(system, cfg)
 
     def test_non_null_rigid_traces_raise(self):
-        # the check reads N only on the rows where Z is nonzero: perturb one
+        # the check reads N only on the rows where Z is nonzero: perturb one,
+        # within the block of its character class
         cfg = validate(three_sphere_config(3))
         system = assemble(cfg)
         Z = rigid_trace_vectors(cfg, system.dofmap, system.mode)
         column = np.flatnonzero(np.abs(Z).max(axis=1) > 0.1)[-1]
-        system.Nmat[:, column] += 1e-6 * np.abs(system.Nmat).max()
+        (c,) = [c for c, rows in enumerate(system.Nmat.classes) if column in rows]
+        block = system.Nmat.blocks[c]
+        block[:, np.searchsorted(system.Nmat.classes[c], column)] += 1e-6 * np.abs(block).max()
         with pytest.raises(SolverError, match="rigid traces are not null vectors"):
             solve_direct(system, cfg)
 
     def test_one_bordered_allocation(self):
-        # one character class at a time: its float64 rows and columns of N
-        # and its float32 bordered matrix are the largest arrays, and the
-        # peak stays below the float32 bordered matrix of all unknowns: no
-        # float64 copy of N is made, also not in the row blocks that round it
+        # one character class at a time, read in place from its block of N:
+        # its float32 bordered matrix is the largest array, and the peak
+        # stays below the float32 bordered matrix of all unknowns: no copy
+        # of N is made, also not in the row blocks that round it
         cfg = validate(three_sphere_config(8))
         system = assemble(cfg)
         solve_direct(system, cfg)  # rule, spectra and LAPACK set-up
@@ -709,8 +739,9 @@ class TestBorderedLU:
         tiny = np.finfo(np.float32).tiny
         # rounded as they are, 1 913 entries of N would land below float32's
         # normal range and slow the factorisation
-        assert np.count_nonzero((system.Nmat != 0) & (np.abs(system.Nmat) < tiny)) > 0
-        B = system_module._bordered_matrix(system.Nmat, system.D, system.D[:, None] * Z, np.float32)
+        N = system.Nmat.toarray()
+        assert np.count_nonzero((N != 0) & (np.abs(N) < tiny)) > 0
+        B = system_module._bordered_matrix(N, system.D, system.D[:, None] * Z, np.float32)
         assert B.dtype == np.float32
         assert np.count_nonzero((B != 0) & (np.abs(B) < tiny)) == 0
 
@@ -735,9 +766,9 @@ class TestBorderedLU:
         dw = np.sqrt(system.D)
         assert np.linalg.norm(dw * (sol.lambda_ - expected)) < 1e-12 * np.linalg.norm(dw * expected)
         # the float32 arrays are freed before the float64 retry, and the
-        # classes run one at a time: the largest class's float64 rows and
-        # columns of N and its float64 bordered matrix set the peak, which
-        # stays below the float64 bordered matrix of all unknowns
+        # classes run one at a time: the largest class's float64 bordered
+        # matrix sets the peak, which stays below the float64 bordered
+        # matrix of all unknowns
         bordered = 8 * (system.dofmap.size + diag["null_dim"]) ** 2
         assert _largest_class_bytes(cfg, system, 8) < peak < bordered
 
@@ -764,15 +795,24 @@ _CHARACTER_CONFIGS = pytest.mark.parametrize("cfg,classes", [
 class TestCharacterBlocks:
     @_CHARACTER_CONFIGS
     def test_off_character_coupling_is_exactly_zero(self, cfg, classes):
+        # N is held as one block per character class: the couplings between
+        # unknowns of different characters are not held, so they are zero
         cfg = validate(cfg)
         system = assemble(cfg)
         signs = _unknown_characters(cfg)
         assert len(np.unique(signs, axis=0)) == classes
-        differ = (signs[:, None, :] != signs[None, :, :]).any(axis=2)
-        assert np.all(system.Nmat[differ] == 0.0)
+        held = system.Nmat.classes
+        assert len(held) == classes
+        assert np.array_equal(np.sort(np.concatenate(held)), np.arange(system.dofmap.size))
+        characters = [np.unique(signs[rows], axis=0) for rows in held]
+        assert all(len(c) == 1 for c in characters)
+        assert len(np.unique(np.concatenate(characters), axis=0)) == classes
+        assert [b.shape for b in system.Nmat.blocks] == [(r.size, r.size) for r in held]
+        assert system.Nmat.nbytes == sum(8 * r.size ** 2 for r in held)
         # between spheres, the couplings within one character are not all zero
         # (one sphere has only its diagonal)
-        assert (np.count_nonzero(system.Nmat[~differ]) > system.dofmap.size) == (len(cfg.spheres) > 1)
+        nonzero = sum(np.count_nonzero(b) for b in system.Nmat.blocks)
+        assert (nonzero > system.dofmap.size) == (len(cfg.spheres) > 1)
 
     @_CHARACTER_CONFIGS
     @pytest.mark.parametrize("mode", [MODE_SELF_CONSISTENT, MODE_AS_PRINTED])
@@ -794,9 +834,13 @@ class TestCharacterBlocks:
         split = solve_direct(system, cfg)
         assert len(split.diagnostics["characters"]) == classes
         assert sum(split.diagnostics["characters"]) == system.dofmap.size
-        monkeypatch.setattr(system_module, "_character_classes",
-                            lambda config, dofmap: (np.arange(dofmap.size),))
-        whole = solve_direct(system, cfg)
+        # assembled as one class, each pair's class parts land at their
+        # places among all of a sphere's modes
+        monkeypatch.setattr(system_module, "_character_classes", lambda config, dofmap:
+                            system_module._class_layout(dofmap.degree, 0, len(dofmap.sphere_ids)))
+        one = assemble(cfg, mode=mode)
+        assert np.array_equal(one.Nmat.blocks[0], system.Nmat.toarray())
+        whole = solve_direct(one, cfg)
         assert whole.diagnostics["characters"] == [system.dofmap.size]
         dw = np.sqrt(system.D)
         assert np.linalg.norm(dw * (split.lambda_ - whole.lambda_)) <= 1e-14 * np.linalg.norm(dw * whole.lambda_)
@@ -809,18 +853,17 @@ class TestCharacterBlocks:
 
     def test_corrupted_coupling_takes_one_class(self):
         # a rank-one change that couples every character, as in
-        # test_extra_null_vector_raises: the split would not hold
+        # test_extra_null_vector_raises: the split would not hold, and the
+        # corrupted N is a system of one class, solved as one
         cfg = validate(three_sphere_config(3))
         system = assemble(cfg)
-        assert len(system_module._solve_classes(system, cfg)) == 4
+        assert len(system.Nmat.classes) == 4
         Z = rigid_trace_vectors(cfg, system.dofmap, system.mode)
-        v = np.random.default_rng(11).normal(size=system.dofmap.size)
-        v -= Z @ (Z.T @ v)
-        system.Nmat += np.outer(system.matrix @ v, v) / (v @ v)
-        classes = system_module._solve_classes(system, cfg)
+        corrupted = _corrupted(system, Z, 11)
+        classes = corrupted.Nmat.classes
         assert len(classes) == 1 and np.array_equal(classes[0], np.arange(system.dofmap.size))
         with pytest.raises(SolverError, match="rcond"):
-            solve_direct(system, cfg)
+            solve_direct(corrupted, cfg)
 
     def test_no_common_flip_reads_n_in_place(self):
         # lattice r2 has no plane of symmetry through every centre: one
@@ -837,6 +880,68 @@ class TestCharacterBlocks:
         assert sol.diagnostics["characters"] == [system.dofmap.size]
         bordered = 4 * (system.dofmap.size + sol.diagnostics["null_dim"]) ** 2
         assert bordered < peak < 1.5 * bordered
+
+
+def _assert_columns_match(cfg, classes):
+    """Columns of the held N, from every class, against the matrix-free
+    product: a part written to a wrong place in its class block moves
+    entries of these columns, and the matrix-free product places none."""
+    system = assemble(cfg)
+    held = system.Nmat.classes
+    assert len(held) == classes
+    columns = np.concatenate([rows[[0, rows.size // 3, rows.size // 2, -1]] for rows in held])
+    E = np.zeros((system.dofmap.size, columns.size))
+    E[columns, np.arange(columns.size)] = 1.0
+    product = system.Nmat @ E
+    for e, got in zip(E.T, product.T):
+        expected = system.D * e - apply_operator(cfg, e)
+        assert np.abs(got - expected).max() <= 1e-13 * max(1.0, np.abs(expected).max())
+        assert np.array_equal(system.Nmat @ e, got)
+
+
+class TestClassBlocks:
+    @_CHARACTER_CONFIGS
+    def test_columns_match_the_matrix_free_product(self, cfg, classes):
+        _assert_columns_match(validate(cfg), classes)
+
+    def test_folded_pairs_placed_in_one_class(self):
+        # lattice r2 is one class; its pairs on a common axis or plane come as
+        # several parts, each placed among all of a sphere's modes
+        _assert_columns_match(validate(lattice_config(2)), 1)
+
+    def test_store_round_trip(self):
+        cfg = validate(three_sphere_config(4))
+        system = assemble(cfg)
+        N = system.Nmat.toarray()
+        assert system.Nmat.shape == N.shape == (system.dofmap.size,) * 2
+        assert np.array_equal(system.Nmat.diagonal(), np.diagonal(N))
+        x = np.random.default_rng(6).normal(size=(system.dofmap.size, 3))
+        assert_allclose(system.Nmat @ x, N @ x, rtol=0, atol=1e-15 * np.abs(N @ x).max())
+        whole = ClassBlocks.whole(N)
+        assert whole.blocks[0] is N and whole.nbytes == N.nbytes > system.Nmat.nbytes
+
+    def test_assembly_and_solve_hold_no_dense_array(self):
+        # assembly makes each class block once at its final size, and the
+        # solve reads it in place: the peak is at most the held blocks, the
+        # largest class's float32 bordered matrix and one chunk of pair
+        # blocks, far below one n x n float64 array
+        cfg = validate(three_sphere_config(8))
+        solve_direct(assemble(cfg), cfg)  # rule, spectra and LAPACK set-up
+        tracemalloc.start()
+        try:
+            system = assemble(cfg)
+            sol = solve_direct(system, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = system.dofmap.size
+        sizes = [rows.size for rows in system.Nmat.classes]
+        assert sol.diagnostics["characters"] == sizes and len(sizes) == 4
+        held = sum(8 * m * m for m in sizes)
+        assert system.Nmat.nbytes == held == sol.diagnostics["held_block_bytes"]
+        bound = held + _largest_class_bytes(cfg, system, 4) + system_module._CHUNK_BYTES
+        assert held < peak < bound < 8 * n * n
+        assert peak < 0.5 * 8 * n * n
 
 
 class TestBorderedGMRES:
