@@ -166,8 +166,10 @@ class ClassBlocks:
         self.classes, self.blocks = classes, blocks
         # the indices in class order, and each class's span of them
         self.order = np.concatenate(classes)
-        self._stops = list(accumulate(rows.size for rows in classes))
         self.size = self.order.size
+        stops = list(accumulate(rows.size for rows in classes))
+        self._spans = [(slice(stop - rows.size, stop), block)
+                       for rows, stop, block in zip(classes, stops, blocks)]
 
     @classmethod
     def whole(cls, matrix: np.ndarray) -> ClassBlocks:
@@ -191,15 +193,12 @@ class ClassBlocks:
         """The product with a vector (n,) or the columns of an array (n, k)."""
         if len(self.blocks) == 1:
             return self.blocks[0] @ x
-        # one gather and one scatter: a few small classes cost little more
-        # than their products
+        # one gather, one product per class and one scatter
         ordered = x[self.order]
-        product = np.empty(ordered.shape)
-        start = 0
-        for stop, block in zip(self._stops, self.blocks):
-            block.dot(ordered[start:stop], out=product[start:stop])
-            start = stop
-        out = np.empty(x.shape)
+        product = np.empty_like(ordered)
+        for span, block in self._spans:
+            block.dot(ordered[span], product[span])
+        out = np.empty_like(x)
         out[self.order] = product
         return out
 
@@ -340,19 +339,11 @@ _PAIR_DOUBLES = 28
 _RAW_DOUBLES = 2
 
 
-@lru_cache(maxsize=8)
 def _geometry(config: ProblemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centers (M, 3), radii (M,) and enclosing flags (M,) of the spheres.
-
-    Read-only, and kept for the last few configurations: one assembly and
-    solve read them a few times over.
-    """
-    out = (np.array([s.frame.center for s in config.spheres], dtype=float),
-           np.array([s.frame.radius for s in config.spheres]),
-           np.array([s.enclosing for s in config.spheres]))
-    for a in out:
-        a.setflags(write=False)
-    return out
+    """Centers (M, 3), radii (M,) and enclosing flags (M,) of the spheres."""
+    return (np.array([s.frame.center for s in config.spheres], dtype=float),
+            np.array([s.frame.radius for s in config.spheres]),
+            np.array([s.enclosing for s in config.spheres]))
 
 
 def _zero_axes(d: np.ndarray) -> np.ndarray:
@@ -361,20 +352,14 @@ def _zero_axes(d: np.ndarray) -> np.ndarray:
     return (d == 0.0) @ np.array([1, 2, 4])
 
 
-@lru_cache(maxsize=1)
 def _ordered_pairs(config: ProblemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Targets and sources of all ordered pairs of distinct spheres, sorted
     stably by axis pattern and, within one pattern, those whose source is
-    the enclosing sphere first (the order ``_pair_blocks`` needs).
-    Read-only; the last configuration's are kept, as ``_distinct_pairs``
-    keeps its grouping."""
+    the enclosing sphere first (the order ``_pair_blocks`` needs)."""
     centers, _radii, enclosing = _geometry(config)
     targets, sources = np.nonzero(~np.eye(enclosing.size, dtype=bool))
     first = np.lexsort((~enclosing[sources], _zero_axes(centers[targets] - centers[sources])))
-    out = targets[first], sources[first]
-    for a in out:
-        a.setflags(write=False)
-    return out
+    return targets[first], sources[first]
 
 
 def _orbits(rule: LebedevRule, axes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -650,46 +635,49 @@ def assemble(
     D = np.tile(norms, M)
     F = radii[:, None] * sig * tau0 * norms
     layout = _character_classes(config, dofmap)
-    classes, owner, place = layout.classes, layout.owner, layout.place
-    sizes = [rows.size for rows in classes]
-    ends = list(accumulate(m * m for m in sizes))
-    flat = np.zeros(ends[-1])
-    # the diagonal blocks of N are exactly diagonal by orthogonality
-    Nmat = ClassBlocks(classes, tuple(flat[e - m * m:e].reshape(m, m) for e, m in zip(ends, sizes)))
-    flat[layout.diagonal] = diag.reshape(-1)[Nmat.order]
-    # per class: its block as (target, target mode, source, source mode),
-    # and the span of its modes in the loads, F and C taken class by class
-    views = [block.reshape(M, m // M, M, m // M) for block, m in zip(Nmat.blocks, sizes)]
-    spans = [slice(a, a + m // M) for a, m in zip(layout.starts.tolist(), sizes)]
-    loads, F_by_class, C_by_class = sig[:, layout.modes], F[:, layout.modes], C[:, layout.modes]
-    # whether the load of each sphere has modes in each class: if not, the
-    # class adds zeros to F
-    loaded = np.logical_or.reduceat(loads != 0.0, layout.starts, axis=1).tolist()
-    r = radii.tolist()
+    diag = diag.reshape(-1)
+    blocks = []
+    for rows in layout.classes:
+        block = np.zeros((rows.size, rows.size))
+        # the diagonal blocks of N are exactly diagonal by orthogonality
+        block.reshape(-1)[::rows.size + 1] = diag[rows]
+        blocks.append(block)
+    Nmat = ClassBlocks(layout.classes, tuple(blocks))
+    # each class's modes per sphere, s_c, and its block as (target, target
+    # mode, source, source mode), (M, s_c, M, s_c)
+    widths = [rows.size // M for rows in layout.classes]
+    views = [block.reshape(M, s, M, s) for block, s in zip(blocks, widths)]
+    loaded = np.any(sig != 0.0, axis=1)
     for ipos, jpos, pair_classes, parts in _pair_blocks(config, rule, dofmap, *_ordered_pairs(config)):
-        Cj = C_by_class[jpos][:, None, :]
-        pairs = list(enumerate(zip(ipos.tolist(), jpos.tolist())))
-        # as many classes as N has: each is one of N's, whole
-        whole = len(pair_classes) == len(classes)
-        for modes, part in zip(pair_classes, parts):
-            c = owner[modes[0]]
-            at = spans[c] if whole else layout.starts[c] + place[modes]
-            for n, (i, j) in pairs:
-                if loaded[j][c]:
-                    F_by_class[i, at] += r[j] * (part[n] @ loads[j, at])
-            part *= Cj[:, :, at]
-            if whole:
+        # the pairs' modes class by class, the sources' C at them, and F's
+        # share: the loads at them of the sources that carry one
+        modes = np.concatenate(pair_classes)
+        Cj = C[jpos][:, None, modes]
+        fed = np.flatnonzero(loaded[jpos])
+        loads = sig[jpos[fed]][:, modes]
+        contrib = np.empty(loads.shape)
+        start = 0
+        for part in parts:
+            stop = start + part.shape[1]
+            for k, n in enumerate(fed.tolist()):
+                np.dot(part[n], loads[k, start:stop], out=contrib[k, start:stop])
+            part *= Cj[:, :, start:stop]
+            c = layout.owner[modes[start]]
+            s = widths[c]
+            if stop - start == s:
+                # all the class's modes: whole (target, source) sub-blocks
                 views[c][ipos, :, jpos] = part
             else:
-                # a part of some of the class's modes: its entries' flat
-                # positions, one index each, scatter faster than four indices
-                s, p = views[c].shape[1], place[modes]
-                m = M * s
-                where = (ipos * (s * m) + jpos * s)[:, None, None] + (p[:, None] * m + p)
-                Nmat.blocks[c].reshape(-1)[where] = part
+                # some of them: each entry at its flat position, one index
+                # each (a scatter through the view would take four)
+                p = layout.place[modes[start:stop]]
+                where = ((ipos * s * M + jpos) * s)[:, None, None] + (p[:, None] * M * s + p)
+                blocks[c].reshape(-1)[where] = part
+            start = stop
+        for k, n in enumerate(fed.tolist()):
+            F[ipos[n], modes] += radii[jpos[n]] * contrib[k]
         # freed before the next chunk is generated
         del parts, part
-    F[:, layout.modes] = F_by_class
     return DenseSystem(dofmap=dofmap, D=D, Nmat=Nmat, F=F.reshape(-1), sigma=sigma, mode=mode)
 
 
@@ -785,10 +773,7 @@ class CouplingOperator:
             for modes, part in zip(pair_classes, parts):
                 h = self.signs[rep_patterns[keys]][:, modes]
                 turned = h[:, :, None] * part * h[:, None, :]
-                if modes.size == na:
-                    self.blocks[slot[keys]] = turned
-                else:
-                    self.blocks[slot[keys][:, None, None], modes[:, None], modes] = turned
+                self.blocks[slot[keys][:, None, None], modes[:, None], modes] = turned
             k = keys.stop
         self.blocks.setflags(write=False)
         classes = []
@@ -964,20 +949,13 @@ class _ClassLayout(NamedTuple):
     Each class takes the same active modes of every sphere, s_c of them,
     sphere-major: ``classes[c]`` holds the m_c = M s_c sorted indices of
     its unknowns.  ``owner`` and ``place`` give each active mode's class
-    and its place among that class's modes of one sphere, (n_a,) each;
-    ``modes`` lists the active modes class by class, and class c's start
-    at ``starts[c]``.  The class blocks are held one after the other,
-    each row-major, and ``diagonal`` holds the flat positions of their
-    diagonal entries, in the order of the concatenated classes.
+    and its place among that class's modes of one sphere, (n_a,) each.
     Read-only.
     """
 
     classes: tuple[np.ndarray, ...]
     owner: np.ndarray
     place: np.ndarray
-    diagonal: np.ndarray
-    modes: np.ndarray
-    starts: np.ndarray
 
 
 def _character_classes(config: ProblemConfig, dofmap: DofMap) -> _ClassLayout:
@@ -997,23 +975,17 @@ def _class_layout(degree: int, axes: int, spheres: int) -> _ClassLayout:
     """``_character_classes`` of that many spheres under the flips of the
     axes in the pattern ``axes``; the pattern 0 gives one class."""
     modes = _classes(_characters(degree, axes))
-    sizes = np.array([c.size for c in modes])
-    na = int(sizes.sum())
+    na = sum(c.size for c in modes)
     classes = tuple((np.arange(spheres)[:, None] * na + c).reshape(-1) for c in modes)
     owner, place = np.empty(na, dtype=int), np.empty(na, dtype=int)
     for k, c in enumerate(modes):
         owner[c], place[c] = k, np.arange(c.size)
-    # diagonal entry k of a class block of m unknowns is k (m + 1) past its start
-    m = spheres * sizes
-    diagonal = np.concatenate([start + np.arange(size) * (size + 1)
-                               for start, size in zip((np.cumsum(m * m) - m * m).tolist(), m.tolist())])
-    out = _ClassLayout(classes, owner, place, diagonal, np.concatenate(modes), np.cumsum(sizes) - sizes)
+    out = _ClassLayout(classes, owner, place)
     for a in (*classes, *out[1:]):
         a.setflags(write=False)
     return out
 
 
-@lru_cache(maxsize=1)
 def rigid_trace_vectors(config: ProblemConfig, dofmap: DofMap, mode: str) -> np.ndarray:
     """Known null vectors of (D - N): traces of rigid motions.
 
@@ -1031,9 +1003,6 @@ def rigid_trace_vectors(config: ProblemConfig, dofmap: DofMap, mode: str) -> np.
     each orthonormalised column in exact arithmetic.  The QR leaves
     rounding, up to 7e-17, in the rows of other characters; it is set to
     zero, so that every column is pure (and orthonormal to rounding).
-
-    Read-only.  The last configuration's are kept, so that the solves of
-    one configuration and their checks share one QR.
     """
     c = sqrt(4.0 * pi / 3.0)
     M, na = len(config.spheres), dofmap.modes_per_sphere
@@ -1050,7 +1019,6 @@ def rigid_trace_vectors(config: ProblemConfig, dofmap: DofMap, mode: str) -> np.
     if axes:
         character = np.tile(_characters(dofmap.degree, axes), M)
         Q[character[:, None] != character[np.abs(Q).argmax(axis=0)]] = 0.0
-    Q.setflags(write=False)
     return Q
 
 
