@@ -195,10 +195,10 @@ class ClassBlocks:
             return self.blocks[0] @ x
         # one gather, one product per class and one scatter
         ordered = x[self.order]
-        product = np.empty_like(ordered)
+        product = np.empty(ordered.shape)
         for span, block in self._spans:
             block.dot(ordered[span], product[span])
-        out = np.empty_like(x)
+        out = np.empty(x.shape)
         out[self.order] = product
         return out
 
