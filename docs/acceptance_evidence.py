@@ -3,7 +3,7 @@
 Run from the repository root:
 
     PYTHONPATH=src python docs/acceptance_evidence.py            # every table, a few minutes
-    PYTHONPATH=src python docs/acceptance_evidence.py --part 6b  # one part: 6b, data, 7, direct or folding
+    PYTHONPATH=src python docs/acceptance_evidence.py --part 6b  # or: data, 7, direct, folding, oracle
 
 Each part prints markdown tables:
 
@@ -33,6 +33,10 @@ Each part prints markdown tables:
   D-weighted change
   of the direct solver's traces, both consistency floors, and the nodes
   at which the pair fields are evaluated, against pairs x rule size.
+- ``oracle``: criterion 5's worst values (closed-form potentials against
+  the kernel oracle, and the jump residuals of its ten l <= 3 modes), the
+  single-layer jump-audit records of those ten modes and the full audit of
+  l=0, each with its wall time and tracemalloc peak.
 """
 
 from __future__ import annotations
@@ -40,18 +44,22 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import time
+import tracemalloc
 
 import numpy as np
 
 from elastisph import system
-from elastisph.harmonics import project, weighted_basis
+from elastisph.harmonics import Family, ModeIndex, VshExpansion, project, sh_index, weighted_basis
+from elastisph.kernels_oracle import dl_offsurface, jump_audit, sl_offsurface
 from elastisph.materials import LameParams
 from elastisph.postprocess import norm_difference, one_sphere_reference, relative_error
 from elastisph.presets import (ONE_SPHERE_LEX, SWEEP_NU1_MIN, lattice_config, one_sphere_config,
                                one_sphere_data, poisson_sweep_config, three_sphere_config)
 from elastisph.problem import validate
 from elastisph.quadrature import LEBEDEV_TABLE, SphereFrame, rule_for_degree
-from elastisph.spectra import MODE_AS_PRINTED, MODE_SELF_CONSISTENT
+from elastisph.spectra import (MODE_AS_PRINTED, MODE_SELF_CONSISTENT, apply_double_layer,
+                               apply_single_layer)
 from elastisph.system import _bordered_solve, assemble, rigid_trace_vectors, solve_direct
 
 # the pinned Table-2 cells of criterion 6b: (case, N) -> (value, relative tolerance)
@@ -294,8 +302,66 @@ def part_folding() -> None:
     print()
 
 
+def measured(compute):
+    """``compute()``, its wall time in s and its tracemalloc peak in MB."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        result = compute()
+        return result, time.perf_counter() - start, tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def oracle_potentials_worst() -> float:
+    """Criterion 5's worst relative gap between the closed-form potentials
+    of every unit mode of degree <= 3 and the oracle's, at its 14 points."""
+    unit, p11 = SphereFrame((0.0, 0.0, 0.0), 1.0), LameParams(1.0, 1.0)
+    dirs = np.random.default_rng(5).normal(size=(6, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    pts = np.concatenate([0.5 * dirs, 2.0 * dirs, 2.5 * dirs[:2]])
+    worst = 0.0
+    for ell in range(4):
+        for m in range(-ell, ell + 1):
+            for k in ((0,) if ell == 0 else (0, 1, 2)):
+                density = VshExpansion.zeros(-1, ell)
+                density.coeffs[sh_index(ell, m), k] = 1.0
+                for oracle, closed in (
+                        (sl_offsurface, apply_single_layer(unit, p11, density, pts)),
+                        (dl_offsurface, apply_double_layer(unit, p11, density, pts, MODE_SELF_CONSISTENT))):
+                    ref = oracle(density, unit, p11, pts, rule_degree=47)
+                    worst = max(worst, float(np.max(np.abs(ref - closed)) / max(np.max(np.abs(ref)), 1e-30)))
+    return worst
+
+
+def part_oracle() -> None:
+    print("## The kernel oracle: criterion 5 and the jump audit\n")
+    p11 = LameParams(1.0, 1.0)
+    modes = [ModeIndex(ell, 0, k) for ell in range(4) for k in ((Family.V,) if ell == 0 else tuple(Family))]
+    worst_pot, pot_s, pot_mb = measured(oracle_potentials_worst)
+    single, single_s, single_mb = measured(lambda: jump_audit(modes, p11, layers=("single",)))
+    full, full_s, full_mb = measured(lambda: jump_audit([ModeIndex(0, 0, Family.V)], p11))
+    worst_s = max(r.residual for r in single if r.identity == "single_layer_jump")
+    worst_ts = max(r.residual for r in single if r.identity == "single_layer_traction_jump")
+    print(f"criterion 5: potentials vs oracle {worst_pot:.2e}; jump residuals [[S]] {worst_s:.2e}, "
+          f"[[TS]] {worst_ts:.2e}\n")
+    print("| computation | wall time (s) | tracemalloc peak (MB) |")
+    print("|---|---|---|")
+    print(f"| criterion 5's 46 potentials, oracle and closed form | {pot_s:.2f} | {pot_mb:.1f} |")
+    print(f"| single-layer audit of the ten l <= 3 modes | {single_s:.2f} | {single_mb:.1f} |")
+    print(f"| full audit of V00 | {full_s:.2f} | {full_mb:.1f} |")
+    print()
+    print("| mode | layers | identity | residual | inferred |")
+    print("|---|---|---|---|---|")
+    for layers, records in (("single", single), ("full", full)):
+        for r in records:
+            inferred = "" if r.inferred is None else f"{r.inferred:.12e}"
+            print(f"| {r.k}{r.ell},{r.m} | {layers} | {r.identity} | {r.residual:.12e} | {inferred} |")
+    print()
+
+
 PARTS = {"6b": part_6b, "data": part_data, "7": part_7, "direct": part_direct,
-         "folding": part_folding}
+         "folding": part_folding, "oracle": part_oracle}
 
 
 def main() -> None:

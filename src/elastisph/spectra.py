@@ -593,7 +593,7 @@ def _oracle_records(ell_max: int, params: LameParams, rule_degree: int, mode: st
                 scale_s = max(np.max(np.abs(ref_s)), 1e-30)
                 res_s = float(np.max(np.abs(ref_s - val_s)) / scale_s)
                 records.append(AuditRecord(
-                    identity="oracle_single_layer", ell=ell, k=_FAMILY_NAMES[k],
+                    identity="oracle_single_layer", ell=ell, k=_FAMILY_NAMES[k], m=mm,
                     residual=res_s, rule_degree=rule_degree, flagged=res_s > tol,
                 ))
                 ref_d = oracle.dl_offsurface(density, frame, params, pts, rule_degree)
@@ -601,7 +601,7 @@ def _oracle_records(ell_max: int, params: LameParams, rule_degree: int, mode: st
                 scale_d = max(np.max(np.abs(ref_d)), 1e-30)
                 res_d = float(np.max(np.abs(ref_d - val_d)) / scale_d)
                 records.append(AuditRecord(
-                    identity="oracle_double_layer", ell=ell, k=_FAMILY_NAMES[k],
+                    identity="oracle_double_layer", ell=ell, k=_FAMILY_NAMES[k], m=mm,
                     residual=res_d, rule_degree=rule_degree, flagged=res_d > tol,
                 ))
     return records

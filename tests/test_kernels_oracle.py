@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from elastisph.harmonics import Family, VshExpansion, sh_index
+from elastisph import kernels_oracle
+from elastisph.harmonics import Family, ModeIndex, VshExpansion, sh_index
 from elastisph.kernels_oracle import (
     apply_L_fd,
     dl_offsurface,
@@ -185,9 +188,31 @@ class TestDifferentialOperators:
         assert np.abs(tr).max() < 1e-8
 
 
+@pytest.fixture(scope="module")
+def full_l0_audit():
+    """The full audit of V00 at the default rule, and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        records = jump_audit([ModeIndex(0, 0, Family.V)], P11)
+        return records, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _assert_same_records(records, reference):
+    """Equal record sets, told apart by (l, family, m, identity), to 1e-10."""
+    by_key = {(r.ell, r.k, r.m, r.identity): r for r in records}
+    ref = {(r.ell, r.k, r.m, r.identity): r for r in reference}
+    assert len(by_key) == len(records) and by_key.keys() == ref.keys()
+    for key, r in by_key.items():
+        assert r.residual == pytest.approx(ref[key].residual, abs=1e-10)
+        if r.inferred is not None:
+            assert r.inferred == pytest.approx(ref[key].inferred, abs=1e-10)
+
+
 class TestJumpAudit:
-    def test_identities_resolved(self):
-        records = jump_audit(Family.V, 0, P11)
+    def test_identities_resolved(self, full_l0_audit):
+        records, _ = full_l0_audit
         by_id = {r.identity: r for r in records}
         assert by_id["single_layer_jump"].residual < 1e-5
         assert by_id["single_layer_traction_jump"].residual < 1e-4
@@ -198,11 +223,56 @@ class TestJumpAudit:
         assert by_id["traction_trace_interior"].inferred == pytest.approx(1 / 18, abs=1e-5)
 
     def test_toroidal_degree_one_eigenvalue(self):
-        records = jump_audit(Family.X, 1, P11, layers=("single",))
+        records = jump_audit([ModeIndex(1, 0, Family.X)], P11, layers=("single",))
         by_id = {r.identity: r for r in records}
         assert by_id["single_layer_traction_jump"].residual < 1e-4
         assert by_id["traction_trace_interior"].inferred == pytest.approx(-0.5, abs=1e-5)
 
     def test_unknown_layer_rejected(self):
         with pytest.raises(ValueError, match="unknown layers"):
-            jump_audit(Family.V, 0, P11, layers=("single", "dubble"))
+            jump_audit([ModeIndex(0, 0, Family.V)], P11, layers=("single", "dubble"))
+
+    def test_degenerate_mode_rejected(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            jump_audit([ModeIndex(1, 0, Family.W), ModeIndex(0, 0, Family.W)], P11)
+
+    def test_stack_equals_per_mode_calls(self):
+        modes = [ModeIndex(0, 0, Family.V), ModeIndex(1, -1, Family.W), ModeIndex(1, 0, Family.W),
+                 ModeIndex(1, 1, Family.W), ModeIndex(1, 0, Family.X)]
+        stacked = jump_audit(modes, P11, rule_degree=23)
+        # m tells the three W1 modes apart: six distinct records for each mode
+        assert len(stacked) == 6 * len(modes)
+        _assert_same_records(stacked, [r for mode in modes
+                                       for r in jump_audit([mode], P11, rule_degree=23)])
+
+    def test_full_audit_memory(self, full_l0_audit):
+        # one kernel block at a time: the whole double-layer kernel array
+        # of the stencil would be 288 MB per side
+        _, peak = full_l0_audit
+        assert peak < 64 * 2**20
+
+
+class TestKernelBlocks:
+    def test_block_size_invariance(self, monkeypatch):
+        frame = SphereFrame((0.4, -0.3, 0.2), 1.7)
+        density = VshExpansion.zeros(-1, 3)
+        density.coeffs[:] = RNG.normal(size=density.coeffs.shape)
+        density.coeffs[0, 1:] = 0.0
+        # 100 points, inside and outside, span two default blocks at the
+        # 770-node rule
+        dirs = RNG.normal(size=(100, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        rho = np.concatenate([np.linspace(0.2, 0.8, 50), np.linspace(1.3, 3.0, 50)])
+        pts = frame.center_array + frame.radius * rho[:, None] * dirs
+        modes = [ModeIndex(0, 0, Family.V), ModeIndex(1, 0, Family.X)]
+
+        def evaluate():
+            return (sl_offsurface(density, frame, P11, pts), dl_offsurface(density, frame, P11, pts),
+                    jump_audit(modes, P11, rule_degree=35))
+
+        sl_ref, dl_ref, audit_ref = evaluate()
+        monkeypatch.setattr(kernels_oracle, "_KERNEL_BLOCK_BYTES", 1)  # one point per block
+        sl_one, dl_one, audit_one = evaluate()
+        for val, ref in ((sl_one, sl_ref), (dl_one, dl_ref)):
+            assert np.max(np.abs(val - ref)) <= 1e-13 * np.max(np.abs(ref))
+        _assert_same_records(audit_one, audit_ref)
