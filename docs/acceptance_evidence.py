@@ -3,7 +3,8 @@
 Run from the repository root:
 
     PYTHONPATH=src python docs/acceptance_evidence.py            # every table, a few minutes
-    PYTHONPATH=src python docs/acceptance_evidence.py --part 6b  # or: data, 7, direct, folding, oracle
+    PYTHONPATH=src python docs/acceptance_evidence.py --part 6b  # or: data, 7, direct, folding, oracle, 8
+    PYTHONPATH=src python docs/acceptance_evidence.py --part 8 --runs 20
 
 Each part prints markdown tables:
 
@@ -37,6 +38,12 @@ Each part prints markdown tables:
   the kernel oracle, and the jump residuals of its ten l <= 3 modes), the
   single-layer jump-audit records of those ten modes and the full audit of
   l=0, each with its wall time and tracemalloc peak.
+- ``8``: criterion 8's own measurement (``criterion_08_measurement`` of
+  tests/test_acceptance.py: lattice solves at M = 2, 28 and 94 spheres,
+  best of three, and the slope of the log-log fit), repeated in
+  ``--runs`` fresh processes one after another: each run's times, slope
+  and verdict against the bound [1.7, 2.3], and the count of passes.
+  ``all`` leaves it out, since it times the host rather than the numbers.
 """
 
 from __future__ import annotations
@@ -44,8 +51,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import json
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -243,7 +254,8 @@ def pair_nodes(nodes: list[int], unfold: bool):
     folded_table, chunk_blocks = system._folded_table, system._chunk_blocks
 
     def full_table(rule, degree, axes):
-        return np.arange(rule.size), weighted_basis(rule, degree)[system._active_mask(degree)], None
+        return (np.arange(rule.size), weighted_basis(rule, degree)[system._active_mask(degree)][None],
+                system._stack(degree, 0))
 
     def counted(background, degree, rows, y, *rest):
         nodes.append(len(y))
@@ -360,17 +372,52 @@ def part_oracle() -> None:
     print()
 
 
+# one run of criterion 8's measurement, printed as JSON by a fresh process
+CRITERION_08_RUN = f"""
+import json, sys
+sys.path.insert(0, {str(Path(__file__).resolve().parents[1] / "tests")!r})
+from test_acceptance import criterion_08_measurement
+counts, times, iters, slope = criterion_08_measurement()
+print(json.dumps({{"counts": counts, "times": times, "iterations": iters, "slope": slope}}))
+"""
+
+
+def part_8(runs: int) -> None:
+    print("## Criterion 8: the lattice-solve slope over isolated runs\n")
+    print(f"{runs} runs of criterion 8's measurement, each in a fresh process, one after "
+          "another: best-of-three solve times (assemble + GMRES) at M = 2, 28 and 94 and "
+          "the log-log slope, which passes in [1.7, 2.3].\n")
+    print("| run | M=2 (ms) | M=28 (ms) | M=94 (ms) | slope | pass |")
+    print("|---|---|---|---|---|---|")
+    slopes = []
+    for run in range(1, runs + 1):
+        out = subprocess.run([sys.executable, "-c", CRITERION_08_RUN], capture_output=True,
+                             text=True, check=True).stdout
+        result = json.loads(out.splitlines()[-1])
+        slopes.append(result["slope"])
+        times = [f"{1e3 * t:.2f}" for t in result["times"]]
+        verdict = "yes" if 1.7 <= result["slope"] <= 2.3 else "no"
+        print(f"| {run} | " + " | ".join(times) + f" | {result['slope']:.3f} | {verdict} |")
+    q1, median, q3 = np.percentile(slopes, [25, 50, 75])
+    passes = sum(1.7 <= s <= 2.3 for s in slopes)
+    print(f"\npasses {passes}/{runs}; slope median {median:.3f}, quartiles {q1:.3f}-{q3:.3f}, "
+          f"range {min(slopes):.3f}-{max(slopes):.3f}\n")
+
+
 PARTS = {"6b": part_6b, "data": part_data, "7": part_7, "direct": part_direct,
          "folding": part_folding, "oracle": part_oracle}
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--part", choices=(*PARTS, "all"), default="all")
+    parser.add_argument("--part", choices=(*PARTS, "8", "all"), default="all")
+    parser.add_argument("--runs", type=int, default=20, help="isolated runs of part 8")
     args = parser.parse_args()
     for name, part in PARTS.items():
         if args.part in (name, "all"):
             part()
+    if args.part == "8":
+        part_8(args.runs)
 
 
 if __name__ == "__main__":

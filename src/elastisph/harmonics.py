@@ -180,7 +180,8 @@ def _legendre_factors(max_degree: int) -> tuple:
     The packed rows of the diagonal entries Q[l,l] and their values (as a
     column); the rows of the first off-diagonal Q[l+1,l] = c z Q[l,l] and
     the factors c and c Q[l,l] (columns); per degree l, the three-term
-    factors (a, b) of the orders m <= l - 2 (columns).
+    factors (a, b) of the orders m <= l - 2 (columns) and the packed rows
+    of those orders at degrees l, l - 1 and l - 2 (slices).
     """
     diag, first, a, b = [], [], [], []
     d = 1.0 / sqrt(4.0 * pi)
@@ -198,10 +199,12 @@ def _legendre_factors(max_degree: int) -> tuple:
             sqrt((2.0 * ell + 1.0) * (ell - 1.0 - m) * (ell - 1.0 + m)
                  / ((2.0 * ell - 3.0) * (ell - m) * (ell + m))) for m in ms
         ])[:, None])
+    rows = [tuple(slice(_tri_index(d, 0), _tri_index(d, 0) + ell - 1) for d in (ell, ell - 1, ell - 2))
+            for ell in range(max_degree + 1)]
     ms = np.arange(max_degree)
     diag, first = np.array(diag)[:, None], np.array(first[:-1])[:, None]
     return (_tri_index(np.arange(max_degree + 1), np.arange(max_degree + 1)), diag,
-            _tri_index(ms + 1, ms), first, first * diag[:-1], a, b)
+            _tri_index(ms + 1, ms), first, first * diag[:-1], a, b, rows)
 
 
 def _legendre_tables(z: np.ndarray, max_degree: int) -> np.ndarray:
@@ -218,19 +221,20 @@ def _legendre_tables(z: np.ndarray, max_degree: int) -> np.ndarray:
     n = max_degree + 1
     QdQ = np.zeros((2, n * (n + 1) // 2, z.size))
     Q, dQ = QdQ
-    diag_rows, diag, first_rows, first, first_diag, a, b = _legendre_factors(max_degree)
+    diag_rows, diag, first_rows, first, first_diag, a, b, rows = _legendre_factors(max_degree)
     Q[diag_rows] = diag
     Q[first_rows] = first * z * diag[:-1]
     dQ[first_rows] = first_diag
     for ell in range(2, n):
-        cur = slice(_tri_index(ell, 0), _tri_index(ell, 0) + ell - 1)
-        q1 = slice(_tri_index(ell - 1, 0), _tri_index(ell - 1, 0) + ell - 1)
-        q2 = slice(_tri_index(ell - 2, 0), _tri_index(ell - 2, 0) + ell - 1)
+        cur, q1, q2 = rows[ell]
         np.multiply(a[ell] * z, Q[q1], out=Q[cur])
-        Q[cur] -= b[ell] * Q[q2]
         np.multiply(a[ell], Q[q1] + z * dQ[q1], out=dQ[cur])
-        dQ[cur] -= b[ell] * dQ[q2]
+        QdQ[:, cur] -= b[ell] * QdQ[:, q2]
     return QdQ
+
+
+# the signs of -S and C in (C + i S)(x + i y) = (C x - S y) + i (S x + C y)
+_CONJUGATE_SIGNS = np.array([[-1.0], [1.0]])
 
 
 def _azimuthal_powers(x: np.ndarray, y: np.ndarray, max_degree: int) -> np.ndarray:
@@ -238,13 +242,11 @@ def _azimuthal_powers(x: np.ndarray, y: np.ndarray, max_degree: int) -> np.ndarr
     recursion, stacked as one array CS = (C, S) of shape
     (2, max_degree + 1, len(x))."""
     CS = np.zeros((2, max_degree + 1, x.size))
-    C, S = CS
-    C[0] = 1.0
+    CS[0, 0] = 1.0
     for m in range(1, max_degree + 1):
-        np.multiply(x, C[m - 1], out=C[m])
-        C[m] -= y * S[m - 1]
-        np.multiply(x, S[m - 1], out=S[m])
-        S[m] += y * C[m - 1]
+        # (C, S) x + (-S, C) y, both rows at once
+        np.multiply(x, CS[:, m - 1], out=CS[:, m])
+        CS[:, m] += y * CS[::-1, m - 1] * _CONJUGATE_SIGNS
     return CS
 
 
@@ -523,27 +525,42 @@ def project(fn, frame: SphereFrame, max_degree: int, rule: LebedevRule) -> VshEx
     rule must be exact at least to degree 2*max_degree; a weaker rule is
     rejected rather than silently accepted.
     """
+    return project_fields([(fn, frame)], max_degree, rule)[0]
+
+
+def project_fields(fields, max_degree: int, rule: LebedevRule) -> list[VshExpansion]:
+    """``project`` of each (fn, frame) of ``fields``, in order, with one
+    weighted-basis evaluation for all of them: the rows depend only on the
+    rule and the degree.  Each field's moments are the same products, in
+    the same order, as its own ``project`` makes."""
     if rule.degree < 2 * max_degree:
         raise ValueError(
             f"quadrature rule degree {rule.degree} is below the projection "
             f"requirement 2*N = {2 * max_degree}"
         )
-    values = np.asarray(fn(frame.surface_points(rule)), dtype=float)
-    if values.shape != (rule.size, 3):
-        raise ValueError(f"field returned shape {values.shape}, expected {(rule.size, 3)}")
+    values = [np.asarray(fn(frame.surface_points(rule)), dtype=float) for fn, frame in fields]
+    for v in values:
+        if v.shape != (rule.size, 3):
+            raise ValueError(f"field returned shape {v.shape}, expected {(rule.size, 3)}")
     node_bytes = 9 * num_scalar_modes(max_degree) * 8
     if node_bytes * rule.size <= _CACHED_BASIS_BYTES:
-        raw = weighted_basis(rule, max_degree) @ values.reshape(-1)
+        basis = weighted_basis(rule, max_degree)
+        raws = [basis @ v.reshape(-1) for v in values]
     else:
         # accumulate the moments over blocks of nodes instead of
         # materialising the whole weighted basis
         step = max(1, _PROJECT_BLOCK_BYTES // node_bytes)
-        raw = sum(weighted_rows(rule.points[t:t + step], rule.weights[t:t + step], max_degree)
-                  @ values[t:t + step].reshape(-1) for t in range(0, rule.size, step))
-    raw = raw.reshape(-1, 3)
+        raws = [0] * len(values)
+        for t in range(0, rule.size, step):
+            rows = weighted_rows(rule.points[t:t + step], rule.weights[t:t + step], max_degree)
+            raws = [raw + rows @ v[t:t + step].reshape(-1) for raw, v in zip(raws, values)]
     norms = norm_sq_table(max_degree)
-    coeffs = np.divide(raw, norms, out=np.zeros_like(raw), where=norms > 0.0)
-    return VshExpansion(sphere_id=-1, max_degree=max_degree, coeffs=coeffs)
+    out = []
+    for raw in raws:
+        raw = raw.reshape(-1, 3)
+        coeffs = np.divide(raw, norms, out=np.zeros_like(raw), where=norms > 0.0)
+        out.append(VshExpansion(sphere_id=-1, max_degree=max_degree, coeffs=coeffs))
+    return out
 
 
 def reconstruct(expansion: VshExpansion, directions: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .harmonics import Family, VshExpansion, num_scalar_modes, project
+from .harmonics import Family, VshExpansion, num_scalar_modes, project_fields
 from .materials import LameParams, lambda_to_poisson, poisson_to_lambda  # noqa: F401
 from .quadrature import MAX_DEGREE, LebedevRule, SphereFrame, rule_for_degree
 
@@ -326,16 +326,20 @@ def build_sigma(
     degree = config.degree if degree is None else degree
     rule = config.rule() if rule is None else rule
     sigma: dict[int, VshExpansion] = {}
+    projected = []
     for s in config.spheres:
         if s.data.kind == "coeffs":
-            exp = _coeff_expansion(s.data, s.id, degree)
+            sigma[s.id] = _coeff_expansion(s.data, s.id, degree)
         elif s.data.is_zero():
-            exp = VshExpansion.zeros(s.id, degree)
+            sigma[s.id] = VshExpansion.zeros(s.id, degree)
         else:
-            exp = project(s.data, s.frame, degree, rule)
-            exp.sphere_id = s.id
+            projected.append(s)
+    # one weighted-basis evaluation for all the projected spheres
+    expansions = project_fields([(s.data, s.frame) for s in projected], degree, rule) if projected else []
+    for s, exp in zip(projected, expansions):
+        exp.sphere_id = s.id
         sigma[s.id] = exp
-    return sigma
+    return {s.id: sigma[s.id] for s in config.spheres}
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,15 @@ value at one node; otherwise the orbit sums vanish.  So ``_pair_blocks``
 evaluates such a pair only at the orbit representatives (nodes with
 nonnegative coordinates on the axes of S), weights each by its orbit
 size, 2^(its nonzero coordinates on those axes), and computes only the
-even entries, one product per character class (modes of equal signs
-under S); the odd entries are exact zeros.  A pair with no zero
-component takes every node and all entries.  The three-sphere pairs,
-all on the x axis, take 162 of the 590 nodes of rule 41 and a quarter
-of the entries.
+even entries, those between modes of one character class (equal signs
+under S), in one batched product over the classes; the odd entries are
+exact zeros.  A pair with no zero component takes every node and all
+entries.  The three-sphere pairs, all on the x axis, take 162 of the 590
+nodes of rule 41 and a quarter of the entries.  A pair whose spheres
+share their centre (d = 0) takes no node at all: there the vector
+harmonics are the single layer's eigenfunctions, and its block is the
+closed form diag(<Y, Y>) A_l(r_tgt / r_src), which the assembly rule
+integrates exactly.
 
 When every sphere centre lies on one plane of symmetry, or on several,
 every pair's stabilizer holds the flips about them, so N couples only
@@ -83,6 +87,7 @@ from math import pi, sqrt
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.linalg import get_lapack_funcs, lu_factor
 from scipy.sparse import csr_array
 from scipy.sparse._sparsetools import csr_matvecs
@@ -101,6 +106,7 @@ class SolverError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _active_mask(degree: int) -> np.ndarray:
     mask = np.ones(3 * num_scalar_modes(degree), dtype=bool)
     mask[[1, 2]] = False
@@ -324,16 +330,20 @@ def _active_read_only(flat: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-# Bound on one chunk's working set.  Its measured peak per pair is that of
-# the larger of two phases: _PAIR_DOUBLES doubles per source mode and
+# Bound on one chunk's working set.  Its peak per pair is that of the
+# larger of two phases: _PAIR_DOUBLES doubles per source mode and
 # evaluated node while the fields are formed (basis evaluation,
 # single-layer factors, fields and their temporaries), and _RAW_DOUBLES
-# per test row and source mode in the product (the character classes'
-# products, at most one entry each, and a consumer's signed copy of one
-# class's).  A folded pair evaluates only its orbit representatives, so
-# its chunks take more pairs, until the raw rows bound them.  At the
-# assembly rule one pair runs alone from degree 6 on without folding,
-# and from degree 8 on with it.
+# per test row and source mode in the product (the stacked class parts,
+# at most one entry each, and a consumer's index or signed copy of them).
+# tracemalloc over every chunk of lattice r3 (N=3 and 6) and three-sphere
+# N=8 and 20 reads at most 25.2 doubles for the first phase (30.7 while
+# the fields took a stacked copy of V, W and X) and 0.99 for the stack;
+# the bounds are kept, so the chunks stay as they were.  A folded pair
+# evaluates only its orbit representatives, so its chunks take more
+# pairs, until the raw rows bound them.  At the assembly rule one pair
+# runs alone from degree 6 on without folding, and from degree 8 on
+# with it.
 _CHUNK_BYTES = 5 * 2**18
 _PAIR_DOUBLES = 28
 _RAW_DOUBLES = 2
@@ -346,10 +356,14 @@ def _geometry(config: ProblemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray
             np.array([s.enclosing for s in config.spheres]))
 
 
+# bit a of an axis pattern stands for axis a
+_AXIS_BITS = np.array([1, 2, 4])
+
+
 def _zero_axes(d: np.ndarray) -> np.ndarray:
     """Axis pattern of each displacement d (pairs, 3): bit a set when d_a
     is exactly zero, so that the flip of axis a maps the pair onto itself."""
-    return (d == 0.0) @ np.array([1, 2, 4])
+    return (d == 0.0) @ _AXIS_BITS
 
 
 def _ordered_pairs(config: ProblemConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -397,41 +411,84 @@ def _classes(character: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(np.flatnonzero(character == c) for c in np.unique(character))
 
 
+class _Stack(NamedTuple):
+    """The character classes of the pairs of one axis pattern, stacked
+    (``_stack``).
+
+    ``classes`` are the active modes of each character under the flips of
+    the axes in the pattern ``axes`` (``_characters``; the pattern 0 gives
+    one class of all modes).  A chunk's parts are held as one array over
+    the classes, each padded to the ``width`` of the largest: ``modes``
+    (classes, width) holds the active mode at each slot c width + i, 0 at
+    a pad, ``slots`` (n_a,) the slot of each active mode, ``at`` (L2, 3)
+    that of each (mode, family) row of ``weighted_basis`` (0 where it is
+    not active) and ``pads`` the slots that hold no mode.  Read-only.
+    """
+
+    axes: int
+    classes: tuple[np.ndarray, ...]
+    modes: np.ndarray
+    slots: np.ndarray
+    at: np.ndarray
+    pads: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _stack(degree: int, axes: int) -> _Stack:
+    classes = _classes(_characters(degree, axes))
+    modes = np.zeros((len(classes), max(c.size for c in classes)), dtype=int)
+    filled = np.zeros(modes.shape, dtype=bool)
+    for c, cls in enumerate(classes):
+        modes[c, :cls.size], filled[c, :cls.size] = cls, True
+    slots = np.empty(filled.sum(), dtype=int)
+    slots[modes[filled]] = np.flatnonzero(filled)
+    at = np.zeros(3 * num_scalar_modes(degree), dtype=int)
+    at[_active_mask(degree)] = slots
+    out = _Stack(axes, classes, modes, slots, at.reshape(-1, 3), np.flatnonzero(~filled))
+    for a in (*classes, *out[2:]):
+        a.setflags(write=False)
+    return out
+
+
 @lru_cache(maxsize=16)
 def _folded_table(rule: LebedevRule, degree: int, axes: int):
-    """Nodes, test rows and character classes of the pairs of axis pattern
-    ``axes`` (nonzero); see ``_pair_blocks``.
+    """Nodes, test rows and stacked character classes of the pairs of axis
+    pattern ``axes`` (nonzero); see ``_pair_blocks``.
 
-    ``nodes`` are the orbit representatives of ``_orbits``, ``classes``
-    the active modes of each character under the flips of the pattern
-    (``_characters``), and ``rows`` the active rows of ``weighted_basis``
-    at the nodes, each node's columns times its orbit size, taken in the
-    order of the concatenated classes, (n_a, 3 nodes).  Read-only.
+    ``nodes`` are the orbit representatives of ``_orbits``, ``stack`` the
+    classes of ``_stack``, and ``rows`` the active rows of
+    ``weighted_basis`` at the nodes, each node's columns times its orbit
+    size, at the slots of the stack, (classes, width, 3 nodes), zero at
+    its pads.  Read-only.
     """
     nodes, orbit = _orbits(rule, axes)
-    classes = _classes(_characters(degree, axes))
+    stack = _stack(degree, axes)
     # orbit sizes are powers of two: the rows are weighted_basis's to the bit
-    rows = weighted_rows(rule.points[nodes], rule.weights[nodes] * orbit, degree)[_active_mask(degree)]
-    rows = rows[np.concatenate(classes)]
-    for a in (nodes, rows, *classes):
+    active = weighted_rows(rule.points[nodes], rule.weights[nodes] * orbit, degree)[_active_mask(degree)]
+    rows = np.zeros((stack.modes.size, active.shape[1]))
+    rows[stack.slots] = active
+    rows = rows.reshape(*stack.modes.shape, -1)
+    for a in (nodes, rows):
         a.setflags(write=False)
-    return nodes, rows, classes
+    return nodes, rows, stack
 
 
 def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
                  targets: np.ndarray, sources: np.ndarray):
     """Raw Galerkin coupling blocks of the given ordered sphere pairs, in chunks.
 
-    Yields ``(ipos, jpos, classes, parts)`` for consecutive chunks of the
+    Yields ``(ipos, jpos, stack, raw)`` for consecutive chunks of the
     pairs (target ``targets[n]``, source ``sources[n]``) of distinct
     spheres, in the given order.  A chunk holds pairs of one axis pattern
     (``_zero_axes``), and those whose source is the enclosing sphere must
     lead each run of one pattern (``_ordered_pairs`` sorts so).  The raw
     block of pair n is the (n_a, n_a) block coupling source ``jpos[n]``'s
     densities (columns, active modes) into the test modes of target
-    ``ipos[n]`` (rows); ``parts[c][n]`` is its (m_c, m_c) block between
-    the sorted active modes ``classes[c]``, and its entries outside these
-    class blocks are exact zeros (see Folding).  Entry ((p,k), (p',k')) is
+    ``ipos[n]`` (rows).  Its (m_c, m_c) part between the sorted active
+    modes ``stack.classes[c]`` is ``raw[c, :m_c, :m_c, n]``; ``raw``
+    (classes, width, width, pairs) is zero at the pads of ``stack``
+    (``_stack``), and the block's entries outside these class parts are
+    exact zeros (see Folding).  Entry ((p,k), (p',k')) is
 
         sum_t w_t Y^k_p(s_t) . [Ybar_p'(y/|y|) A_S(|y|/r_src)]_k'
 
@@ -456,48 +513,119 @@ def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
 
     Each chunk takes one basis evaluation over the evaluated nodes of all
     its pairs, one single-layer evaluation over all degrees per side, and
-    one product per character class against the test rows, which are the
-    same for every target.
+    one batched product of the stacked classes' test rows, which are the
+    same for every target, with their fields (``_chunk_blocks``).  Its
+    working set is bounded by ``_CHUNK_BYTES``.
     """
     degree, L2 = dofmap.degree, num_scalar_modes(dofmap.degree)
     centers, radii, enclosing = _geometry(config)
     axes = _zero_axes(centers[targets] - centers[sources])
-    whole = (np.arange(dofmap.modes_per_sphere),)
-    starts = np.flatnonzero(np.diff(axes, prepend=-1))
-    for r0, r1 in zip(starts, (*starts[1:], targets.size)):
-        if axes[r0]:
-            nodes, rows, classes = _folded_table(rule, degree, int(axes[r0]))
+    # the first pair of each run of one pattern
+    starts = np.nonzero(np.concatenate(([-1], axes[:-1])) != axes)[0]
+    for r0, r1 in zip(starts.tolist(), (*starts[1:].tolist(), targets.size)):
+        pattern = int(axes[r0])
+        # closed forms where the rule integrates them exactly (``_check_rule``)
+        concentric = pattern == _CONCENTRIC and rule.degree >= 2 * degree
+        if concentric:
+            stack, points = _stack(degree, pattern), ()
+        elif pattern:
+            nodes, rows, stack = _folded_table(rule, degree, pattern)
             points = rule.points[nodes]
         else:
-            rows, classes, points = weighted_basis(rule, degree)[dofmap.active_mask()], None, rule.points
-        pair_bytes = 8 * max(_PAIR_DOUBLES * L2 * len(points), _RAW_DOUBLES * len(rows) * 3 * L2)
+            rows = weighted_basis(rule, degree)[dofmap.active_mask()][None]
+            stack, points = _stack(degree, 0), rule.points
+        pair_bytes = 8 * max(_PAIR_DOUBLES * L2 * len(points),
+                             _RAW_DOUBLES * dofmap.modes_per_sphere * 3 * L2)
         per_chunk = max(1, _CHUNK_BYTES // pair_bytes)
         for c0 in range(r0, r1, per_chunk):
             chunk = slice(c0, min(c0 + per_chunk, r1))
             ipos, jpos = targets[chunk], sources[chunk]
+            n_in = int(enclosing[jpos].sum())
+            if concentric:
+                yield ipos, jpos, stack, _concentric_blocks(
+                    config.background, degree, radii[ipos] / radii[jpos], n_in)
+                continue
             y = centers[ipos][:, None, :] + radii[ipos][:, None, None] * points
             y = (y - centers[jpos][:, None, :]).reshape(-1, 3)
-            yield ipos, jpos, classes or whole, _chunk_blocks(
-                config.background, degree, rows, y, radii[jpos], int(enclosing[jpos].sum()), classes)
+            yield ipos, jpos, stack, _chunk_blocks(
+                config.background, degree, rows, y, radii[jpos], n_in, stack)
+
+
+# the axis pattern of a pair with d = 0: two spheres with one centre
+_CONCENTRIC = 7
+
+
+@lru_cache(maxsize=16)
+def _concentric_table(degree: int) -> tuple[np.ndarray, ...]:
+    """Where ``_concentric_blocks`` reads each entry of the stacked parts of
+    ``_stack(degree, 7)``: the degree of the row's mode, the families of
+    the row and the column, and the squared norm of the row's mode where
+    row and column share their scalar mode (zero elsewhere and at the
+    pads), the first three to index (classes, width, width), the last
+    (classes, width, width, 1).  Read-only."""
+    stack = _stack(degree, _CONCENTRIC)
+    active = _active_mask(degree)
+    L2 = num_scalar_modes(degree)
+    scalar = np.repeat(np.arange(L2), 3)[active][stack.modes]
+    family = np.tile(np.arange(3), L2)[active][stack.modes]
+    norms = norm_sq_table(degree).reshape(-1)[active][stack.modes]
+    filled = np.ones(stack.modes.size, dtype=bool)
+    filled[stack.pads] = False
+    filled = filled.reshape(stack.modes.shape)
+    same = (scalar[:, :, None] == scalar[:, None, :]) & filled[:, :, None] & filled[:, None, :]
+    out = (per_degree(np.arange(degree + 1))[scalar][:, :, None], family[:, :, None],
+           family[:, None, :], np.where(same, norms[:, :, None], 0.0)[..., None])
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _concentric_blocks(background: LameParams, degree: int, rho: np.ndarray, n_in: int) -> np.ndarray:
+    """``raw`` of ``_pair_blocks`` for pairs whose spheres share their
+    centre, stacked as ``_stack(degree, 7)``: ``rho`` holds r_tgt / r_src
+    per pair, and the first ``n_in`` pairs take the 'in' side.
+
+    On a concentric target every node sees its source at the same scaled
+    radius rho, in its own direction, so the field of source mode p' and
+    family q is sum_k Y^k_p'(s) A_kq(rho): the vector harmonics are the
+    single layer's eigenfunctions, with the closed-form A.  Its Galerkin
+    moments are exact in the assembly rule (degree 2N: the integrands
+    Y^k_p . Y^k'_p' are of degree l + l' at most), and orthogonality leaves
+    entry ((p,k), (p',q)) = delta_pp' <Y^k_p, Y^k_p> A_kq(rho): the
+    quadrature's own value, to its rounding, with no quadrature made.
+    """
+    A = np.empty((degree + 1, rho.size, 3, 3))
+    for side, pairs in (("in", slice(None, n_in)), ("out", slice(n_in, None))):
+        if rho[pairs].size:
+            A[:, pairs] = single_layer_matrix(np.arange(degree + 1), background, rho[pairs], side)
+    ell, row, col, norms = _concentric_table(degree)
+    return norms * A[ell, :, row, col]
 
 
 def _chunk_blocks(background: LameParams, degree: int, rows: np.ndarray, y: np.ndarray,
-                  src_radii: np.ndarray, n_in: int, classes: tuple | None) -> tuple[np.ndarray, ...]:
-    """Class parts of the raw blocks of one chunk of pairs; see ``_pair_blocks``.
+                  src_radii: np.ndarray, n_in: int, stack: _Stack) -> np.ndarray:
+    """Stacked class parts of the raw blocks of one chunk of pairs, ``raw``
+    of ``_pair_blocks``, (classes, width, width, pairs).
 
     ``y`` holds x_tgt + r_tgt s_t - x_src pair-major at the T nodes whose
-    test rows (n_a, 3 T) are ``rows``, and the first ``n_in`` pairs take
-    the 'in' side.  ``classes``, unless None, are the active modes of each
-    character under the pairs' stabilizer, and ``rows`` are taken in the
-    order of the concatenated classes: one product per class computes the
-    entries between its modes, (pairs, m_c, m_c), and the tuple of these
-    parts is returned.  None is one class of all modes in their own
-    order, whose one part holds the whole blocks.  A function of its own
-    so that the chunk's temporaries are freed before the next one.
+    test rows are ``rows``, at the slots of ``stack`` (classes, width,
+    3 T) and zero at its pads, and the first ``n_in`` pairs take the 'in'
+    side.  The field of source mode p and density family q at a node is
+    sum_k (V, W, X)_k(p) A_kq, A the single-layer matrix at the node.  A
+    is structurally zero at (V, X), (W, X), (X, V) and (X, W), where
+    ``spectra._layer_matrix`` writes nothing, so the three fields are
+
+        V A_VV + W A_WV,   V A_VW + W A_WW,   X A_XX,
+
+    each formed by broadcast products straight into the rows of G, at
+    their mode's slot (G's pad rows are zero); at l = 0 only the first,
+    as (l=0, W) and (l=0, X) are not active.  One batched product of the
+    test rows with G then gives every class's part, entry (r, q) of
+    class c and pair n at ``raw[c, r, q, n]``.  A function of its own so
+    that the chunk's temporaries are freed before the next one.
     """
-    L2, T, n = num_scalar_modes(degree), rows.shape[1] // 3, src_radii.size
-    active = np.flatnonzero(_active_mask(degree))
-    classes = (np.arange(active.size),) if classes is None else classes
+    L2, T, n = num_scalar_modes(degree), rows.shape[2] // 3, src_radii.size
+    C, width = stack.modes.shape
     ells = np.arange(degree + 1)
     dist = np.sqrt((y * y).sum(axis=1))
     basis = vsh_basis(y / dist[:, None], degree)
@@ -508,28 +636,21 @@ def _chunk_blocks(background: LameParams, degree: int, rows: np.ndarray, y: np.n
     for side, nodes in (("in", slice(None, n_in * T)), ("out", slice(n_in * T, None))):
         if rho[nodes].size:
             A[:, nodes] = single_layer_matrix(ells, background, rho[nodes], side)
-    # row of G of each source mode p and density family q, (L2, 3): G holds
-    # the active ones in class order
-    at = np.zeros(3 * L2, dtype=int)
-    at[active[np.concatenate(classes)]] = np.arange(active.size)
-    at = at.reshape(L2, 3)
-    # the field of density family q at each node is sum_k (V, W, X)_k A_kq
-    G = np.empty((active.size, n, 3 * T))  # (row, pair, node and component)
-    fields = G.reshape(active.size, rho.size, 3)
+    at = stack.at
+    G = np.empty((C * width, n, 3 * T))  # (slot, pair, node and component)
+    G[stack.pads] = 0.0
+    fields = G.reshape(C * width, rho.size, 3)
     for ell in range(degree + 1):
         sl = slice(ell * ell, (ell + 1) * (ell + 1))
-        # (l=0, W) and (l=0, X) are not active
-        families = slice(None, 1 if ell == 0 else None)
-        fields[at[sl, families]] = np.einsum("kptc,tkq->pqtc", np.stack([V[sl], W[sl], X[sl]]),
-                                             A[ell][:, :, families])
-    del V, W, X
-    parts, start = [], 0
-    for modes in classes:
-        stop = start + modes.size
-        part = rows[start:stop] @ G[start:stop].reshape(-1, 3 * T).T
-        parts.append(part.reshape(modes.size, modes.size, n).transpose(2, 0, 1))
-        start = stop
-    return tuple(parts)
+        a = A[ell][..., None]  # (nodes, k, q, 1): broadcast over components
+        v, w = V[sl], W[sl]
+        fields[at[sl, 0]] = v * a[:, 0, 0] + w * a[:, 1, 0]
+        if ell:
+            fields[at[sl, 1]] = v * a[:, 0, 1] + w * a[:, 1, 1]
+            fields[at[sl, 2]] = X[sl] * a[:, 2, 2]
+    del V, W, X, v, w
+    raw = np.matmul(rows, G.reshape(C, width * n, 3 * T).transpose(0, 2, 1))
+    return raw.reshape(C, width, width, n)
 
 
 @lru_cache(maxsize=1)
@@ -560,7 +681,7 @@ def _distinct_pairs(config: ProblemConfig):
     targets, sources = _ordered_pairs(config)
     centers, radii, enclosing = _geometry(config)
     d = centers[targets] - centers[sources]
-    patterns = (d < 0.0) @ np.array([1, 2, 4])
+    patterns = (d < 0.0) @ _AXIS_BITS
     keys = np.column_stack([np.abs(d), radii[targets], radii[sources], enclosing[sources]])
     # one raw-bytes item per row: sorts about 4x faster than np.unique(axis=0)
     rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).reshape(-1)
@@ -588,9 +709,14 @@ def _diag_coupling(config: ProblemConfig, dofmap: DofMap, mode: str):
     the exact diagonal blocks of N, C tau0 <Y, Y> (M, n_a).
     """
     norms, tau0 = _norms_tau0(config.background, dofmap.degree)
-    C = np.array([_c_vector(s.role, s.material, s.sign, config.background, dofmap.degree, mode)
-                  for s in config.spheres])
+    C = _c_matrix(config, dofmap, mode)
     return norms, tau0, C, C * tau0 * norms
+
+
+def _c_matrix(config: ProblemConfig, dofmap: DofMap, mode: str) -> np.ndarray:
+    """The C vectors of all spheres over the active modes, (M, n_a)."""
+    return np.array([_c_vector(s.role, s.material, s.sign, config.background, dofmap.degree, mode)
+                     for s in config.spheres])
 
 
 def _dofmap(config: ProblemConfig) -> DofMap:
@@ -613,13 +739,16 @@ def assemble(
     """Build the Galerkin system for a validated configuration.
 
     N is held as one block per character class (``_character_classes``),
-    each made once, at its final size: class c takes the same active
-    modes s_c of every sphere, so its block is viewed as (target, target
-    mode, source, source mode), (M, s_c, M, s_c).  Each chunk of pair
-    blocks arrives as one part per character class of the pairs'
-    stabilizer, which holds the common flips, so each part lies in one
-    class of N: times the source's C, it is written straight into its
-    (target, source) sub-block there, after F has taken it.
+    all of them views of one store, made once at its final size: class c
+    takes the same active modes s_c of every sphere, so its block is
+    viewed as (target, target mode, source, source mode), (M, s_c, M,
+    s_c).  Each chunk of pair blocks arrives as the stacked class parts of
+    the pairs' stabilizer (``_stack``), which holds the common flips, so
+    each part lies in one class of N.  After F has taken its share, each
+    part times the source's C is written straight into its (target,
+    source) sub-block there: through those views when the stack's classes
+    are the layout's, else each entry at its flat position in the store
+    (``_scatter_template``).
     """
     rule = config.rule() if rule is None else rule
     degree = config.degree
@@ -628,56 +757,46 @@ def assemble(
         sigma = build_sigma(config, degree, rule)
     dofmap = _dofmap(config)
     mask = dofmap.active_mask()
-    M, na = len(config.spheres), dofmap.modes_per_sphere
+    M = len(config.spheres)
     norms, tau0, C, diag = _diag_coupling(config, dofmap, mode)
     sig = np.array([sigma[s.id].flat[mask] for s in config.spheres])
     radii = np.array([s.frame.radius for s in config.spheres])
-    D = np.tile(norms, M)
+    D = np.concatenate((norms,) * M)
     F = radii[:, None] * sig * tau0 * norms
     layout = _character_classes(config, dofmap)
-    diag = diag.reshape(-1)
-    blocks = []
-    for rows in layout.classes:
-        block = np.zeros((rows.size, rows.size))
-        # the diagonal blocks of N are exactly diagonal by orthogonality
-        block.reshape(-1)[::rows.size + 1] = diag[rows]
-        blocks.append(block)
-    Nmat = ClassBlocks(layout.classes, tuple(blocks))
-    # each class's modes per sphere, s_c, and its block as (target, target
-    # mode, source, source mode), (M, s_c, M, s_c)
-    widths = [rows.size // M for rows in layout.classes]
-    views = [block.reshape(M, s, M, s) for block, s in zip(blocks, widths)]
-    loaded = np.any(sig != 0.0, axis=1)
-    for ipos, jpos, pair_classes, parts in _pair_blocks(config, rule, dofmap, *_ordered_pairs(config)):
-        # the pairs' modes class by class, the sources' C at them, and F's
-        # share: the loads at them of the sources that carry one
-        modes = np.concatenate(pair_classes)
-        Cj = C[jpos][:, None, modes]
-        fed = np.flatnonzero(loaded[jpos])
-        loads = sig[jpos[fed]][:, modes]
-        contrib = np.empty(loads.shape)
-        start = 0
-        for part in parts:
-            stop = start + part.shape[1]
-            for k, n in enumerate(fed.tolist()):
-                np.dot(part[n], loads[k, start:stop], out=contrib[k, start:stop])
-            part *= Cj[:, :, start:stop]
-            c = layout.owner[modes[start]]
-            s = widths[c]
-            if stop - start == s:
-                # all the class's modes: whole (target, source) sub-blocks
-                views[c][ipos, :, jpos] = part
-            else:
-                # some of them: each entry at its flat position, one index
-                # each (a scatter through the view would take four)
-                p = layout.place[modes[start:stop]]
-                where = ((ipos * s * M + jpos) * s)[:, None, None] + (p[:, None] * M * s + p)
-                blocks[c].reshape(-1)[where] = part
-            start = stop
-        for k, n in enumerate(fed.tolist()):
-            F[ipos[n], modes] += radii[jpos[n]] * contrib[k]
+    # the class blocks, one after another, and a last entry for the pads
+    store = np.zeros(layout.offsets[-1] + 1)
+    # the diagonal blocks of N are exactly diagonal by orthogonality
+    store[layout.diagonal] = diag.reshape(-1)
+    sizes = [rows.size for rows in layout.classes]
+    blocks = tuple(store[o:o + m * m].reshape(m, m) for o, m in zip(layout.offsets.tolist(), sizes))
+    Nmat = ClassBlocks(layout.classes, blocks)
+    # each class's block as (target, target mode, source, source mode), (M, s_c, M, s_c)
+    views = [block.reshape(M, m // M, M, m // M) for block, m in zip(blocks, sizes)]
+    loaded = sig.any(axis=1)
+    for ipos, jpos, stack, raw in _pair_blocks(config, rule, dofmap, *_ordered_pairs(config)):
+        # F's share first: the loads of the sources that carry one, class
+        # by class
+        for n in np.flatnonzero(loaded[jpos]).tolist():
+            loads = sig[jpos[n]][stack.modes]
+            contrib = np.zeros(loads.shape)
+            for c, modes in enumerate(stack.classes):
+                m = modes.size
+                np.dot(raw[c, :m, :m, n], loads[c, :m], out=contrib[c, :m])
+            F[ipos[n]] += radii[jpos[n]] * contrib.reshape(-1)[stack.slots]
+        # times the sources' C at each column
+        raw *= C[jpos][:, stack.modes].transpose(1, 2, 0)[:, None]
+        if stack.axes == layout.stack.axes:
+            # the layout's own classes: whole (target, source) sub-blocks
+            for c, view in enumerate(views):
+                s = view.shape[1]
+                view[ipos, :, jpos] = raw[c, :s, :s].transpose(2, 0, 1)
+        else:
+            # classes within the layout's: each entry at its flat position
+            base, a, b = _scatter_template(degree, stack.axes, layout.stack.axes, M)
+            store[base + ipos * a + jpos * b] = raw
         # freed before the next chunk is generated
-        del parts, part
+        del raw
     return DenseSystem(dofmap=dofmap, D=D, Nmat=Nmat, F=F.reshape(-1), sigma=sigma, mode=mode)
 
 
@@ -767,10 +886,11 @@ class CouplingOperator:
         # each part goes straight to its slot: no second copy of the blocks
         self.blocks = np.zeros((order.size, na, na))
         k = 0
-        for _ipos, _jpos, pair_classes, parts in _pair_blocks(config, rule, self.dofmap,
-                                                              rep_targets, rep_sources):
-            keys = slice(k, k + len(parts[0]))
-            for modes, part in zip(pair_classes, parts):
+        for _ipos, _jpos, stack, raw in _pair_blocks(config, rule, self.dofmap,
+                                                     rep_targets, rep_sources):
+            keys = slice(k, k + raw.shape[-1])
+            for modes, part in zip(stack.classes, raw):
+                part = part[:modes.size, :modes.size].transpose(2, 0, 1)
                 h = self.signs[rep_patterns[keys]][:, modes]
                 turned = h[:, :, None] * part * h[:, None, :]
                 self.blocks[slot[keys][:, None, None], modes[:, None], modes] = turned
@@ -928,6 +1048,7 @@ def apply_operator(
 # degenerate (l=0, W/X) slots that precede them
 _AXIS_W = np.array([3 * 3 + 1, 3 * 1 + 1, 3 * 2 + 1]) - 2
 _AXIS_X = _AXIS_W + 1
+_AXES = np.arange(3)
 # Levi-Civita symbol: (e_a x v)_b = eps[b, a, k] v_k
 _EPS = np.zeros((3, 3, 3))
 _EPS[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
@@ -938,24 +1059,37 @@ def _common_axes(config: ProblemConfig) -> int:
     """Axis pattern on which every sphere centre has exactly the same
     coordinate: the flip of each such axis about that coordinate maps
     every sphere onto itself."""
-    centers = _geometry(config)[0]
-    return int((centers == centers[0]).all(axis=0) @ np.array([1, 2, 4]))
+    return _axes_of(_geometry(config)[0])
+
+
+def _axes_of(centers: np.ndarray) -> int:
+    """``_common_axes`` of the centres (M, 3)."""
+    return int((centers == centers[0]).all(axis=0) @ _AXIS_BITS)
 
 
 class _ClassLayout(NamedTuple):
     """The character classes of a configuration's unknowns and where
     ``assemble`` puts each mode in their blocks (``_character_classes``).
 
-    Each class takes the same active modes of every sphere, s_c of them,
-    sphere-major: ``classes[c]`` holds the m_c = M s_c sorted indices of
-    its unknowns.  ``owner`` and ``place`` give each active mode's class
-    and its place among that class's modes of one sphere, (n_a,) each.
-    Read-only.
+    Each class takes the same active modes of every sphere, those of
+    ``stack.classes[c]`` (``_stack`` of the common flips' pattern), s_c of
+    them, sphere-major: ``classes[c]`` holds the m_c = M s_c sorted
+    indices of its unknowns.  ``owner`` and ``place`` give each active
+    mode's class and its place among that class's modes of one sphere,
+    (n_a,) each, and ``character`` that of each unknown (n,).  ``assemble``
+    holds the class blocks one after another in one flat store: block c
+    starts at ``offsets[c]``, the store holds ``offsets[-1]`` entries and
+    one more, and ``diagonal`` (n,) gives the position in it of each
+    unknown's diagonal entry.  Read-only.
     """
 
+    stack: _Stack
     classes: tuple[np.ndarray, ...]
     owner: np.ndarray
     place: np.ndarray
+    character: np.ndarray
+    offsets: np.ndarray
+    diagonal: np.ndarray
 
 
 def _character_classes(config: ProblemConfig, dofmap: DofMap) -> _ClassLayout:
@@ -974,15 +1108,48 @@ def _character_classes(config: ProblemConfig, dofmap: DofMap) -> _ClassLayout:
 def _class_layout(degree: int, axes: int, spheres: int) -> _ClassLayout:
     """``_character_classes`` of that many spheres under the flips of the
     axes in the pattern ``axes``; the pattern 0 gives one class."""
-    modes = _classes(_characters(degree, axes))
-    na = sum(c.size for c in modes)
+    stack = _stack(degree, axes)
+    modes = stack.classes
+    na = stack.slots.size
     classes = tuple((np.arange(spheres)[:, None] * na + c).reshape(-1) for c in modes)
     owner, place = np.empty(na, dtype=int), np.empty(na, dtype=int)
     for k, c in enumerate(modes):
         owner[c], place[c] = k, np.arange(c.size)
-    out = _ClassLayout(classes, owner, place)
-    for a in (*classes, *out[1:]):
+    sizes = np.array([rows.size for rows in classes])
+    offsets = np.concatenate(([0], np.cumsum(sizes * sizes)))
+    diagonal = np.empty(spheres * na, dtype=int)
+    for rows, offset, m in zip(classes, offsets, sizes):
+        diagonal[rows] = offset + np.arange(m) * (m + 1)
+    character = np.tile(_characters(degree, axes), spheres)
+    out = _ClassLayout(stack, classes, owner, place, character, offsets, diagonal)
+    for a in (*classes, *out[2:]):
         a.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=16)
+def _scatter_template(degree: int, axes: int, layout_axes: int, spheres: int):
+    """Where ``assemble`` writes the stacked parts of the pairs of axis
+    pattern ``axes`` (``_stack``) in the store of ``_class_layout(degree,
+    layout_axes, spheres)``: entry (c, r, q) of pair (i, j) goes to
+    ``base + i a + j b`` at (c, r, q), arrays (classes, width, width, 1);
+    the pads to the store's last entry.  Each class of the stack lies in
+    one class of the layout, whose flips the stack's hold.  Read-only.
+    """
+    stack, layout = _stack(degree, axes), _class_layout(degree, layout_axes, spheres)
+    rows, cols = stack.modes[:, :, None], stack.modes[:, None, :]
+    owner = layout.owner[rows]
+    s = np.array([c.size for c in layout.stack.classes])[owner]
+    # block (M, s, M, s): entry (i, r, j, q) at ((i s + r) M + j) s + q
+    base = layout.offsets[owner] + layout.place[rows] * spheres * s + layout.place[cols]
+    a, b = np.broadcast_to(s * spheres * s, base.shape).copy(), np.broadcast_to(s, base.shape).copy()
+    pads = np.zeros(stack.modes.shape, dtype=bool)
+    pads.reshape(-1)[stack.pads] = True
+    pads = pads[:, :, None] | pads[:, None, :]
+    base[pads], a[pads], b[pads] = layout.offsets[-1], 0, 0
+    out = base[..., None], a[..., None], b[..., None]
+    for arr in out:
+        arr.setflags(write=False)
     return out
 
 
@@ -1006,20 +1173,31 @@ def rigid_trace_vectors(config: ProblemConfig, dofmap: DofMap, mode: str) -> np.
     """
     c = sqrt(4.0 * pi / 3.0)
     M, na = len(config.spheres), dofmap.modes_per_sphere
-    axes = _common_axes(config)
+    centers, radii, _enclosing = _geometry(config)
+    axes = _axes_of(centers)
     rotations = mode == MODE_SELF_CONSISTENT
     Z = np.zeros((M, na, 6 if rotations else 3))  # (sphere, mode, column)
-    Z[:, _AXIS_W, :3] = c * np.eye(3)
+    Z[:, _AXIS_W, _AXES] = c
     if rotations:
-        centers, radii, _enclosing = _geometry(config)
-        offsets = centers - np.where([axes >> a & 1 for a in range(3)], centers[0], 0.0)
+        offsets = centers - np.where(axes & _AXIS_BITS, centers[0], 0.0)
         Z[:, _AXIS_W, 3:] = c * (_EPS @ offsets.T).transpose(2, 0, 1)  # c (e_a x offset)
-        Z[:, _AXIS_X, 3 + np.arange(3)] = -c * radii[:, None]
-    Q = np.linalg.qr(Z.reshape(M * na, -1))[0]
+        Z[:, _AXIS_X, 3 + _AXES] = -c * radii[:, None]
+    Q = _orthonormal_columns(Z.reshape(M * na, -1))
     if axes:
-        character = np.tile(_characters(dofmap.degree, axes), M)
+        character = _class_layout(dofmap.degree, axes, M).character
         Q[character[:, None] != character[np.abs(Q).argmax(axis=0)]] = 0.0
     return Q
+
+
+def _orthonormal_columns(A: np.ndarray) -> np.ndarray:
+    """The Q of the reduced QR factorisation of a tall float64 A, (m, k):
+    the two LAPACK kernels of ``np.linalg.qr(A)[0]``, called as numpy does
+    but without its wrappers and the R it forms, which took most of the
+    time of these small factorisations.  numpy's own LAPACK: SciPy's,
+    a second thread pool, slowed the numpy products that follow it."""
+    a = A.astype(float, order="C", copy=True)
+    tau = _umath_linalg.qr_r_raw(a, signature="d->d")
+    return _umath_linalg.qr_reduced(a, tau, signature="dd->d")
 
 
 def _gauge_project(x: np.ndarray, Z: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -1065,15 +1243,18 @@ def _check_floor(floor: float, n: int, k: int) -> None:
         )
 
 
-def _left_null_border(config: ProblemConfig, dofmap: DofMap, mode: str, Z: np.ndarray,
-                      rows=slice(None)) -> np.ndarray:
-    """Orthonormalised r C Z (radius and C per sphere and mode), which spans
-    the left null space of D - N up to the quadrature asymmetry of the
-    single-layer form (see ``solve_iterative``).  ``Z`` holds the given
-    rows of the rigid traces."""
-    radii = _geometry(config)[1]
-    C = _diag_coupling(config, dofmap, mode)[2]
-    return np.linalg.qr((radii[:, None] * C).reshape(-1)[rows, None] * Z)[0]
+def _radius_c(config: ProblemConfig, dofmap: DofMap, mode: str) -> np.ndarray:
+    """r C per unknown (radius and C of its sphere and mode), (n,)."""
+    radii = np.array([s.frame.radius for s in config.spheres])
+    return (radii[:, None] * _c_matrix(config, dofmap, mode)).reshape(-1)
+
+
+def _left_null_border(rc: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Orthonormalised r C Z, ``rc`` = r C (``_radius_c``) at the rows of
+    the rigid traces ``Z``, which spans the left null space of D - N up to
+    the quadrature asymmetry of the single-layer form (see
+    ``solve_iterative``)."""
+    return _orthonormal_columns(rc[:, None] * Z)
 
 
 def _bordered_matrix(Nmat: np.ndarray, D: np.ndarray, DZ: np.ndarray, dtype,
@@ -1177,6 +1358,7 @@ def _bordered_solve(system: DenseSystem, config: ProblemConfig, Z: np.ndarray, d
     """
     D, F, Nmat = system.D, system.F, system.Nmat
     n, k = Z.shape
+    rc = _radius_c(config, system.dofmap, system.mode)
     retry = dtype == np.float32
     top = np.abs(D - Nmat.diagonal()).max()
     x = np.empty(n)
@@ -1227,7 +1409,7 @@ def _bordered_solve(system: DenseSystem, config: ProblemConfig, Z: np.ndarray, d
         if kc:
             # B^T [psi; nu] = [0; I] gives nu = 0 and (D - N)^T psi = 0; the
             # seed is scaled to Z^T D psi = I.  Row j of psi is column j.
-            seed = _left_null_border(config, system.dofmap, system.mode, z, rows)
+            seed = _left_null_border(rc[rows], z)
             psi = np.zeros((kc, m + kc))
             psi[:, :m] = np.linalg.solve(seed.T @ dz, seed.T)
             del seed
@@ -1236,7 +1418,7 @@ def _bordered_solve(system: DenseSystem, config: ProblemConfig, Z: np.ndarray, d
             if retry and not converged:
                 return None
             steps["psi"] = max(steps["psi"], psi_steps)
-            psi = np.linalg.qr(psi[:, :m].T)[0]
+            psi = _orthonormal_columns(psi[:, :m].T)
             part = psi @ (psi.T @ f)
             incompatible += float(part @ part)
             compatible = f - part
@@ -1400,7 +1582,7 @@ def solve_iterative(
     k = Z.shape[1]
     DZ = D[:, None] * Z
     # scaled to the columns of the row border D Z
-    U = _left_null_border(config, system.dofmap, system.mode, Z) * np.linalg.norm(DZ, axis=0)
+    U = _left_null_border(_radius_c(config, system.dofmap, system.mode), Z) * np.sqrt((DZ * DZ).sum(axis=0))
     products = 0
 
     def apply(v):
@@ -1430,11 +1612,13 @@ def solve_iterative(
             f"GMRES did not reach tol={tol} within {len(history)} iterations: {reason}; "
             f"the returned iterate's true relative residual is {achieved:.3e}"
         )
-    fnorm = np.linalg.norm(F)
-    floor = float(np.linalg.norm(U @ v[n:]) / fnorm) if fnorm > 0 else 0.0
+    fnorm = sqrt(F.dot(F))
+    border = U @ v[n:]
+    floor = sqrt(border.dot(border)) / fnorm if fnorm > 0 else 0.0
     _check_floor(floor, n, k)
     x = _gauge_project(v[:n], Z, D)
-    resid = float(np.linalg.norm(D * x - system.coupling(x) - F) / fnorm) if fnorm > 0 else 0.0
+    r = D * x - system.coupling(x) - F
+    resid = sqrt(r.dot(r)) / fnorm if fnorm > 0 else 0.0
     diagnostics = {"solver_path": "gmres", "product": system.product,
                    "held_block_bytes": system.held_block_bytes,
                    "rank": n - k, "null_dim": k, "consistency_floor": floor,

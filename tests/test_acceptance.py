@@ -268,12 +268,15 @@ def _lattice_solve(config):
     return solve_iterative(assemble(config), config, tol=1e-6)
 
 
-def test_criterion_08_benchmark():
+def criterion_08_measurement():
+    """Criterion 8's measurement: the sphere counts, best-of-three solve
+    times (s) and GMRES iterations of lattices r = 1, 2, 3, and the slope
+    of the log-log fit of time against count.  docs/acceptance_evidence.py
+    (``--part 8``) repeats it in isolated processes."""
     # the M=2 run lasts a few ms and weighs most in the log-space fit, so
     # one untimed run first pays the one-off costs (rule load, cached
     # spectra), and each lattice keeps the best of three runs against
     # transient slowdowns of the host
-    t0 = time.time()
     _lattice_solve(validate(lattice_config(1)))
     counts, times, iters = [], [], []
     for radius in (1, 2, 3):
@@ -286,9 +289,14 @@ def test_criterion_08_benchmark():
         times.append(best)
         counts.append(len(config.spheres))
         iters.append(solution.iterations)
+    slope = float(np.polyfit(np.log(counts), np.log(times), 1)[0])
+    return counts, times, iters, slope
+
+
+def test_criterion_08_benchmark():
+    t0 = time.time()
+    counts, times, iters, slope = criterion_08_measurement()
     counts_ok = counts == [2, 28, 94]
-    logm, logt = np.log(counts), np.log(times)
-    slope = float(np.polyfit(logm, logt, 1)[0])
     slope_ok = 1.7 <= slope <= 2.3
     ratio = max(iters) / min(iters)
     iters_ok = ratio <= 2.0

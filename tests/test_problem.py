@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from elastisph import harmonics
 from elastisph.harmonics import Family
 from elastisph.materials import LameParams, lambda_to_poisson, poisson_to_lambda
 from elastisph import problem
@@ -265,6 +266,31 @@ class TestBuildSigma:
         high = np.abs(sigma.coeffs[49:]).max()
         assert low > 0.1
         assert high > 1e-4  # discontinuous data keeps significant high content
+
+    def test_one_basis_pass_for_all_spheres(self, monkeypatch):
+        # the weighted rows depend only on the rule and the degree: each
+        # block of nodes is evaluated once for every projected sphere, and
+        # each sphere's moments are those of its own projection
+        cfg = three_sphere_config(8)
+        rule = cfg.rule()
+        monkeypatch.setattr(harmonics, "_CACHED_BASIS_BYTES", 0)
+        monkeypatch.setattr(harmonics, "_PROJECT_BLOCK_BYTES", 2**16)
+        loaded = [s for s in cfg.spheres if not s.data.is_zero()]
+        expected = {s.id: harmonics.project(s.data, s.frame, 8, rule) for s in loaded}
+        nodes = []
+        original = harmonics.weighted_rows
+
+        def counting(points, weights, max_degree):
+            nodes.append(len(points))
+            return original(points, weights, max_degree)
+
+        monkeypatch.setattr(harmonics, "weighted_rows", counting)
+        sigma = build_sigma(cfg, 8, rule)
+        assert len(loaded) == 2 and len(nodes) > 1 and sum(nodes) == rule.size
+        assert list(sigma) == [s.id for s in cfg.spheres]
+        for s in loaded:
+            assert sigma[s.id].sphere_id == s.id
+            assert np.array_equal(sigma[s.id].coeffs, expected[s.id].coeffs)
 
     def test_coeff_data_passthrough_and_truncation(self):
         data = BoundaryData(kind="coeffs",

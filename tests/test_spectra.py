@@ -127,6 +127,17 @@ class TestSingleLayerMatrix:
                     assert_allclose(stacked[ell], one, rtol=1e-14, atol=1e-15 * np.abs(one).max())
                 assert np.all(np.isfinite(stacked))
 
+    def test_no_coupling_between_poloidal_and_toroidal(self):
+        # entries (V, X), (W, X), (X, V) and (X, W) are exact zeros at every
+        # degree and on both sides; the pair-block kernel reads only the
+        # (V, W) block and the X entry
+        rng = np.random.default_rng(7)
+        for params in MATERIAL_GRID:
+            for side, rho in (("in", np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 20)])),
+                              ("out", np.concatenate([[1.0], rng.uniform(1, 30, 20)]))):
+                A = single_layer_matrix(np.arange(21), params, rho, side)
+                assert np.all(A[..., [0, 1, 2, 2], [2, 2, 0, 1]] == 0.0)
+
     def test_side_mismatch(self):
         with pytest.raises(ValueError):
             single_layer_matrix(1, P11, np.array(1.5), "in")

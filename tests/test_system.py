@@ -16,7 +16,8 @@ from elastisph.presets import (SWEEP_NU1_MIN, lattice_config, one_sphere_config,
                                three_sphere_config)
 from elastisph.problem import BoundaryData, ProblemConfig, SphereSpec, validate
 from elastisph.quadrature import LEBEDEV_TABLE, SphereFrame, rule_for_degree
-from elastisph.spectra import MODE_AS_PRINTED, MODE_SELF_CONSISTENT, adjoint_double_eigs, single_layer_eigs
+from elastisph.spectra import (MODE_AS_PRINTED, MODE_SELF_CONSISTENT, adjoint_double_eigs, single_layer_eigs,
+                               single_layer_matrix)
 from elastisph.system import (
     ClassBlocks,
     DofMap,
@@ -280,14 +281,14 @@ class TestPairBlocks:
     def test_one_block_per_distinct_key(self, monkeypatch):
         cfg = validate(lattice_config(2))
         blocks = []
-        original = system_module._chunk_blocks
+        original = system_module._pair_blocks
 
         def counting(*args):
-            parts = original(*args)
-            blocks.append(len(parts[0]))
-            return parts
+            for chunk in original(*args):
+                blocks.append(chunk[3].shape[-1])
+                yield chunk
 
-        monkeypatch.setattr(system_module, "_chunk_blocks", counting)
+        monkeypatch.setattr(system_module, "_pair_blocks", counting)
         CouplingOperator(cfg, cfg.rule(), MODE_SELF_CONSISTENT)
         assert sum(blocks) == 42  # of 756 ordered pairs
         blocks.clear()
@@ -298,14 +299,14 @@ class TestPairBlocks:
         cfg = validate(lattice_config(2))
         lam = np.random.default_rng(4).normal(size=system_module._dofmap(cfg).size)
         blocks = []
-        original = system_module._chunk_blocks
+        original = system_module._pair_blocks
 
         def counting(*args):
-            parts = original(*args)
-            blocks.append(len(parts[0]))
-            return parts
+            for chunk in original(*args):
+                blocks.append(chunk[3].shape[-1])
+                yield chunk
 
-        monkeypatch.setattr(system_module, "_chunk_blocks", counting)
+        monkeypatch.setattr(system_module, "_pair_blocks", counting)
         coupling_operator.cache_clear()
         first = apply_operator(cfg, lam)
         assert sum(blocks) == 42
@@ -355,11 +356,11 @@ def _raw_blocks(cfg, rule, dofmap, targets, sources):
     """The raw blocks of the given pairs, (pairs, n_a, n_a), each made whole
     from the class parts ``_pair_blocks`` generates: zero between classes."""
     out = []
-    for _ipos, _jpos, classes, parts in system_module._pair_blocks(cfg, rule, dofmap, targets, sources):
-        raw = np.zeros((len(parts[0]), dofmap.modes_per_sphere, dofmap.modes_per_sphere))
-        for modes, part in zip(classes, parts):
-            raw[:, modes[:, None], modes] = part
-        out.append(raw)
+    for _ipos, _jpos, stack, raw in system_module._pair_blocks(cfg, rule, dofmap, targets, sources):
+        whole = np.zeros((raw.shape[-1], dofmap.modes_per_sphere, dofmap.modes_per_sphere))
+        for modes, part in zip(stack.classes, raw):
+            whole[:, modes[:, None], modes] = part[:modes.size, :modes.size].transpose(2, 0, 1)
+        out.append(whole)
     return np.concatenate(out)
 
 
@@ -439,11 +440,13 @@ class TestFolding:
             for degree in range(1, 9):
                 dofmap = system_module.DofMap(degree=degree, sphere_ids=(1, 2))
                 active = dofmap.active_mask()
-                (_, _, classes, _parts), = system_module._pair_blocks(cfg, rule, dofmap, targets, sources)
+                (_, _, stack, _raw), = system_module._pair_blocks(cfg, rule, dofmap, targets, sources)
+                classes = stack.classes
                 folded = _raw_blocks(cfg, rule, dofmap, targets, sources)
                 (full,) = system_module._chunk_blocks(
-                    cfg.background, degree, harmonics.weighted_basis(rule, degree)[active], y,
-                    radii[1:], int(side == "in"), None)
+                    cfg.background, degree, harmonics.weighted_basis(rule, degree)[active][None], y,
+                    radii[1:], int(side == "in"), system_module._stack(degree, 0))
+                full = full.transpose(2, 0, 1)
                 scale = np.abs(full).max()
                 assert scale > 0.0
                 assert np.abs(folded - full).max() <= 1e-14 * scale
@@ -474,6 +477,83 @@ class TestFolding:
             image = np.array([position[tuple(p)] for p in canonical])
             assert np.array_equal(rule.weights, rule.weights[nodes][image])
             assert np.array_equal(np.bincount(image, minlength=nodes.size), orbit)
+
+
+def _reference_blocks(background, degree, rows, y, src_radii, n_in):
+    """Raw blocks (pairs, n_a, n_a) of a chunk by the per-node contraction of
+    the basis (V, W, X) with every entry of the single-layer matrix, with
+    test rows (n_a, 3 T) in the active modes' own order."""
+    T, n = rows.shape[1] // 3, src_radii.size
+    dist = np.sqrt((y * y).sum(axis=1))
+    basis = vsh_basis(y / dist[:, None], degree)
+    rho = dist / np.repeat(src_radii, T)
+    A = np.empty((degree + 1, rho.size, 3, 3))
+    for side, nodes in (("in", slice(None, n_in * T)), ("out", slice(n_in * T, None))):
+        if rho[nodes].size:
+            A[:, nodes] = single_layer_matrix(np.arange(degree + 1), background, rho[nodes], side)
+    ells = harmonics.per_degree(np.arange(degree + 1))
+    fields = np.einsum("kptc,ptkq->pqtc", np.stack([basis.V, basis.W, basis.X]), A[ells])
+    fields = fields.reshape(-1, n, 3 * T)[system_module._active_mask(degree)]
+    return np.stack([rows @ fields[:, k].T for k in range(n)])
+
+
+class TestChunkKernel:
+    @pytest.mark.parametrize("degree", range(9))
+    @pytest.mark.parametrize("axes", [0, 2, 5])
+    def test_matches_einsum_reference(self, degree, axes):
+        # targets at d with zero components on the axes of the pattern;
+        # sources at the origin: the radius-2 enclosing sphere ('in' side)
+        # and a radius-0.1 inclusion ('out' side)
+        rule = rule_for_degree(17)
+        d = np.where([axes >> a & 1 for a in range(3)], 0.0, [0.8, -0.9, 0.7])
+        if axes:
+            nodes, stacked, stack = system_module._folded_table(rule, degree, axes)
+            points = rule.points[nodes]
+            rows = stacked.reshape(-1, stacked.shape[-1])[stack.slots]
+        else:
+            stack, points = system_module._stack(degree, 0), rule.points
+            rows = harmonics.weighted_basis(rule, degree)[system_module._active_mask(degree)]
+            stacked = rows[None]
+        y = np.concatenate([d + 0.2 * points] * 2)
+        chunks = []
+        for src_radii, n_in in (([2.0, 2.0], 2), ([0.1, 0.1], 0), ([2.0, 0.1], 1)):
+            src_radii = np.array(src_radii)
+            chunks.append((system_module._chunk_blocks(P11, degree, stacked, y, src_radii, n_in, stack),
+                           _reference_blocks(P11, degree, rows, y, src_radii, n_in)))
+        # the largest entry at this degree: an 'out' monopole block is zero
+        # but for rounding (no flux through a sphere around no source)
+        scale = max(np.abs(reference).max() for _raw, reference in chunks)
+        for raw, reference in chunks:
+            for n in range(2):
+                for c, modes in enumerate(stack.classes):
+                    m = modes.size
+                    part = reference[n][modes[:, None], modes]
+                    assert np.abs(raw[c, :m, :m, n] - part).max() <= 1e-15 * scale
+            # the pads of the stack hold exact zeros
+            filled = np.zeros(stack.modes.size, dtype=bool)
+            filled[stack.slots] = True
+            filled = filled.reshape(stack.modes.shape)
+            assert np.all(raw[~filled] == 0.0) and np.all(raw.transpose(0, 2, 1, 3)[~filled] == 0.0)
+
+    def test_concentric_pairs_take_the_closed_form(self, monkeypatch):
+        # lattice r1 is an inclusion at its enclosing sphere's centre: no
+        # pair of it is summed by quadrature
+        calls = []
+        original = system_module._chunk_blocks
+
+        def counting(*args):
+            calls.append(len(args[3]))
+            return original(*args)
+
+        monkeypatch.setattr(system_module, "_chunk_blocks", counting)
+        assemble(validate(lattice_config(1)))
+        assert calls == []
+        # below the rule that integrates the closed form exactly, the
+        # concentric pair is summed by quadrature
+        dofmap = system_module.DofMap(degree=8, sphere_ids=(1, 2))
+        list(system_module._pair_blocks(_pair_config(7, "in"), rule_for_degree(7), dofmap,
+                                        np.array([0]), np.array([1])))
+        assert len(calls) == 1
 
 
 class TestPairClasses:
