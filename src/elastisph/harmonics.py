@@ -180,8 +180,7 @@ def _legendre_factors(max_degree: int) -> tuple:
     The packed rows of the diagonal entries Q[l,l] and their values (as a
     column); the rows of the first off-diagonal Q[l+1,l] = c z Q[l,l] and
     the factors c and c Q[l,l] (columns); per degree l, the three-term
-    factors (a, b) of the orders m <= l - 2 (columns) and the packed rows
-    of those orders at degrees l, l - 1 and l - 2 (slices).
+    factors (a, b) of the orders m <= l - 2 (columns).
     """
     diag, first, a, b = [], [], [], []
     d = 1.0 / sqrt(4.0 * pi)
@@ -199,12 +198,10 @@ def _legendre_factors(max_degree: int) -> tuple:
             sqrt((2.0 * ell + 1.0) * (ell - 1.0 - m) * (ell - 1.0 + m)
                  / ((2.0 * ell - 3.0) * (ell - m) * (ell + m))) for m in ms
         ])[:, None])
-    rows = [tuple(slice(_tri_index(d, 0), _tri_index(d, 0) + ell - 1) for d in (ell, ell - 1, ell - 2))
-            for ell in range(max_degree + 1)]
     ms = np.arange(max_degree)
     diag, first = np.array(diag)[:, None], np.array(first[:-1])[:, None]
     return (_tri_index(np.arange(max_degree + 1), np.arange(max_degree + 1)), diag,
-            _tri_index(ms + 1, ms), first, first * diag[:-1], a, b, rows)
+            _tri_index(ms + 1, ms), first, first * diag[:-1], a, b)
 
 
 def _legendre_tables(z: np.ndarray, max_degree: int) -> np.ndarray:
@@ -221,20 +218,19 @@ def _legendre_tables(z: np.ndarray, max_degree: int) -> np.ndarray:
     n = max_degree + 1
     QdQ = np.zeros((2, n * (n + 1) // 2, z.size))
     Q, dQ = QdQ
-    diag_rows, diag, first_rows, first, first_diag, a, b, rows = _legendre_factors(max_degree)
+    diag_rows, diag, first_rows, first, first_diag, a, b = _legendre_factors(max_degree)
     Q[diag_rows] = diag
     Q[first_rows] = first * z * diag[:-1]
     dQ[first_rows] = first_diag
     for ell in range(2, n):
-        cur, q1, q2 = rows[ell]
+        cur = slice(_tri_index(ell, 0), _tri_index(ell, 0) + ell - 1)
+        q1 = slice(_tri_index(ell - 1, 0), _tri_index(ell - 1, 0) + ell - 1)
+        q2 = slice(_tri_index(ell - 2, 0), _tri_index(ell - 2, 0) + ell - 1)
         np.multiply(a[ell] * z, Q[q1], out=Q[cur])
+        Q[cur] -= b[ell] * Q[q2]
         np.multiply(a[ell], Q[q1] + z * dQ[q1], out=dQ[cur])
-        QdQ[:, cur] -= b[ell] * QdQ[:, q2]
+        dQ[cur] -= b[ell] * dQ[q2]
     return QdQ
-
-
-# the signs of -S and C in (C + i S)(x + i y) = (C x - S y) + i (S x + C y)
-_CONJUGATE_SIGNS = np.array([[-1.0], [1.0]])
 
 
 def _azimuthal_powers(x: np.ndarray, y: np.ndarray, max_degree: int) -> np.ndarray:
@@ -242,11 +238,13 @@ def _azimuthal_powers(x: np.ndarray, y: np.ndarray, max_degree: int) -> np.ndarr
     recursion, stacked as one array CS = (C, S) of shape
     (2, max_degree + 1, len(x))."""
     CS = np.zeros((2, max_degree + 1, x.size))
-    CS[0, 0] = 1.0
+    C, S = CS
+    C[0] = 1.0
     for m in range(1, max_degree + 1):
-        # (C, S) x + (-S, C) y, both rows at once
-        np.multiply(x, CS[:, m - 1], out=CS[:, m])
-        CS[:, m] += y * CS[::-1, m - 1] * _CONJUGATE_SIGNS
+        np.multiply(x, C[m - 1], out=C[m])
+        C[m] -= y * S[m - 1]
+        np.multiply(x, S[m - 1], out=S[m])
+        S[m] += y * C[m - 1]
     return CS
 
 

@@ -761,7 +761,7 @@ def assemble(
     norms, tau0, C, diag = _diag_coupling(config, dofmap, mode)
     sig = np.array([sigma[s.id].flat[mask] for s in config.spheres])
     radii = np.array([s.frame.radius for s in config.spheres])
-    D = np.concatenate((norms,) * M)
+    D = np.tile(norms, M)
     F = radii[:, None] * sig * tau0 * norms
     layout = _character_classes(config, dofmap)
     # the class blocks, one after another, and a last entry for the pads
