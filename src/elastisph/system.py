@@ -106,7 +106,6 @@ class SolverError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-@lru_cache(maxsize=16)
 def _active_mask(degree: int) -> np.ndarray:
     mask = np.ones(3 * num_scalar_modes(degree), dtype=bool)
     mask[[1, 2]] = False
@@ -508,8 +507,10 @@ def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
     the entries between modes of one character under S are computed, one
     part per character class; the others are exact zeros and are not
     made.  A pair with no zero component takes every node, and its one
-    part is the whole block.  Concentric pairs (d = 0) fold the 26 nodes
-    of rule 7 to 7.
+    part is the whole block.  Concentric pairs (d = 0) take no node at
+    all: their parts are closed forms (``_concentric_blocks``) wherever
+    the rule integrates those exactly, as the assembly rule does; under a
+    weaker rule they fold the 26 nodes of rule 7 to 7.
 
     Each chunk takes one basis evaluation over the evaluated nodes of all
     its pairs, one single-layer evaluation over all degrees per side, and
