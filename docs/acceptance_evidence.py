@@ -250,8 +250,9 @@ def part_direct() -> None:
 def pair_nodes(nodes: list[int], unfold: bool):
     """Appends to ``nodes`` the nodes each chunk of pair blocks evaluates;
     with ``unfold``, every pair is summed over all nodes of the rule, all
-    of its entries computed, while active."""
-    folded_table, chunk_blocks = system._folded_table, system._chunk_blocks
+    of its entries computed, while active (concentric pairs too, in place
+    of their closed form)."""
+    folded_table, chunk_blocks, concentric = system._folded_table, system._chunk_blocks, system._CONCENTRIC
 
     def full_table(rule, degree, axes):
         return (np.arange(rule.size), weighted_basis(rule, degree)[system._active_mask(degree)][None],
@@ -263,11 +264,11 @@ def pair_nodes(nodes: list[int], unfold: bool):
 
     system._chunk_blocks = counted
     if unfold:
-        system._folded_table = full_table
+        system._folded_table, system._CONCENTRIC = full_table, None
     try:
         yield
     finally:
-        system._folded_table, system._chunk_blocks = folded_table, chunk_blocks
+        system._folded_table, system._chunk_blocks, system._CONCENTRIC = folded_table, chunk_blocks, concentric
 
 
 def part_folding() -> None:

@@ -256,10 +256,13 @@ def _printed_double_layer(ells: np.ndarray, params: LameParams):
 def _power_table(layer: str, params: LameParams, max_degree: int, mode: str | None) -> dict:
     """Power-law coefficients of one layer for degrees 0..max_degree.
 
-    Maps each side to read-only ``(H, L, T)``: H and L (degrees, 2, 2)
-    multiply rho^a and rho^b in the (V, W) block, T (degrees,) multiplies
-    rho^c in the X entry.  At degree 0 only the V-V entry is kept: W and
-    X vanish there.  ``mode`` is None for the single layer.
+    Maps each side to read-only ``(H, L, T, terms)``: H and L (degrees,
+    2, 2) multiply rho^a and rho^b in the (V, W) block, T (degrees,)
+    multiplies rho^c in the X entry.  ``terms`` lists (row, column,
+    power: 0 for a / 1 for b, coefficients over degrees) of the block
+    terms that are nonzero at some degree; the evaluator skips the rest.
+    At degree 0 only the V-V entry is kept: W and X vanish there.
+    ``mode`` is None for the single layer.
     """
     ells = np.arange(max_degree + 1)
     if layer == "single":
@@ -274,7 +277,9 @@ def _power_table(layer: str, params: LameParams, max_degree: int, mode: str | No
         h, low, t = H[s], L[s], T[s]
         for arr in (h, low, t):
             arr.setflags(write=False)
-        table[side] = (h, low, t)
+        terms = tuple((i, j, p, coeffs[:, i, j]) for i in (0, 1) for j in (0, 1)
+                      for p, coeffs in enumerate((h, low)) if coeffs[:, i, j].any())
+        table[side] = (h, low, t, terms)
     return table
 
 
@@ -303,10 +308,12 @@ def _layer_matrix(layer: str, ell, params: LameParams, rho, side: str,
     # one degree stays 0-d: numpy's power then takes the same loop for any
     # number of points, so a point's matrix does not depend on its batch
     ell = ells.reshape(ells.shape + (1,) * rho.ndim) if ells.ndim else ells
-    H, L, T = _power_table(layer, params, int(ells.max()), mode)[side]
+    _, _, T, terms = _power_table(layer, params, int(ells.max()), mode)[side]
     a, b, c = _exponents(ell, side)
+    powers = (rho ** a, rho ** b)
     out = np.zeros(ells.shape + rho.shape + (3, 3))
-    out[..., :2, :2] = H[ell] * (rho ** a)[..., None, None] + L[ell] * (rho ** b)[..., None, None]
+    for i, j, p, coeffs in terms:
+        out[..., i, j] += coeffs[ell] * powers[p]
     out[..., 2, 2] = T[ell] * rho ** c
     return out
 
@@ -343,7 +350,7 @@ def traction_trace_matrices(ell: int, params: LameParams) -> tuple[np.ndarray, n
     """
     mats = []
     for side in _SIDES:
-        H, L, T = _power_table("single", params, ell, None)[side]
+        H, L, T, _ = _power_table("single", params, ell, None)[side]
         a, b, c = _exponents(ell, side)
         prof = np.zeros((3, 6))  # one row per density family
         prof[:2, 0:4:2] = (H[ell] + L[ell]).T
