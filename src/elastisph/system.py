@@ -91,7 +91,6 @@ from numpy.linalg import _umath_linalg
 from scipy.linalg import get_lapack_funcs, lu_factor
 from scipy.sparse import csr_array
 from scipy.sparse._sparsetools import csr_matvecs
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .harmonics import (Family, VshExpansion, norm_sq_table, num_scalar_modes, per_degree,
                         reflection_signs, vsh_basis, weighted_basis, weighted_rows)
@@ -1540,6 +1539,94 @@ def solve_direct(system: DenseSystem, config: ProblemConfig) -> Solution:
     )
 
 
+def _gmres(matvec, b: np.ndarray, rtol: float, restart: int, maxiter: int, callback):
+    """Restarted GMRES from x = 0 with relative-residual stopping, step for
+    step the algorithm of ``scipy.sparse.linalg.gmres`` (SciPy 1.12 on) for
+    a real operator, no preconditioner, ``atol=0`` and
+    ``callback_type="pr_norm"``: the same x, info and residual history.
+    Without SciPy's operator wrappers and input checks, which took about
+    a third of a small solve's GMRES time.
+
+    Each inner iteration makes one product and reports the estimated
+    residual over |b|; each restart cycle ends with one product for the
+    true residual of its update, and adapts the inner tolerance as SciPy
+    does.  Returns ``(x, info)``: info is 0 once |b - A x| <= rtol |b|,
+    ``maxiter`` otherwise.
+    """
+    n, eps = b.size, np.finfo(float).eps
+    bnrm2 = sqrt(b.dot(b))
+    x = np.zeros(n)
+    if bnrm2 == 0:
+        return b, 0
+    atol = rtol * bnrm2
+    if bnrm2 < atol:
+        return x, 0
+    restart = min(restart, n)
+    lartg, = get_lapack_funcs(("lartg",), dtype=float)
+    v = np.empty((restart + 1, n))
+    h = np.zeros((restart, restart + 1))
+    givens = np.zeros((restart, 2))
+    ptol_max_factor = 1.0
+    ptol = bnrm2 * min(ptol_max_factor, atol / bnrm2)
+    r = b.copy()
+    for _cycle in range(maxiter):
+        beta = sqrt(r.dot(r))
+        v[0] = r
+        v[0] *= 1 / beta
+        S = np.zeros(restart + 1)
+        S[0] = beta
+        breakdown = False
+        for col in range(restart):
+            w = matvec(v[col])
+            h0 = sqrt(w.dot(w))
+            # modified Gram-Schmidt
+            for k in range(col + 1):
+                h[col, k] = tmp = v[k].dot(w)
+                w -= tmp * v[k]
+            h[col, col + 1] = h1 = sqrt(w.dot(w))
+            v[col + 1] = w
+            if h1 <= eps * h0:
+                h[col, col + 1] = 0
+                breakdown = True
+            else:
+                v[col + 1] *= 1 / h1
+            # the past Givens rotations, then the current one, on column col
+            for k in range(col):
+                c, s = givens[k]
+                n0, n1 = h[col, k], h[col, k + 1]
+                h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
+            c, s, mag = lartg(h[col, col], h[col, col + 1])
+            givens[col] = c, s
+            h[col, col], h[col, col + 1] = mag, 0
+            tmp = -s * S[col]
+            S[col], S[col + 1] = c * S[col], tmp
+            presid = abs(tmp)
+            callback(presid / bnrm2)
+            if presid <= ptol or breakdown:
+                break
+        if h[col, col] == 0:
+            S[col] = 0
+        # back substitution with the triangular h[:col + 1, :col + 1].T
+        y = S[:col + 1].copy()
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        x += y @ v[:col + 1]
+        r = b - matvec(x)
+        rnorm = sqrt(r.dot(r))
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+    return x, 0 if rnorm <= atol else maxiter
+
+
 def solve_iterative(
     system: DenseSystem | CouplingOperator,
     config: ProblemConfig,
@@ -1594,11 +1681,7 @@ def solve_iterative(
 
     history: list[float] = []
     rhs = np.concatenate([F / D, np.zeros(k)])
-    v, info = gmres(
-        LinearOperator((n + k, n + k), matvec=apply, dtype=float), rhs,
-        rtol=tol, atol=0.0, restart=restart, maxiter=max_iter,
-        callback=history.append, callback_type="pr_norm",
-    )
+    v, info = _gmres(apply, rhs, tol, restart, max_iter, history.append)
     if info < 0:
         raise SolverError("GMRES received an illegal input or breakdown")
     if info > 0:

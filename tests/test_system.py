@@ -1025,6 +1025,23 @@ class TestClassBlocks:
 
 
 class TestBorderedGMRES:
+    @pytest.mark.parametrize("restart, maxiter, rtol", [(5, 50, 1e-10), (60, 3, 1e-12), (4, 2, 1e-14),
+                                                       (3, 100, 1e-6)])
+    def test_gmres_is_scipys(self, restart, maxiter, rtol):
+        # the same iterates, info and residual history as SciPy's gmres,
+        # through restarts, an exhausted budget and a zero load
+        from scipy.sparse.linalg import LinearOperator, gmres
+        rng = np.random.default_rng(restart)
+        n = 60
+        A = np.eye(n) + 0.4 * rng.normal(size=(n, n)) / np.sqrt(n)
+        for b in (rng.normal(size=n), np.zeros(n)):
+            ours, theirs = [], []
+            x, info = system_module._gmres(lambda v: A @ v, b, rtol, restart, maxiter, ours.append)
+            x_ref, info_ref = gmres(LinearOperator((n, n), matvec=lambda v: A @ v, dtype=float), b,
+                                    rtol=rtol, atol=0.0, restart=restart, maxiter=maxiter,
+                                    callback=theirs.append, callback_type="pr_norm")
+            assert np.array_equal(x, x_ref) and info == info_ref and ours == theirs
+
     # at N=3 the border r C Z leans 3.6e-4 off the exact left null space,
     # and that angle times the 3.7e-5 consistency floor sets the agreement
     # with the orthogonal projection of the direct path (7.8e-9)
