@@ -1009,7 +1009,7 @@ def solver_bytes(config: ProblemConfig, product: str) -> int:
         raise ValueError(f"unknown product {product!r}; expected 'dense' or 'matrix_free'")
     if config.solver.method == "direct":
         return held + 8 * (n + 6) ** 2
-    # SciPy's GMRES restarts after at most as many steps as the system has unknowns
+    # GMRES (``_gmres``) restarts after at most as many steps as the system has unknowns
     restart = min(config.solver.restart, n + 6)
     return held + 8 * (restart + 1) * (n + 6)
 
@@ -1670,7 +1670,8 @@ def solve_iterative(
     k = Z.shape[1]
     DZ = D[:, None] * Z
     # scaled to the columns of the row border D Z
-    U = _left_null_border(_radius_c(config, system.dofmap, system.mode), Z) * np.sqrt((DZ * DZ).sum(axis=0))
+    U = _left_null_border(_radius_c(config, system.dofmap, system.mode), Z)
+    U *= np.sqrt((DZ * DZ).sum(axis=0))
     products = 0
 
     def apply(v):
@@ -1682,12 +1683,10 @@ def solve_iterative(
     history: list[float] = []
     rhs = np.concatenate([F / D, np.zeros(k)])
     v, info = _gmres(apply, rhs, tol, restart, max_iter, history.append)
-    if info < 0:
-        raise SolverError("GMRES received an illegal input or breakdown")
     if info > 0:
         # each restart cycle makes one product beyond its inner iterations
-        # (the true residual of its update); unconverged, SciPy leaves its
-        # restart loop early only on a breakdown
+        # (the true residual of its update); unconverged, the restart loop
+        # ends early only on a breakdown
         cycles = products - len(history)
         reason = ("the Krylov space stopped growing (breakdown)" if cycles < max_iter
                   else f"all {max_iter} restart cycles ran")
