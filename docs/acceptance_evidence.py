@@ -61,7 +61,7 @@ from pathlib import Path
 import numpy as np
 
 from elastisph import system
-from elastisph.harmonics import Family, ModeIndex, VshExpansion, project, sh_index, weighted_basis
+from elastisph.harmonics import Family, ModeIndex, VshExpansion, project, sh_index
 from elastisph.kernels_oracle import dl_offsurface, jump_audit, sl_offsurface
 from elastisph.materials import LameParams
 from elastisph.postprocess import norm_difference, one_sphere_reference, relative_error
@@ -250,13 +250,10 @@ def part_direct() -> None:
 def pair_nodes(nodes: list[int], unfold: bool):
     """Appends to ``nodes`` the nodes each chunk of pair blocks evaluates;
     with ``unfold``, every pair is summed over all nodes of the rule, all
-    of its entries computed, while active (concentric pairs too, in place
-    of their closed form)."""
-    folded_table, chunk_blocks, concentric = system._folded_table, system._chunk_blocks, system._CONCENTRIC
-
-    def full_table(rule, degree, axes):
-        return (np.arange(rule.size), weighted_basis(rule, degree)[system._active_mask(degree)][None],
-                system._stack(degree, 0))
+    of its entries computed, while active: each pair is taken as one with
+    no zero component (concentric pairs too, in place of their closed
+    form)."""
+    zero_axes, chunk_blocks = system._zero_axes, system._chunk_blocks
 
     def counted(background, degree, rows, y, *rest):
         nodes.append(len(y))
@@ -264,11 +261,11 @@ def pair_nodes(nodes: list[int], unfold: bool):
 
     system._chunk_blocks = counted
     if unfold:
-        system._folded_table, system._CONCENTRIC = full_table, None
+        system._zero_axes = lambda d: np.zeros(len(d), dtype=int)
     try:
         yield
     finally:
-        system._folded_table, system._chunk_blocks, system._CONCENTRIC = folded_table, chunk_blocks, concentric
+        system._zero_axes, system._chunk_blocks = zero_axes, chunk_blocks
 
 
 def part_folding() -> None:

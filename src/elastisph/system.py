@@ -87,10 +87,11 @@ from math import pi, sqrt
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+from numpy.linalg import LinAlgError, _umath_linalg
 from scipy.linalg import get_lapack_funcs, lu_factor
 from scipy.sparse import csr_array
 from scipy.sparse._sparsetools import csr_matvecs
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .harmonics import (Family, VshExpansion, norm_sq_table, num_scalar_modes, per_degree,
                         reflection_signs, vsh_basis, weighted_basis, weighted_rows)
@@ -507,9 +508,9 @@ def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
     part per character class; the others are exact zeros and are not
     made.  A pair with no zero component takes every node, and its one
     part is the whole block.  Concentric pairs (d = 0) take no node at
-    all: their parts are closed forms (``_concentric_blocks``) wherever
-    the rule integrates those exactly, as the assembly rule does; under a
-    weaker rule they fold the 26 nodes of rule 7 to 7.
+    all: their parts are closed forms (``_concentric_blocks``), which
+    ``rule`` integrates exactly, as every assembly rule (``_check_rule``)
+    does.
 
     Each chunk takes one basis evaluation over the evaluated nodes of all
     its pairs, one single-layer evaluation over all degrees per side, and
@@ -524,8 +525,7 @@ def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
     starts = np.nonzero(np.concatenate(([-1], axes[:-1])) != axes)[0]
     for r0, r1 in zip(starts.tolist(), (*starts[1:].tolist(), targets.size)):
         pattern = int(axes[r0])
-        # closed forms where the rule integrates them exactly (``_check_rule``)
-        concentric = pattern == _CONCENTRIC and rule.degree >= 2 * degree
+        concentric = pattern == _CONCENTRIC
         if concentric:
             stack, points = _stack(degree, pattern), ()
         elif pattern:
@@ -1009,7 +1009,7 @@ def solver_bytes(config: ProblemConfig, product: str) -> int:
         raise ValueError(f"unknown product {product!r}; expected 'dense' or 'matrix_free'")
     if config.solver.method == "direct":
         return held + 8 * (n + 6) ** 2
-    # GMRES (``_gmres``) restarts after at most as many steps as the system has unknowns
+    # SciPy's GMRES restarts after at most as many steps as the system has unknowns
     restart = min(config.solver.restart, n + 6)
     return held + 8 * (restart + 1) * (n + 6)
 
@@ -1190,14 +1190,20 @@ def rigid_trace_vectors(config: ProblemConfig, dofmap: DofMap, mode: str) -> np.
 
 
 def _orthonormal_columns(A: np.ndarray) -> np.ndarray:
-    """The Q of the reduced QR factorisation of a tall float64 A, (m, k):
-    the two LAPACK kernels of ``np.linalg.qr(A)[0]``, called as numpy does
-    but without its wrappers and the R it forms, which took most of the
-    time of these small factorisations.  numpy's own LAPACK: SciPy's,
-    a second thread pool, slowed the numpy products that follow it."""
+    """The Q of the reduced QR factorisation of a tall float64 A, (m, k),
+    bitwise ``np.linalg.qr(A)[0]``: its two LAPACK kernels (numpy's private
+    gufuncs ``qr_r_raw`` and ``qr_reduced``, numpy >= 2.0) under its
+    floating-point error handling, without its other wrappers and the R
+    it forms.  Those took about 7% of the solve of lattice r1 (best of
+    three in a fresh process), the M = 2 anchor of criterion 8's slope."""
     a = A.astype(float, order="C", copy=True)
-    tau = _umath_linalg.qr_r_raw(a, signature="d->d")
-    return _umath_linalg.qr_reduced(a, tau, signature="dd->d")
+    with np.errstate(call=_qr_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        tau = _umath_linalg.qr_r_raw(a, signature="d->d")
+        return _umath_linalg.qr_reduced(a, tau, signature="dd->d")
+
+
+def _qr_failed(err, flag):
+    raise LinAlgError("Incorrect argument found while performing QR factorization")
 
 
 def _gauge_project(x: np.ndarray, Z: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -1539,94 +1545,6 @@ def solve_direct(system: DenseSystem, config: ProblemConfig) -> Solution:
     )
 
 
-def _gmres(matvec, b: np.ndarray, rtol: float, restart: int, maxiter: int, callback):
-    """Restarted GMRES from x = 0 with relative-residual stopping, step for
-    step the algorithm of ``scipy.sparse.linalg.gmres`` (SciPy 1.12 on) for
-    a real operator, no preconditioner, ``atol=0`` and
-    ``callback_type="pr_norm"``: the same x, info and residual history.
-    Without SciPy's operator wrappers and input checks, which took about
-    a third of a small solve's GMRES time.
-
-    Each inner iteration makes one product and reports the estimated
-    residual over |b|; each restart cycle ends with one product for the
-    true residual of its update, and adapts the inner tolerance as SciPy
-    does.  Returns ``(x, info)``: info is 0 once |b - A x| <= rtol |b|,
-    ``maxiter`` otherwise.
-    """
-    n, eps = b.size, np.finfo(float).eps
-    bnrm2 = sqrt(b.dot(b))
-    x = np.zeros(n)
-    if bnrm2 == 0:
-        return b, 0
-    atol = rtol * bnrm2
-    if bnrm2 < atol:
-        return x, 0
-    restart = min(restart, n)
-    lartg, = get_lapack_funcs(("lartg",), dtype=float)
-    v = np.empty((restart + 1, n))
-    h = np.zeros((restart, restart + 1))
-    givens = np.zeros((restart, 2))
-    ptol_max_factor = 1.0
-    ptol = bnrm2 * min(ptol_max_factor, atol / bnrm2)
-    r = b.copy()
-    for _cycle in range(maxiter):
-        beta = sqrt(r.dot(r))
-        v[0] = r
-        v[0] *= 1 / beta
-        S = np.zeros(restart + 1)
-        S[0] = beta
-        breakdown = False
-        for col in range(restart):
-            w = matvec(v[col])
-            h0 = sqrt(w.dot(w))
-            # modified Gram-Schmidt
-            for k in range(col + 1):
-                h[col, k] = tmp = v[k].dot(w)
-                w -= tmp * v[k]
-            h[col, col + 1] = h1 = sqrt(w.dot(w))
-            v[col + 1] = w
-            if h1 <= eps * h0:
-                h[col, col + 1] = 0
-                breakdown = True
-            else:
-                v[col + 1] *= 1 / h1
-            # the past Givens rotations, then the current one, on column col
-            for k in range(col):
-                c, s = givens[k]
-                n0, n1 = h[col, k], h[col, k + 1]
-                h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
-            c, s, mag = lartg(h[col, col], h[col, col + 1])
-            givens[col] = c, s
-            h[col, col], h[col, col + 1] = mag, 0
-            tmp = -s * S[col]
-            S[col], S[col + 1] = c * S[col], tmp
-            presid = abs(tmp)
-            callback(presid / bnrm2)
-            if presid <= ptol or breakdown:
-                break
-        if h[col, col] == 0:
-            S[col] = 0
-        # back substitution with the triangular h[:col + 1, :col + 1].T
-        y = S[:col + 1].copy()
-        for k in range(col, 0, -1):
-            if y[k] != 0:
-                y[k] /= h[k, k]
-                y[:k] -= y[k] * h[k, :k]
-        if y[0] != 0:
-            y[0] /= h[0, 0]
-        x += y @ v[:col + 1]
-        r = b - matvec(x)
-        rnorm = sqrt(r.dot(r))
-        if rnorm <= atol or breakdown:
-            break
-        if presid <= ptol:
-            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
-        else:
-            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
-        ptol = presid * min(ptol_max_factor, atol / rnorm)
-    return x, 0 if rnorm <= atol else maxiter
-
-
 def solve_iterative(
     system: DenseSystem | CouplingOperator,
     config: ProblemConfig,
@@ -1682,11 +1600,17 @@ def solve_iterative(
 
     history: list[float] = []
     rhs = np.concatenate([F / D, np.zeros(k)])
-    v, info = _gmres(apply, rhs, tol, restart, max_iter, history.append)
+    v, info = gmres(
+        LinearOperator((n + k, n + k), matvec=apply, dtype=float), rhs,
+        rtol=tol, atol=0.0, restart=restart, maxiter=max_iter,
+        callback=history.append, callback_type="pr_norm",
+    )
+    if info < 0:
+        raise SolverError("GMRES received an illegal input or breakdown")
     if info > 0:
         # each restart cycle makes one product beyond its inner iterations
-        # (the true residual of its update); unconverged, the restart loop
-        # ends early only on a breakdown
+        # (the true residual of its update); unconverged, SciPy leaves its
+        # restart loop early only on a breakdown
         cycles = products - len(history)
         reason = ("the Krylov space stopped growing (breakdown)" if cycles < max_iter
                   else f"all {max_iter} restart cycles ran")

@@ -438,6 +438,11 @@ class TestFolding:
             y = centers[0] + radii[0] * rule.points - centers[1]
             flips = harmonics.reflection_signs(8)[[1 << a for a in range(3) if axes >> a & 1]]
             for degree in range(1, 9):
+                if axes == 7 and rule.degree < 2 * degree:
+                    # a concentric pair takes its closed form, which a rule
+                    # integrates exactly from degree 2N on (as ``_check_rule``
+                    # asks of every assembly rule)
+                    continue
                 dofmap = system_module.DofMap(degree=degree, sphere_ids=(1, 2))
                 active = dofmap.active_mask()
                 (_, _, stack, _raw), = system_module._pair_blocks(cfg, rule, dofmap, targets, sources)
@@ -548,12 +553,6 @@ class TestChunkKernel:
         monkeypatch.setattr(system_module, "_chunk_blocks", counting)
         assemble(validate(lattice_config(1)))
         assert calls == []
-        # below the rule that integrates the closed form exactly, the
-        # concentric pair is summed by quadrature
-        dofmap = system_module.DofMap(degree=8, sphere_ids=(1, 2))
-        list(system_module._pair_blocks(_pair_config(7, "in"), rule_for_degree(7), dofmap,
-                                        np.array([0]), np.array([1])))
-        assert len(calls) == 1
 
 
 class TestPairClasses:
@@ -1025,22 +1024,16 @@ class TestClassBlocks:
 
 
 class TestBorderedGMRES:
-    @pytest.mark.parametrize("restart, maxiter, rtol", [(5, 50, 1e-10), (60, 3, 1e-12), (4, 2, 1e-14),
-                                                       (3, 100, 1e-6)])
-    def test_gmres_is_scipys(self, restart, maxiter, rtol):
-        # the same iterates, info and residual history as SciPy's gmres,
-        # through restarts, an exhausted budget and a zero load
-        from scipy.sparse.linalg import LinearOperator, gmres
-        rng = np.random.default_rng(restart)
-        n = 60
-        A = np.eye(n) + 0.4 * rng.normal(size=(n, n)) / np.sqrt(n)
-        for b in (rng.normal(size=n), np.zeros(n)):
-            ours, theirs = [], []
-            x, info = system_module._gmres(lambda v: A @ v, b, rtol, restart, maxiter, ours.append)
-            x_ref, info_ref = gmres(LinearOperator((n, n), matvec=lambda v: A @ v, dtype=float), b,
-                                    rtol=rtol, atol=0.0, restart=restart, maxiter=maxiter,
-                                    callback=theirs.append, callback_type="pr_norm")
-            assert np.array_equal(x, x_ref) and info == info_ref and ours == theirs
+    def test_orthonormal_columns_are_numpys_qr(self):
+        # the rigid traces, the border and psi take numpy's QR kernels
+        # directly: bitwise np.linalg.qr's Q, NaN where it gives NaN
+        rng = np.random.default_rng(3)
+        cases = [rng.normal(size=(m, k)) for m, k in ((92, 6), (1288, 6), (40, 3), (7, 7))]
+        cases.append(np.repeat(rng.normal(size=(50, 1)), 3, axis=1))  # rank one
+        nan = rng.normal(size=(30, 4))
+        nan[5, 2] = np.nan
+        for A in (*cases, nan, cases[0].T.copy().T):
+            assert np.array_equal(system_module._orthonormal_columns(A), np.linalg.qr(A)[0], equal_nan=True)
 
     # at N=3 the border r C Z leans 3.6e-4 off the exact left null space,
     # and that angle times the 3.7e-5 consistency floor sets the agreement
