@@ -26,6 +26,7 @@ from math import isqrt, sqrt, pi
 
 import numpy as np
 
+from ._blas import product
 from .materials import LameParams
 from .quadrature import LebedevRule, SphereFrame
 
@@ -543,7 +544,7 @@ def project_fields(fields, max_degree: int, rule: LebedevRule) -> list[VshExpans
     node_bytes = 9 * num_scalar_modes(max_degree) * 8
     if node_bytes * rule.size <= _CACHED_BASIS_BYTES:
         basis = weighted_basis(rule, max_degree)
-        raws = [basis @ v.reshape(-1) for v in values]
+        raws = [product(basis, v.reshape(-1)) for v in values]
     else:
         # accumulate the moments over blocks of nodes instead of
         # materialising the whole weighted basis
@@ -551,7 +552,7 @@ def project_fields(fields, max_degree: int, rule: LebedevRule) -> list[VshExpans
         raws = [0] * len(values)
         for t in range(0, rule.size, step):
             rows = weighted_rows(rule.points[t:t + step], rule.weights[t:t + step], max_degree)
-            raws = [raw + rows @ v[t:t + step].reshape(-1) for raw, v in zip(raws, values)]
+            raws = [raw + product(rows, v[t:t + step].reshape(-1)) for raw, v in zip(raws, values)]
     norms = norm_sq_table(max_degree)
     out = []
     for raw in raws:

@@ -57,7 +57,14 @@ def _green_traction(z, n, params: LameParams) -> np.ndarray:
     """Traction of the columns of G(z) with respect to z, normal n.
 
     ``z`` and ``n`` broadcast as (..., 3); returns (..., 3, 3) whose
-    column j is the traction vector of the j-th Green column.
+    column j is the traction vector of the j-th Green column:
+
+        -(mu (zn I + z n^T - n z^T) + 3 (lam + mu) zn / r^2 z z^T)
+          / (4 pi (lam + 2 mu) r^3),   zn = z . n.
+
+    Formed in the returned array and one work array of its shape, each
+    step in place, in the order of the expression, so that every entry
+    is the expression's own rounding.
     """
     z = np.asarray(z, dtype=float)
     n = np.broadcast_to(np.asarray(n, dtype=float), z.shape)
@@ -67,16 +74,19 @@ def _green_traction(z, n, params: LameParams) -> np.ndarray:
     r = np.sqrt(r2)
     mu, lam = params.mu, params.lam
     zn = np.sum(z * n, axis=-1)
-    eye = np.eye(3)
-    term = mu * (
-        eye * zn[..., None, None]
-        + n[..., None, :] * z[..., :, None]
-        - n[..., :, None] * z[..., None, :]
-    )
-    term = term + 3.0 * (lam + mu) * (zn / r2)[..., None, None] * (
-        z[..., :, None] * z[..., None, :]
-    )
-    return -term / (4.0 * np.pi * (lam + 2.0 * mu) * (r2 * r)[..., None, None])
+    zi, zj, ni, nj = z[..., :, None], z[..., None, :], n[..., :, None], n[..., None, :]
+    term = np.multiply(np.eye(3), zn[..., None, None])
+    work = np.multiply(nj, zi)
+    term += work
+    term -= np.multiply(ni, zj, out=work)
+    term *= mu
+    work = np.multiply(zi, zj, out=work)
+    work *= 3.0 * (lam + mu) * (zn / r2)[..., None, None]
+    term += work
+    del work
+    np.negative(term, out=term)
+    term /= 4.0 * np.pi * (lam + 2.0 * mu) * (r2 * r)[..., None, None]
+    return term
 
 
 def traction_kernel(x, y, n_y, params: LameParams) -> np.ndarray:
@@ -87,7 +97,8 @@ def traction_kernel(x, y, n_y, params: LameParams) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return -_green_traction(x - y, n_y, params)
+    K = _green_traction(x - y, n_y, params)
+    return np.negative(K, out=K)
 
 
 def _layer_sums(kind: str, phis, frame: SphereFrame, rule: LebedevRule, params: LameParams,

@@ -27,7 +27,7 @@ evaluates such a pair only at the orbit representatives (nodes with
 nonnegative coordinates on the axes of S), weights each by its orbit
 size, 2^(its nonzero coordinates on those axes), and computes only the
 even entries, those between modes of one character class (equal signs
-under S), in one batched product over the classes; the odd entries are
+under S), in one product per class; the odd entries are
 exact zeros.  A pair with no zero component takes every node and all
 entries.  The three-sphere pairs, all on the x axis, take 162 of the 590
 nodes of rule 41 and a quarter of the entries.  A pair whose spheres
@@ -76,6 +76,22 @@ matrix-free product: its column border r C Z spans the left null space
 up to the quadrature asymmetry of the single-layer form (see
 ``solve_iterative``), so it measures the same part of the load, and the
 final iterate is projected onto the same gauge.
+
+One BLAS library.  numpy's and SciPy's wheels each ship an OpenBLAS, each
+with its own thread pool, whose workers keep spinning for a while after
+a call.  On two BLAS threads and two cores the two pools, interleaved,
+take the second core from each other: the assembly and direct solve of
+the three spheres at N=20 took 0.33-0.41 s on two threads against 0.21 s
+on one, and their float32 LU 66-160 ms against 34 ms.  So the direct
+path (``assemble``, ``solve_direct``) runs every dense product large
+enough for OpenBLAS to thread on SciPy's BLAS, the library of its LU
+(``_blas.product``): the pair blocks' class products, the moments of
+``harmonics.project_fields``, ``ClassBlocks @ x`` and the refinement's
+products; the rigid-trace QR is SciPy's ``dgeqrf`` and ``dorgqr``.  The
+same operation then takes 0.18-0.19 s on two threads.  numpy keeps the
+products below OpenBLAS's threading size (assembly's F shares, the
+(D - N) Z check, the border's products), ``CouplingOperator``'s batched
+products and SciPy's own GMRES internals.
 """
 
 from __future__ import annotations
@@ -87,12 +103,14 @@ from math import pi, sqrt
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
+from numpy.linalg import LinAlgError
 from scipy.linalg import get_lapack_funcs, lu_factor
+from scipy.linalg.lapack import dgeqrf, dorgqr
 from scipy.sparse import csr_array
 from scipy.sparse._sparsetools import csr_matvecs
 from scipy.sparse.linalg import LinearOperator, gmres
 
+from ._blas import product as _product
 from .harmonics import (Family, VshExpansion, norm_sq_table, num_scalar_modes, per_degree,
                         reflection_signs, vsh_basis, weighted_basis, weighted_rows)
 from .materials import LameParams
@@ -197,12 +215,15 @@ class ClassBlocks:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """The product with a vector (n,) or the columns of an array (n, k)."""
         if len(self.blocks) == 1:
-            return self.blocks[0] @ x
+            return _product(self.blocks[0], x)
         # one gather, one product per class and one scatter
         ordered = x[self.order]
         product = np.empty(ordered.shape)
         for span, block in self._spans:
-            block.dot(ordered[span], product[span])
+            if x.ndim == 1:
+                product[span] = _product(block, ordered[span])
+            else:
+                _product(block, ordered[span], out=product[span])
         out = np.empty(x.shape)
         out[self.order] = product
         return out
@@ -514,7 +535,7 @@ def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
 
     Each chunk takes one basis evaluation over the evaluated nodes of all
     its pairs, one single-layer evaluation over all degrees per side, and
-    one batched product of the stacked classes' test rows, which are the
+    one product per class of the stacked classes' test rows, which are the
     same for every target, with their fields (``_chunk_blocks``).  Its
     working set is bounded by ``_CHUNK_BYTES``.
     """
@@ -619,9 +640,10 @@ def _chunk_blocks(background: LameParams, degree: int, rows: np.ndarray, y: np.n
 
     each formed by broadcast products straight into the rows of G, at
     their mode's slot (G's pad rows are zero); at l = 0 only the first,
-    as (l=0, W) and (l=0, X) are not active.  One batched product of the
-    test rows with G then gives every class's part, entry (r, q) of
-    class c and pair n at ``raw[c, r, q, n]``.  A function of its own so
+    as (l=0, W) and (l=0, X) are not active.  One product per class of
+    its test rows with its rows of G (``_blas.product``, SciPy's dgemm)
+    then gives every class's part, entry (r, q) of class c and pair n at
+    ``raw[c, r, q, n]``.  A function of its own so
     that the chunk's temporaries are freed before the next one.
     """
     L2, T, n = num_scalar_modes(degree), rows.shape[2] // 3, src_radii.size
@@ -649,7 +671,10 @@ def _chunk_blocks(background: LameParams, degree: int, rows: np.ndarray, y: np.n
             fields[at[sl, 1]] = v * a[:, 0, 1] + w * a[:, 1, 1]
             fields[at[sl, 2]] = X[sl] * a[:, 2, 2]
     del V, W, X, v, w
-    raw = np.matmul(rows, G.reshape(C, width * n, 3 * T).transpose(0, 2, 1))
+    G = G.reshape(C, width * n, 3 * T)
+    raw = np.empty((C, width, width * n))
+    for c in range(C):
+        _product(rows[c], G[c].T, out=raw[c])
     return raw.reshape(C, width, width, n)
 
 
@@ -1191,19 +1216,19 @@ def rigid_trace_vectors(config: ProblemConfig, dofmap: DofMap, mode: str) -> np.
 
 def _orthonormal_columns(A: np.ndarray) -> np.ndarray:
     """The Q of the reduced QR factorisation of a tall float64 A, (m, k),
-    bitwise ``np.linalg.qr(A)[0]``: its two LAPACK kernels (numpy's private
-    gufuncs ``qr_r_raw`` and ``qr_reduced``, numpy >= 2.0) under its
-    floating-point error handling, without its other wrappers and the R
-    it forms.  Those took about 7% of the solve of lattice r1 (best of
-    three in a fresh process), the M = 2 anchor of criterion 8's slope."""
-    a = A.astype(float, order="C", copy=True)
-    with np.errstate(call=_qr_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        tau = _umath_linalg.qr_r_raw(a, signature="d->d")
-        return _umath_linalg.qr_reduced(a, tau, signature="dd->d")
-
-
-def _qr_failed(err, flag):
-    raise LinAlgError("Incorrect argument found while performing QR factorization")
+    Fortran-ordered: ``np.linalg.qr(A)[0]``'s two LAPACK kernels,
+    ``dgeqrf`` and ``dorgqr``, from SciPy's LAPACK (the one-library rule
+    of the module docstring), on a Fortran-ordered copy of A, without
+    numpy's other wrappers and the R it forms.  Those took about 7% of
+    the solve of lattice r1 (best of three in a fresh process), the M = 2
+    anchor of criterion 8's slope.  An invalid argument raises
+    ``LinAlgError``, as numpy does; NaN input gives NaN."""
+    qr, tau, _, info = dgeqrf(A.astype(float, order="F", copy=True), overwrite_a=1)
+    if info == 0:
+        q, _, info = dorgqr(qr, tau, overwrite_a=1)
+    if info != 0:
+        raise LinAlgError("Incorrect argument found while performing QR factorization")
+    return q
 
 
 def _gauge_project(x: np.ndarray, Z: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -1403,7 +1428,7 @@ def _bordered_solve(system: DenseSystem, config: ProblemConfig, Z: np.ndarray, d
             def subtract(r, y):
                 # row by row, on contiguous vectors: numpy buffers elementwise
                 # operations on the strided (rows, m) blocks
-                for rj, yj, pj in zip(r, y, y[:, :m] @ N):
+                for rj, yj, pj in zip(r, y, _product(y[:, :m], N)):
                     rj[:m] += pj
                     rj[:m] -= d * yj[:m]
                     rj[:m] -= dz @ yj[m:]
@@ -1497,6 +1522,9 @@ def solve_direct(system: DenseSystem, config: ProblemConfig) -> Solution:
 
     Precision.  Each class's B is built in float32 and factored by LAPACK
     ``sgetrf``; its transpose is Fortran-ordered, so no copy is made.
+    The LU, the QR and the refinement's products all run on SciPy's
+    OpenBLAS (the module docstring's one-library rule), so that a second
+    BLAS thread speeds the solve up instead of contending with numpy's.
     Besides ``Nmat``, a class holds its float32 B.  While -N is
     rounded into B's rows, its entries below 2^-40 of the largest
     diagonal entry of the whole B are set to zero: the coupling of

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.linalg import LinAlgError
 from numpy.testing import assert_allclose
 from scipy.linalg import lstsq, null_space
 
@@ -23,6 +24,7 @@ from elastisph.system import (
     DofMap,
     SolverError,
     _gauge_project,
+    _product,
     apply_operator,
     assemble,
     c_coefficient,
@@ -1023,10 +1025,61 @@ class TestClassBlocks:
         assert peak < 0.5 * 8 * n * n
 
 
+class TestProduct:
+    """``_product``, a @ b on SciPy's BLAS, the library of the direct path's LU."""
+
+    @staticmethod
+    def _layouts(x):
+        # C- and F-ordered, and strided as y[:, :m] is in the refinement
+        wide = np.zeros((x.shape[0], x.shape[1] + 3))
+        wide[:, :x.shape[1]] = x
+        return x, np.asfortranarray(x), wide[:, :x.shape[1]]
+
+    def test_equals_matmul(self):
+        rng = np.random.default_rng(23)
+        a, b = rng.normal(size=(40, 30)), rng.normal(size=(30, 20))
+        v, w = rng.normal(size=30), rng.normal(size=80)[::2]
+        for A in self._layouts(a):
+            for B in self._layouts(b):
+                out = _product(A, B)
+                assert out.flags.c_contiguous
+                assert_allclose(out, A @ B, rtol=0, atol=1e-15 * np.abs(a).sum(axis=1).max() * np.abs(b).max())
+            for x, y in ((_product(A, v), A @ v), (_product(w, A), w @ A)):
+                assert x.shape == y.shape
+                assert_allclose(x, y, rtol=0, atol=1e-15 * np.abs(y).max() * a.shape[1])
+        # into out, whatever it held before
+        out = np.full((40, 20), np.nan)
+        assert _product(a, np.asfortranarray(b), out=out) is out
+        assert_allclose(out, a @ b, rtol=0, atol=1e-14 * np.abs(a @ b).max())
+        for bad in (np.empty((20, 40)).T, np.empty((40, 20), np.float32)):
+            with pytest.raises(ValueError):
+                _product(a, b, out=bad)
+
+    def test_no_copy_of_contiguous_operands(self):
+        # a copied 8 MB operand would show in the peak: the result is
+        # at most 1/160 of it
+        rng = np.random.default_rng(24)
+        big, v, cols = rng.normal(size=(1000, 1000)), rng.normal(size=1000), rng.normal(size=(1000, 6))
+        calls = []
+        for M in (big, np.asfortranarray(big)):
+            calls += [lambda M=M: _product(M, v), lambda M=M: _product(v, M),
+                      lambda M=M: _product(M, cols), lambda M=M: _product(cols.T, M),
+                      lambda M=M: _product(M, np.asfortranarray(cols), out=np.empty((1000, 6)))]
+        for call in calls:
+            call()  # BLAS set-up
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < big.nbytes / 16
+
+
 class TestBorderedGMRES:
     def test_orthonormal_columns_are_numpys_qr(self):
-        # the rigid traces, the border and psi take numpy's QR kernels
-        # directly: bitwise np.linalg.qr's Q, NaN where it gives NaN
+        # the rigid traces, the border and psi take np.linalg.qr's two LAPACK
+        # kernels from SciPy: bitwise its Q, NaN where it gives NaN
         rng = np.random.default_rng(3)
         cases = [rng.normal(size=(m, k)) for m, k in ((92, 6), (1288, 6), (40, 3), (7, 7))]
         cases.append(np.repeat(rng.normal(size=(50, 1)), 3, axis=1))  # rank one
@@ -1034,6 +1087,11 @@ class TestBorderedGMRES:
         nan[5, 2] = np.nan
         for A in (*cases, nan, cases[0].T.copy().T):
             assert np.array_equal(system_module._orthonormal_columns(A), np.linalg.qr(A)[0], equal_nan=True)
+
+    def test_orthonormal_columns_refuse_an_invalid_argument(self):
+        # LAPACK's dorgqr refuses a wide A (info = -2)
+        with pytest.raises(LinAlgError):
+            system_module._orthonormal_columns(np.ones((3, 5)))
 
     # at N=3 the border r C Z leans 3.6e-4 off the exact left null space,
     # and that angle times the 3.7e-5 consistency floor sets the agreement
