@@ -26,7 +26,6 @@ from math import isqrt, sqrt, pi
 
 import numpy as np
 
-from ._blas import product
 from .materials import LameParams
 from .quadrature import LebedevRule, SphereFrame
 
@@ -541,6 +540,12 @@ def project_fields(fields, max_degree: int, rule: LebedevRule) -> list[VshExpans
     for v in values:
         if v.shape != (rule.size, 3):
             raise ValueError(f"field returned shape {v.shape}, expected {(rule.size, 3)}")
+    # SciPy's BLAS, the direct path's one library (see ``system``), imported
+    # here: imported with this module, SciPy's linalg loads before the rest
+    # of the package, which moved its garbage collections and made
+    # ``import elastisph`` 14 ms slower
+    from ._blas import product
+
     node_bytes = 9 * num_scalar_modes(max_degree) * 8
     if node_bytes * rule.size <= _CACHED_BASIS_BYTES:
         basis = weighted_basis(rule, max_degree)

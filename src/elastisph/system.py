@@ -80,9 +80,10 @@ final iterate is projected onto the same gauge.
 One BLAS library.  numpy's and SciPy's wheels each ship an OpenBLAS, each
 with its own thread pool, whose workers keep spinning for a while after
 a call.  On two BLAS threads and two cores the two pools, interleaved,
-take the second core from each other: the assembly and direct solve of
-the three spheres at N=20 took 0.33-0.41 s on two threads against 0.21 s
-on one, and their float32 LU 66-160 ms against 34 ms.  So the direct
+take the second core from each other: on a 2-core x86-64 host the
+assembly and direct solve of the three spheres at N=20 took 0.33-0.41 s
+on two threads against 0.21 s on one, and their float32 LU 66-160 ms
+against 34 ms.  So the direct
 path (``assemble``, ``solve_direct``) runs every dense product large
 enough for OpenBLAS to thread on SciPy's BLAS, the library of its LU
 (``_blas.product``): the pair blocks' class products, the moments of
@@ -220,10 +221,7 @@ class ClassBlocks:
         ordered = x[self.order]
         product = np.empty(ordered.shape)
         for span, block in self._spans:
-            if x.ndim == 1:
-                product[span] = _product(block, ordered[span])
-            else:
-                _product(block, ordered[span], out=product[span])
+            product[span] = _product(block, ordered[span])
         out = np.empty(x.shape)
         out[self.order] = product
         return out
