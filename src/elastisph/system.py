@@ -87,16 +87,14 @@ against 34 ms.  So the direct
 path (``assemble``, ``solve_direct``) runs every dense product large
 enough for OpenBLAS to thread on SciPy's BLAS, the library of its LU
 (``_blas.product``): the pair blocks' class products, the moments of
-``harmonics.project_fields``, the refinement's products and the
-residual's class products; the rigid-trace QR is SciPy's ``dgeqrf`` and
-``dorgqr``.  The same operation then takes 0.18-0.19 s on two threads.
-numpy keeps the products below OpenBLAS's threading size (assembly's F
-shares, the (D - N) Z check, the border's products) and the iterative
-path's: ``ClassBlocks @ x`` and ``CouplingOperator``'s batched products,
-next to SciPy's own GMRES internals, which are numpy's.  On many small
-classes (lattice r1 has eight of 8-14 unknowns) SciPy's f2py wrapper
-costs about 1.3 us a product against numpy's 0.4 us, which the lattice
-solves of criterion 8 would pay on every GMRES step.
+``harmonics.project_fields``, ``ClassBlocks @ x`` and the refinement's
+products; the rigid-trace QR is SciPy's ``dgeqrf`` and ``dorgqr``.  The
+same operation then takes 0.18-0.19 s on two threads.  numpy keeps the
+products below OpenBLAS's threading size (assembly's F shares, the
+(D - N) Z check, the border's products), ``CouplingOperator``'s batched
+products and SciPy's own GMRES internals.  The dense GMRES path shares
+the pair blocks and ``ClassBlocks @ x`` with the direct path, so it too
+runs its large products on one library.
 """
 
 from __future__ import annotations
@@ -220,12 +218,12 @@ class ClassBlocks:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """The product with a vector (n,) or the columns of an array (n, k)."""
         if len(self.blocks) == 1:
-            return self.blocks[0] @ x
+            return _product(self.blocks[0], x)
         # one gather, one product per class and one scatter
         ordered = x[self.order]
         product = np.empty(ordered.shape)
         for span, block in self._spans:
-            block.dot(ordered[span], product[span])
+            _product(block, ordered[span], product[span])
         out = np.empty(x.shape)
         out[self.order] = product
         return out
@@ -1563,12 +1561,7 @@ def solve_direct(system: DenseSystem, config: ProblemConfig) -> Solution:
     D, F, Nmat = system.D, system.F, system.Nmat
     n, k = Z.shape
     fnorm = np.linalg.norm(F)
-    # D x - N x - F class by class, on SciPy's BLAS: numpy's ``Nmat @ x``
-    # here would wake its thread pool while SciPy's still spins
-    r = D * x
-    for rows, N in zip(Nmat.classes, Nmat.blocks):
-        r[rows] -= _product(N, x[rows])
-    resid = float(np.linalg.norm(r - F) / fnorm) if fnorm > 0 else 0.0
+    resid = float(np.linalg.norm(D * x - Nmat @ x - F) / fnorm) if fnorm > 0 else 0.0
     return Solution(
         lambda_=x, residual=resid, iterations=None,
         dofmap=system.dofmap, sigma=system.sigma, mode=system.mode,

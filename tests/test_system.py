@@ -1048,9 +1048,10 @@ class TestProduct:
                 assert x.shape == y.shape
                 assert_allclose(x, y, rtol=0, atol=1e-15 * np.abs(y).max() * a.shape[1])
         # into out, whatever it held before
-        out = np.full((40, 20), np.nan)
-        assert _product(a, np.asfortranarray(b), out=out) is out
-        assert_allclose(out, a @ b, rtol=0, atol=1e-14 * np.abs(a @ b).max())
+        for A, B in ((a, np.asfortranarray(b)), (a, v), (w[:30], b)):
+            out = np.full((A @ B).shape, np.nan)
+            assert _product(A, B, out) is out
+            assert_allclose(out, A @ B, rtol=0, atol=1e-14 * np.abs(A @ B).max())
         for bad in (np.empty((20, 40)).T, np.empty((40, 20), np.float32)):
             with pytest.raises(ValueError):
                 _product(a, b, out=bad)
