@@ -49,6 +49,10 @@ def product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
     elif a.ndim == 1:
         f, t = _fortran(b)
         y = dgemv(1.0, f, a, 0.0, out, 0, 1, 0, 1, 1 - t, 1)
+    elif len(a) == 1:
+        # one row: dgemv, as numpy's matmul does; dgemm took twice as long
+        # on the refinement's (1, 1023) x (1023, 1023)
+        y = product(a[0], b, None if out is None else out[0])[None]
     else:
         (bt, tb), (at, ta) = _fortran(b.T), _fortran(a.T)
         y = dgemm(1.0, bt, at, 0.0, None if out is None else out.T, tb, ta, 1).T

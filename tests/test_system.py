@@ -1039,16 +1039,18 @@ class TestProduct:
         rng = np.random.default_rng(23)
         a, b = rng.normal(size=(40, 30)), rng.normal(size=(30, 20))
         v, w = rng.normal(size=30), rng.normal(size=80)[::2]
-        for A in self._layouts(a):
+        # a[:1]: one row, a matrix-vector product in BLAS
+        for A in (*self._layouts(a), *self._layouts(a[:1])):
             for B in self._layouts(b):
                 out = _product(A, B)
                 assert out.flags.c_contiguous
                 assert_allclose(out, A @ B, rtol=0, atol=1e-15 * np.abs(a).sum(axis=1).max() * np.abs(b).max())
+        for A in self._layouts(a):
             for x, y in ((_product(A, v), A @ v), (_product(w, A), w @ A)):
                 assert x.shape == y.shape
                 assert_allclose(x, y, rtol=0, atol=1e-15 * np.abs(y).max() * a.shape[1])
         # into out, whatever it held before
-        for A, B in ((a, np.asfortranarray(b)), (a, v), (w[:30], b)):
+        for A, B in ((a, np.asfortranarray(b)), (a, v), (w[:30], b), (a[:1], b)):
             out = np.full((A @ B).shape, np.nan)
             assert _product(A, B, out) is out
             assert_allclose(out, A @ B, rtol=0, atol=1e-14 * np.abs(A @ B).max())
@@ -1064,7 +1066,8 @@ class TestProduct:
         calls = []
         for M in (big, np.asfortranarray(big)):
             calls += [lambda M=M: _product(M, v), lambda M=M: _product(v, M),
-                      lambda M=M: _product(M, cols), lambda M=M: _product(cols.T, M),
+                      lambda M=M: _product(v[None], M), lambda M=M: _product(M, cols),
+                      lambda M=M: _product(cols.T, M),
                       lambda M=M: _product(M, np.asfortranarray(cols), out=np.empty((1000, 6)))]
         for call in calls:
             call()  # BLAS set-up
