@@ -79,17 +79,16 @@ final iterate is projected onto the same gauge.
 
 One BLAS library.  numpy's and SciPy's wheels each ship an OpenBLAS, each
 with its own thread pool, whose workers keep spinning for a while after
-a call.  On two BLAS threads and two cores the two pools, interleaved,
-take the second core from each other: on a 2-core x86-64 host the
-assembly and direct solve of the three spheres at N=20 took 0.33-0.41 s
-on two threads against 0.21 s on one, and their float32 LU 66-160 ms
-against 34 ms.  So the direct
-path (``assemble``, ``solve_direct``) runs every dense product large
-enough for OpenBLAS to thread on SciPy's BLAS, the library of its LU
-(``_blas.product``): the pair blocks' class products, the moments of
+a call.  On two BLAS threads the two pools, interleaved, take the second
+core from each other: on a 2-core x86-64 host the assembly and direct
+solve of the three spheres at N=20 took 0.33-0.41 s on two threads
+against 0.21 s on one, and their float32 LU 50-160 ms against 34 ms.  So
+the direct path (``assemble``, ``solve_direct``) runs every dense product
+large enough for OpenBLAS to thread on SciPy's BLAS, the library of its
+LU (``_blas.product``): the pair blocks' class products, the moments of
 ``harmonics.project_fields``, ``ClassBlocks @ x`` and the refinement's
 products; the rigid-trace QR is SciPy's ``dgeqrf`` and ``dorgqr``.  The
-same operation then takes 0.18-0.19 s on two threads.  numpy keeps the
+same operation then takes 0.17-0.20 s on two threads.  numpy keeps the
 products below OpenBLAS's threading size (assembly's F shares, the
 (D - N) Z check, the border's products), ``CouplingOperator``'s batched
 products and SciPy's own GMRES internals.  The dense GMRES path shares
