@@ -543,7 +543,7 @@ def project_fields(fields, max_degree: int, rule: LebedevRule) -> list[VshExpans
     # SciPy's BLAS, the direct path's one library (see ``system``), imported
     # here: imported with this module, SciPy's linalg loads before the rest
     # of the package, which moved its garbage collections and made
-    # ``import elastisph`` 14 ms slower
+    # ``import elastisph`` 14 ms slower (2-core x86-64 host)
     from ._blas import product
 
     node_bytes = 9 * num_scalar_modes(max_degree) * 8
