@@ -3,7 +3,7 @@
 Run from the repository root:
 
     PYTHONPATH=src python docs/acceptance_evidence.py            # every table, a few minutes
-    PYTHONPATH=src python docs/acceptance_evidence.py --part 6b  # or: data, 7, direct, folding, oracle, 8
+    PYTHONPATH=src python docs/acceptance_evidence.py --part 6b  # or: data, 7, direct, folding, axis, oracle, 8
     PYTHONPATH=src python docs/acceptance_evidence.py --part 8 --runs 20
 
 Each part prints markdown tables:
@@ -34,6 +34,12 @@ Each part prints markdown tables:
   D-weighted change
   of the direct solver's traces, both consistency floors, and the nodes
   at which the pair fields are evaluated, against pairs x rule size.
+- ``axis``: the smooth three-sphere case at N = 3, 4, 6, 8, 12 and 20 in its
+  axis frame (``system._frame``, one class per character and order |m|)
+  and without it (every pair folded by its flips alone, as before the
+  frame): each one's D-weighted trace error against a solve with rule-107
+  blocks, the largest entry of N that the frame does not make (relative
+  to N's largest), the trace change between the two, and the classes.
 - ``oracle``: criterion 5's worst values (closed-form potentials against
   the kernel oracle, and the jump residuals of its ten l <= 3 modes), the
   single-layer jump-audit records of those ten modes and the full audit of
@@ -297,7 +303,7 @@ def part_folding() -> None:
         full, folded = systems[True], systems[False]
         x_full, x_fold = solve_direct(full, config), solve_direct(folded, config)
         w = np.sqrt(full.D)
-        (full_n,) = full.Nmat.blocks
+        full_n = full.Nmat.toarray()
         n_change = np.abs(folded.Nmat.toarray() - full_n).max() / np.abs(full_n).max()
         f_change = np.abs(folded.F - full.F).max() / np.abs(full.F).max()
         trace_change = (np.linalg.norm(w * (x_fold.lambda_ - x_full.lambda_))
@@ -309,6 +315,57 @@ def part_folding() -> None:
             f"{x_fold.diagnostics['consistency_floor']:.6e}",
             f"{x_full.diagnostics['consistency_floor']:.6e}",
             f"{sum(counts[False])}", f"{sum(counts[True])}"]) + " |")
+    print()
+
+
+@contextlib.contextmanager
+def no_axis_frame():
+    """While active, no configuration takes an axis frame: the pairs of a
+    collinear one are folded by their flips alone, as before the frame."""
+    frames = system._LINE_FRAMES
+    system._LINE_FRAMES = {}
+    try:
+        yield
+    finally:
+        system._LINE_FRAMES = frames
+
+
+def part_axis() -> None:
+    print("## Collinear configurations in their axis frame, one class per order |m|\n")
+    print("Each row solves the smooth three-sphere case with `solve_direct`, in the "
+          "axis frame (as shipped) and without it (every pair folded by its flips "
+          "alone), both with the shipped rule and data. The errors are "
+          "|x - x_107|_D / |x_107|_D against the same case assembled with rule-107 "
+          "blocks (no frame, same data). The dropped entry is the largest entry of N, "
+          "relative to N's largest, that the frame does not make: the rule's aliasing "
+          "between orders m = m' (mod 4), read against the same frame with every "
+          "entry summed over the whole rule. The trace change is |x_frame - x_flips|_D "
+          "/ |x_flips|_D.\n")
+    print("| N | rule | unknowns | classes, flips | classes, frame (largest) | error, flips | "
+          "error, frame | dropped entry | trace change |")
+    print("|---|---|---|---|---|---|---|---|---|")
+    reference_rule = rule_for_degree(LEBEDEV_TABLE[-1][0])
+    for degree in (3, 4, 6, 8, 12, 20):
+        config = validate(three_sphere_config(degree))
+        sigma = system.build_sigma(config, degree, config.rule())
+        framed = assemble(config, sigma=sigma)
+        x_frame = solve_direct(framed, config).lambda_
+        with no_axis_frame():
+            flips = assemble(config, sigma=sigma)
+            x_flips = solve_direct(flips, config).lambda_
+            x_ref = solve_direct(assemble(config, rule=reference_rule, sigma=sigma), config).lambda_
+        with pair_nodes([], unfold=True), one_class():
+            full = assemble(config, sigma=sigma).Nmat.toarray()
+        dropped = np.abs(framed.Nmat.toarray() - full).max() / np.abs(full).max()
+        w = np.sqrt(framed.D)
+
+        def error(x, ref):
+            return np.linalg.norm(w * (x - ref)) / np.linalg.norm(w * ref)
+
+        sizes = [rows.size for rows in framed.Nmat.classes]
+        print(f"| {degree} | {config.rule().degree} | {framed.dofmap.size} | {len(flips.Nmat.classes)} | "
+              f"{len(sizes)} ({max(sizes)}) | {error(x_flips, x_ref):.3e} | {error(x_frame, x_ref):.3e} | "
+              f"{dropped:.1e} | {error(x_frame, x_flips):.1e} |")
     print()
 
 
@@ -403,7 +460,7 @@ def part_8(runs: int) -> None:
 
 
 PARTS = {"6b": part_6b, "data": part_data, "7": part_7, "direct": part_direct,
-         "folding": part_folding, "oracle": part_oracle}
+         "folding": part_folding, "axis": part_axis, "oracle": part_oracle}
 
 
 def main() -> None:

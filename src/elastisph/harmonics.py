@@ -142,6 +142,46 @@ def reflection_signs(max_degree: int) -> np.ndarray:
     return out
 
 
+def permutation_rotation(axes: tuple[int, int, int], max_degree: int,
+                         rule: LebedevRule) -> tuple[np.ndarray, ...]:
+    """Real Wigner matrices D^l, l = 0..max_degree, of the rotation P that
+    permutes the coordinate axes cyclically, (P s)_a = s_{axes[a]}.
+
+    In the frame whose axis a is the axis ``axes[a]``, a vector field f
+    reads P f(P^T s), and its coefficients in the basis are R c, with R
+    the block diagonal of D^l over the orders of each degree, every family
+    alike: Y_q(P s) = sum_p D^l_qp Y_p(s), and V, W and X follow since
+    grad_s, n and n x commute with rotations, F_q(P s) = P sum_p D^l_qp
+    F_p(s).  D^l_qp = <Y_q(P .), Y_p> is an integrand of degree 2l, summed
+    by the rule's own quadrature, exactly for a rule of degree 2 max_degree
+    or more.  An entry between modes whose signs differ under a coordinate
+    flip and its image (the flip of axis a in the frame is that of axis
+    ``axes[a]`` outside it) is zero by symmetry, and is set to exactly
+    zero: R maps each character of the flips onto its image exactly.
+    Each D^l is orthogonal and read-only.
+    """
+    if tuple(axes) not in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        raise ValueError(f"axes {axes} are not a cyclic permutation of (0, 1, 2)")
+    if rule.degree < 2 * max_degree:
+        raise ValueError(
+            f"quadrature rule degree {rule.degree} is below the rotation's "
+            f"requirement 2*N = {2 * max_degree}"
+        )
+    Y, _ = scalar_basis(rule.points, max_degree)
+    turned, _ = scalar_basis(rule.points[:, list(axes)], max_degree)
+    # the signs of each scalar mode under the flips of x, y and z (V's column)
+    signs = reflection_signs(max_degree).reshape(8, -1, 3)[[1, 2, 4], :, 0]
+    frame_signs, global_signs = signs, signs[list(axes)]
+    out = []
+    for ell in range(max_degree + 1):
+        sl = slice(ell * ell, (ell + 1) * (ell + 1))
+        D = (turned[sl] * rule.weights) @ Y[sl].T
+        D[(frame_signs[:, sl, None] != global_signs[:, None, sl]).any(axis=0)] = 0.0
+        D.setflags(write=False)
+        out.append(D)
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def _mode_indices(max_degree: int) -> tuple[np.ndarray, ...]:
     """Per scalar mode p = (l, m), as read-only arrays: l; the packed
@@ -204,7 +244,7 @@ def _legendre_factors(max_degree: int) -> tuple:
             _tri_index(ms + 1, ms), first, first * diag[:-1], a, b)
 
 
-def _legendre_tables(z: np.ndarray, max_degree: int) -> np.ndarray:
+def _legendre_tables(z: np.ndarray, max_degree: int, out: np.ndarray | None = None) -> np.ndarray:
     """Normalized associated Legendre values with sin^m factored out.
 
     Returns one array (2, n_pairs, len(z)) holding Q and its derivative
@@ -212,11 +252,16 @@ def _legendre_tables(z: np.ndarray, max_degree: int) -> np.ndarray:
     is ``c_m * Q[l,m](z) * Re/Im[(x+iy)^m]`` with c_m = sqrt(2) for m > 0.
     The diagonal and first off-diagonal entries are set for all degrees
     at once; each further degree l is one contiguous block of rows,
-    filled from the two blocks before it for all orders at once.
+    filled from the two blocks before it for all orders at once.  ``out``
+    is an array of the result's shape to fill, if given.
     """
     z = np.asarray(z, dtype=float)
     n = max_degree + 1
-    QdQ = np.zeros((2, n * (n + 1) // 2, z.size))
+    if out is None:
+        QdQ = np.zeros((2, n * (n + 1) // 2, z.size))
+    else:
+        QdQ = out
+        QdQ[...] = 0.0
     Q, dQ = QdQ
     diag_rows, diag, first_rows, first, first_diag, a, b = _legendre_factors(max_degree)
     Q[diag_rows] = diag
@@ -233,11 +278,16 @@ def _legendre_tables(z: np.ndarray, max_degree: int) -> np.ndarray:
     return QdQ
 
 
-def _azimuthal_powers(x: np.ndarray, y: np.ndarray, max_degree: int) -> np.ndarray:
+def _azimuthal_powers(x: np.ndarray, y: np.ndarray, max_degree: int,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """C[m] + i S[m] = (x + i y)^m for m = 0..max_degree, by the product
     recursion, stacked as one array CS = (C, S) of shape
-    (2, max_degree + 1, len(x))."""
-    CS = np.zeros((2, max_degree + 1, x.size))
+    (2, max_degree + 1, len(x)), written into ``out`` if given."""
+    if out is None:
+        CS = np.zeros((2, max_degree + 1, x.size))
+    else:
+        CS = out
+        CS[...] = 0.0
     C, S = CS
     C[0] = 1.0
     for m in range(1, max_degree + 1):

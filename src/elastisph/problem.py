@@ -273,15 +273,37 @@ def validate(config: ProblemConfig, net_load_tol: float = 1e-8,
 
 # cgroup v2 and v1 limits on the memory of this process's group
 _CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+_MEMINFO = "/proc/meminfo"
+
+
+def _mem_available() -> int | None:
+    """The kernel's estimate of the memory available to new work
+    (``MemAvailable`` of /proc/meminfo) in bytes; None where it cannot be
+    read."""
+    try:
+        with open(_MEMINFO) as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
 
 
 def available_memory() -> int | None:
-    """Bytes of memory the process may use: physical RAM, capped by a
-    readable cgroup limit.  None where neither can be read."""
-    try:
-        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        limit = None
+    """Bytes of memory the process may use: the memory available now
+    (``MemAvailable``), or physical RAM where that cannot be read, capped
+    by a readable cgroup limit.  None where none of them can be read.
+
+    Physical RAM alone let a solve that needs most of it start, and the
+    kernel killed it: ``solve --preset lattice_r5 --solver direct``,
+    charged 7.45 GiB on a host of 7.84 GiB."""
+    limit = _mem_available()
+    if limit is None:
+        try:
+            limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, ValueError, OSError):
+            limit = None
     for path in _CGROUP_LIMITS:
         try:
             with open(path) as fh:

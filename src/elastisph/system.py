@@ -40,8 +40,33 @@ When every sphere centre lies on one plane of symmetry, or on several,
 every pair's stabilizer holds the flips about them, so N couples only
 unknowns of one character under those flips, and so do the rigid traces
 below: the system splits into one independent block per character
-class (``_character_classes``), four of about n/4 unknowns each for the
-three spheres on the x axis.
+class (``_character_classes``).
+
+The axis frame.  When the distinct centres lie on one line parallel to a
+coordinate axis (``_common_axes`` holds exactly two axes, as for the
+three spheres on the x axis), the system is assembled, applied and solved
+in the frame whose z axis is that line (``_frame``): the cyclic
+permutation of the axes that carries the line to z maps every Lebedev
+rule onto itself node for node, so the pair blocks made there are R B R^T
+to rounding, with R the block diagonal of the real D^l of that rotation
+(``harmonics.permutation_rotation``).  In that frame every pair lies on
+the z axis, and its stabilizer holds the flips of x and y and every
+rotation about z, which couples only modes of one order |m|.  The rule
+holds only the rotations by quarter turns, so the quadrature couples
+orders m = m' (mod 4) by aliasing; those entries are not made: the axis
+pattern of such a pair takes the bit ``_ROTATIONS``, and its character
+classes (``_characters``) split each character of the flips by |m|.  For
+the three spheres, the dropped entries are at most 8.9e-5 of N's largest
+entry at N=3-8 and 1.4e-10 at N=20 (they shrink as the rule grows), the
+traces move by 1.3e-11 at N=20 and come no farther from a solve with
+rule-107 blocks anywhere (``docs/acceptance_evidence.py --part axis``),
+and N=20 takes 42 classes of at most 180 unknowns in place of four of
+about 1 000.  The public objects stay in the global
+basis: ``assemble`` turns the loads into the frame and F out of it, its
+``ClassBlocks`` holds the frame and turns each product in and out, and
+the solvers' traces, ``apply_operator`` and ``rigid_trace_vectors`` are
+global.  Lattices, planar and concentric sets and single spheres take no
+frame.
 
 ``assemble`` holds N as just those blocks (``ClassBlocks``), one per
 class, and writes the class parts of every ordered pair's block, times
@@ -114,10 +139,11 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from ._blas import product as _product
 from .harmonics import (Family, VshExpansion, norm_sq_table, num_scalar_modes, per_degree,
-                        reflection_signs, vsh_basis, weighted_basis, weighted_rows)
+                        permutation_rotation, reflection_signs, vsh_basis, weighted_basis,
+                        weighted_rows)
 from .materials import LameParams
 from .problem import ProblemConfig, ROLE_TRANSMISSION, SphereSpec, build_sigma
-from .quadrature import LebedevRule
+from .quadrature import LebedevRule, rule_for_degree
 from .spectra import DEFAULT_MODE, MODE_SELF_CONSISTENT, adjoint_double_eigs, single_layer_eigs, single_layer_matrix
 
 
@@ -185,10 +211,19 @@ class ClassBlocks:
     indices of class c, m_c = ``classes[c].size``.  The entries between
     two classes are zero and not held.  ``whole`` holds an arbitrary
     matrix as one class, in place.
+
+    With a ``frame`` (``_Frame``), the classes and blocks are those of the
+    frame's basis, and the matrix is R^T N R in the global one: a product
+    turns its operand into the frame and the result out of it, and
+    ``toarray`` gives the global matrix.  Its diagonal sphere blocks, as
+    ``assemble`` makes them, are diagonal and constant over the orders of
+    each degree and family, so R leaves them as they are: ``diagonal``
+    reads them, and ``toarray`` keeps them exact.
     """
 
-    def __init__(self, classes: tuple[np.ndarray, ...], blocks: tuple[np.ndarray, ...]):
-        self.classes, self.blocks = classes, blocks
+    def __init__(self, classes: tuple[np.ndarray, ...], blocks: tuple[np.ndarray, ...],
+                 frame: _Frame | None = None):
+        self.classes, self.blocks, self.frame = classes, blocks, frame
         # the indices in class order, and each class's span of them
         self.order = np.concatenate(classes)
         self.size = self.order.size
@@ -216,24 +251,40 @@ class ClassBlocks:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """The product with a vector (n,) or the columns of an array (n, k)."""
+        frame = self.frame
+        if frame is not None:
+            x = frame.turn(x)
         if len(self.blocks) == 1:
-            return _product(self.blocks[0], x)
-        # one gather, one product per class and one scatter
-        ordered = x[self.order]
-        product = np.empty(ordered.shape)
-        for span, block in self._spans:
-            _product(block, ordered[span], product[span])
-        out = np.empty(x.shape)
-        out[self.order] = product
-        return out
+            out = _product(self.blocks[0], x)
+        else:
+            # one gather, one product per class and one scatter
+            ordered = x[self.order]
+            product = np.empty(ordered.shape)
+            for span, block in self._spans:
+                _product(block, ordered[span], product[span])
+            out = np.empty(x.shape)
+            out[self.order] = product
+        return out if frame is None else frame.turn(out, back=True)
 
     def toarray(self) -> np.ndarray:
         """A fresh n x n array of the matrix."""
-        if len(self.blocks) == 1:
+        if len(self.blocks) == 1 and self.frame is None:
             return self.blocks[0].copy()
         out = np.zeros(self.shape)
         for rows, block in zip(self.classes, self.blocks):
             out[np.ix_(rows, rows)] = block
+        if self.frame is not None:
+            # R^T N R, rows then columns, in place but for a band of rows at a
+            # time; the diagonal, which R leaves as it is, is put back exact
+            diagonal = np.diagonal(out).copy()
+            np.fill_diagonal(out, 0.0)
+            self.frame.turn_rows(out, back=True)
+            band = max(1, self.size // 8)
+            for r0 in range(0, self.size, band):
+                rows = out[r0:r0 + band].T.copy()
+                self.frame.turn_rows(rows, back=True)
+                out[r0:r0 + band] = rows.T
+            np.fill_diagonal(out, diagonal)
         return out
 
 
@@ -244,8 +295,11 @@ class DenseSystem:
 
     With no common plane of symmetry that is one block of all unknowns,
     the dense n x n N; otherwise N couples only unknowns of one class,
-    and the classes hold sum_c 8 m_c^2 bytes instead of 8 n^2 (a quarter
-    of it for the three spheres on the x axis).
+    and the classes hold sum_c 8 m_c^2 bytes instead of 8 n^2.  A
+    collinear configuration's blocks are those of its axis frame (module
+    docstring), and ``Nmat`` turns each product into that frame and out of
+    it: D, F and every product are in the global basis.  The three spheres
+    on the x axis hold an eighth of 8 n^2 at N=3 and a 32nd at N=20.
     """
 
     dofmap: DofMap
@@ -368,15 +422,78 @@ _PAIR_DOUBLES = 28
 _RAW_DOUBLES = 2
 
 
+def _centers(config: ProblemConfig) -> np.ndarray:
+    """Centers (M, 3) of the spheres in the global frame."""
+    return np.array([s.frame.center for s in config.spheres], dtype=float)
+
+
 def _geometry(config: ProblemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centers (M, 3), radii (M,) and enclosing flags (M,) of the spheres."""
-    return (np.array([s.frame.center for s in config.spheres], dtype=float),
+    """Centers (M, 3) in the configuration's frame (the axis frame of a
+    collinear one, ``_frame``; else the global one), radii (M,) and
+    enclosing flags (M,) of the spheres."""
+    centers = _centers(config)
+    axes = _LINE_FRAMES.get(_axes_of(centers))
+    return (centers if axes is None else centers[:, axes],
             np.array([s.frame.radius for s in config.spheres]),
             np.array([s.enclosing for s in config.spheres]))
 
 
 # bit a of an axis pattern stands for axis a
 _AXIS_BITS = np.array([1, 2, 4])
+# bit 3 stands for every rotation about the z axis: set in a collinear
+# configuration's axis frame, where every pair lies on that axis
+_ROTATIONS = 8
+# the axis frame of centres on a line along x, y or z, by the pattern of the
+# two axes they share: frame axis a is global axis axes[a], the cyclic
+# permutation that carries the line to the z axis
+_LINE_FRAMES = {6: (1, 2, 0), 5: (2, 0, 1), 3: (0, 1, 2)}
+
+
+class _Frame(NamedTuple):
+    """A collinear configuration's axis frame (``_frame``).
+
+    Its axis a is the global axis ``axes[a]``, so the line of centres is
+    its z axis.  ``rotation`` holds the real D^l of each degree
+    (``harmonics.permutation_rotation``): a sphere's global coefficients c
+    are R c in the frame, every family alike.  It is empty for a line
+    along z, whose frame is the global one.
+    """
+
+    axes: tuple[int, int, int]
+    rotation: tuple[np.ndarray, ...]
+
+    def turn(self, x: np.ndarray, back: bool = False) -> np.ndarray:
+        """R x, or R^T x with ``back``, as a new array: x (n,) or (n, k)
+        over the active unknowns of whole spheres."""
+        out = np.array(x, dtype=float, order="C")
+        self.turn_rows(out, back)
+        return out
+
+    def turn_rows(self, a: np.ndarray, back: bool = False) -> None:
+        """``turn`` in place, of a C-ordered float64 a (n,) or (n, k)."""
+        if not self.rotation:
+            return
+        na = 3 * len(self.rotation) ** 2 - 2
+        view = a.reshape(len(a) // na, na, -1)
+        for ell in range(1, len(self.rotation)):
+            # the active modes of degree l: (order, family), order-major
+            part = view[:, 3 * ell * ell - 2:3 * (ell + 1) ** 2 - 2].reshape(len(view), 2 * ell + 1, -1)
+            D = self.rotation[ell]
+            part[...] = (D.T if back else D) @ part
+
+
+@lru_cache(maxsize=16)
+def _axis_rotation(axes: tuple[int, int, int], degree: int) -> tuple[np.ndarray, ...]:
+    return permutation_rotation(axes, degree, rule_for_degree(2 * degree))
+
+
+def _frame(config: ProblemConfig) -> _Frame | None:
+    """The axis frame of a configuration whose distinct centres lie on one
+    line parallel to a coordinate axis (module docstring); None otherwise."""
+    axes = _LINE_FRAMES.get(_axes_of(_centers(config)))
+    if axes is None:
+        return None
+    return _Frame(axes, () if axes == (0, 1, 2) else _axis_rotation(axes, config.degree))
 
 
 def _zero_axes(d: np.ndarray) -> np.ndarray:
@@ -413,14 +530,22 @@ def _orbits(rule: LebedevRule, axes: int) -> tuple[np.ndarray, np.ndarray]:
 def _characters(degree: int, axes: int) -> np.ndarray:
     """Character of each active mode under the flips of the axes in the
     pattern ``axes``, (n_a,): bit a is set when the flip of axis a changes
-    the mode's sign (rows 1, 2 and 4 of ``reflection_signs``).  Read-only.
+    the mode's sign (rows 1, 2 and 4 of ``reflection_signs``), and with
+    ``_ROTATIONS`` in the pattern, the mode's order |m| times 8 is added.
+    Read-only.
 
     A matrix that commutes with those flips couples only modes of one
     character: the pair blocks of a pair whose stabilizer holds them, and
-    the whole N when every sphere centre lies on their planes.
+    the whole N when every sphere centre lies on their planes.  One that
+    commutes with every rotation about z couples only modes of one |m|.
     """
     bits = np.array([1 << a for a in range(3) if axes >> a & 1], dtype=int)
-    character = (reflection_signs(degree)[bits][:, _active_mask(degree)] < 0.0).T @ bits
+    active = _active_mask(degree)
+    character = (reflection_signs(degree)[bits][:, active] < 0.0).T @ bits
+    if axes & _ROTATIONS:
+        ells = per_degree(np.arange(degree + 1))
+        orders = np.abs(np.arange(ells.size) - ells * ells - ells)
+        character += _ROTATIONS * np.repeat(orders, 3)[active]
     character.setflags(write=False)
     return character
 
@@ -530,7 +655,11 @@ def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
     part is the whole block.  Concentric pairs (d = 0) take no node at
     all: their parts are closed forms (``_concentric_blocks``), which
     ``rule`` integrates exactly, as every assembly rule (``_check_rule``)
-    does.
+    does.  In a collinear configuration, whose centres ``_geometry`` gives
+    in its axis frame, every pair lies on the z axis, and its pattern
+    takes ``_ROTATIONS``: its parts are those of one character and one
+    order |m|, and the entries that the rule's aliasing makes between
+    orders m = m' (mod 4) are not made either (module docstring).
 
     Each chunk takes one basis evaluation over the evaluated nodes of all
     its pairs, one single-layer evaluation over all degrees per side, and
@@ -541,11 +670,13 @@ def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
     degree, L2 = dofmap.degree, num_scalar_modes(dofmap.degree)
     centers, radii, enclosing = _geometry(config)
     axes = _zero_axes(centers[targets] - centers[sources])
+    if _common_axes(config) & _ROTATIONS:
+        axes[(axes & 3) == 3] |= _ROTATIONS
     # the first pair of each run of one pattern
     starts = np.nonzero(np.concatenate(([-1], axes[:-1])) != axes)[0]
     for r0, r1 in zip(starts.tolist(), (*starts[1:].tolist(), targets.size)):
         pattern = int(axes[r0])
-        concentric = pattern == _CONCENTRIC
+        concentric = (pattern & _CONCENTRIC) == _CONCENTRIC
         if concentric:
             stack, points = _stack(degree, pattern), ()
         elif pattern:
@@ -563,7 +694,7 @@ def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
             n_in = int(enclosing[jpos].sum())
             if concentric:
                 yield ipos, jpos, stack, _concentric_blocks(
-                    config.background, degree, radii[ipos] / radii[jpos], n_in)
+                    config.background, degree, radii[ipos] / radii[jpos], n_in, pattern)
                 continue
             y = centers[ipos][:, None, :] + radii[ipos][:, None, None] * points
             y = (y - centers[jpos][:, None, :]).reshape(-1, 3)
@@ -576,14 +707,15 @@ _CONCENTRIC = 7
 
 
 @lru_cache(maxsize=16)
-def _concentric_table(degree: int) -> tuple[np.ndarray, ...]:
+def _concentric_table(degree: int, axes: int) -> tuple[np.ndarray, ...]:
     """Where ``_concentric_blocks`` reads each entry of the stacked parts of
-    ``_stack(degree, 7)``: the degree of the row's mode, the families of
-    the row and the column, and the squared norm of the row's mode where
-    row and column share their scalar mode (zero elsewhere and at the
-    pads), the first three to index (classes, width, width), the last
-    (classes, width, width, 1).  Read-only."""
-    stack = _stack(degree, _CONCENTRIC)
+    ``_stack(degree, axes)`` (7, or 15 in an axis frame): the degree of
+    the row's mode, the families of the row and the column, and the
+    squared norm of the row's mode where row and column share their scalar
+    mode (zero elsewhere and at the pads), the first three to index
+    (classes, width, width), the last (classes, width, width, 1).
+    Read-only."""
+    stack = _stack(degree, axes)
     active = _active_mask(degree)
     L2 = num_scalar_modes(degree)
     scalar = np.repeat(np.arange(L2), 3)[active][stack.modes]
@@ -600,10 +732,12 @@ def _concentric_table(degree: int) -> tuple[np.ndarray, ...]:
     return out
 
 
-def _concentric_blocks(background: LameParams, degree: int, rho: np.ndarray, n_in: int) -> np.ndarray:
+def _concentric_blocks(background: LameParams, degree: int, rho: np.ndarray, n_in: int,
+                       axes: int) -> np.ndarray:
     """``raw`` of ``_pair_blocks`` for pairs whose spheres share their
-    centre, stacked as ``_stack(degree, 7)``: ``rho`` holds r_tgt / r_src
-    per pair, and the first ``n_in`` pairs take the 'in' side.
+    centre, stacked as ``_stack(degree, axes)`` (7, or 15 in an axis
+    frame): ``rho`` holds r_tgt / r_src per pair, and the first ``n_in``
+    pairs take the 'in' side.
 
     On a concentric target every node sees its source at the same scaled
     radius rho, in its own direction, so the field of source mode p' and
@@ -618,7 +752,7 @@ def _concentric_blocks(background: LameParams, degree: int, rho: np.ndarray, n_i
     for side, pairs in (("in", slice(None, n_in)), ("out", slice(n_in, None))):
         if rho[pairs].size:
             A[:, pairs] = single_layer_matrix(np.arange(degree + 1), background, rho[pairs], side)
-    ell, row, col, norms = _concentric_table(degree)
+    ell, row, col, norms = _concentric_table(degree, axes)
     return norms * A[ell, :, row, col]
 
 
@@ -640,8 +774,9 @@ def _chunk_blocks(background: LameParams, degree: int, rows: np.ndarray, y: np.n
     each formed by broadcast products straight into the rows of G, at
     their mode's slot (G's pad rows are zero); at l = 0 only the first,
     as (l=0, W) and (l=0, X) are not active.  One product per class of
-    its test rows with its rows of G (``_blas.product``, SciPy's dgemm)
-    then gives every class's part, entry (r, q) of class c and pair n at
+    its test rows with its rows of G (``_blas.product``, SciPy's dgemm;
+    in an axis frame, of the class's own rows only) then gives every
+    class's part, entry (r, q) of class c and pair n at
     ``raw[c, r, q, n]``.  A function of its own so
     that the chunk's temporaries are freed before the next one.
     """
@@ -672,8 +807,19 @@ def _chunk_blocks(background: LameParams, degree: int, rows: np.ndarray, y: np.n
     del V, W, X, v, w
     G = G.reshape(C, width * n, 3 * T)
     raw = np.empty((C, width, width * n))
-    for c in range(C):
-        _product(rows[c], G[c].T, out=raw[c])
+    for c, modes in enumerate(stack.classes):
+        m = modes.size
+        if m == width or not stack.axes & _ROTATIONS:
+            _product(rows[c], G[c].T, out=raw[c])
+        else:
+            # the |m| classes of an axis frame hold 3 to 3N modes: products
+            # of each class's own rows and columns make a third of the padded
+            # products' entries at N=20, and the pads are zero.  The classes
+            # of the flips alone differ by a few modes, and each keeps one
+            # padded product, which leaves the lattices' blocks as they are
+            raw[c, m:] = 0.0
+            raw[c, :m, m * n:] = 0.0
+            raw[c, :m, :m * n] = _product(rows[c, :m], G[c, :m * n].T)
     return raw.reshape(C, width, width, n)
 
 
@@ -772,7 +918,8 @@ def assemble(
     part times the source's C is written straight into its (target,
     source) sub-block there: through those views when the stack's classes
     are the layout's, else each entry at its flat position in the store
-    (``_scatter_template``).
+    (``_scatter_template``).  A collinear configuration is assembled in its
+    axis frame (``_frame``): the loads are turned into it, and F out of it.
     """
     rule = config.rule() if rule is None else rule
     degree = config.degree
@@ -784,6 +931,9 @@ def assemble(
     M = len(config.spheres)
     norms, tau0, C, diag = _diag_coupling(config, dofmap, mode)
     sig = np.array([sigma[s.id].flat[mask] for s in config.spheres])
+    frame = _frame(config)
+    if frame is not None:
+        sig = frame.turn(sig.reshape(-1)).reshape(M, -1)
     radii = np.array([s.frame.radius for s in config.spheres])
     D = np.tile(norms, M)
     F = radii[:, None] * sig * tau0 * norms
@@ -794,7 +944,7 @@ def assemble(
     store[layout.diagonal] = diag.reshape(-1)
     sizes = [rows.size for rows in layout.classes]
     blocks = tuple(store[o:o + m * m].reshape(m, m) for o, m in zip(layout.offsets.tolist(), sizes))
-    Nmat = ClassBlocks(layout.classes, blocks)
+    Nmat = ClassBlocks(layout.classes, blocks, frame)
     # each class's block as (target, target mode, source, source mode), (M, s_c, M, s_c)
     views = [block.reshape(M, m // M, M, m // M) for block, m in zip(blocks, sizes)]
     loaded = sig.any(axis=1)
@@ -821,7 +971,8 @@ def assemble(
             store[base + ipos * a + jpos * b] = raw
         # freed before the next chunk is generated
         del raw
-    return DenseSystem(dofmap=dofmap, D=D, Nmat=Nmat, F=F.reshape(-1), sigma=sigma, mode=mode)
+    F = F.reshape(-1) if frame is None else frame.turn(F.reshape(-1), back=True)
+    return DenseSystem(dofmap=dofmap, D=D, Nmat=Nmat, F=F, sigma=sigma, mode=mode)
 
 
 def _scatter_add(acc: np.ndarray, scatter: csr_array, res: np.ndarray) -> None:
@@ -883,6 +1034,10 @@ class CouplingOperator:
     that is all of N; no n x n array is made.  The load ``F`` (computed
     on first use) takes the same product over the loaded sources.
 
+    A collinear configuration's blocks, keys and patterns are those of its
+    axis frame (``frame``, see ``_frame``); ``coupling`` turns its operand
+    into the frame and the product out of it, and F is turned out too.
+
     Shares with ``DenseSystem`` what ``solve_iterative`` reads: ``D``,
     ``F``, ``dofmap``, ``sigma``, ``mode`` and the product ``coupling``.
     """
@@ -892,6 +1047,7 @@ class CouplingOperator:
     def __init__(self, config: ProblemConfig, rule: LebedevRule, mode: str):
         _check_rule(rule, config.degree)
         self.config, self.rule, self.mode = config, rule, mode
+        self.frame = _frame(config)
         self.dofmap = _dofmap(config)
         self._norms, self._tau0, self.C, self.diag = _diag_coupling(config, self.dofmap, mode)
         M = len(config.spheres)
@@ -954,9 +1110,11 @@ class CouplingOperator:
 
     def coupling(self, x: np.ndarray) -> np.ndarray:
         """The product N x."""
-        lam = x.reshape(len(self.config.spheres), -1)
+        frame = self.frame
+        lam = (x if frame is None else frame.turn(x)).reshape(len(self.config.spheres), -1)
         # C belongs to the source sphere, not to the key
-        return self._add_pair_products(self.diag * lam, self.C * lam).reshape(-1)
+        out = self._add_pair_products(self.diag * lam, self.C * lam).reshape(-1)
+        return out if frame is None else frame.turn(out, back=True)
 
     @cached_property
     def sigma(self) -> dict[int, VshExpansion]:
@@ -966,10 +1124,15 @@ class CouplingOperator:
     def F(self) -> np.ndarray:
         mask = self.dofmap.active_mask()
         sig = np.array([self.sigma[s.id].flat[mask] for s in self.config.spheres])
+        frame = self.frame
+        if frame is not None:
+            sig = frame.turn(sig.reshape(-1)).reshape(sig.shape)
         radii = _geometry(self.config)[1][:, None]
         own = radii * sig * self._tau0 * self._norms
         # unloaded sources add exact zeros
         F = self._add_pair_products(own, radii * sig).reshape(-1)
+        if frame is not None:
+            F = frame.turn(F, back=True)
         F.setflags(write=False)
         return F
 
@@ -1006,22 +1169,24 @@ def solver_bytes(config: ProblemConfig, product: str) -> int:
     arrays and 11.5 MB of work arrays, against 18.7 MB held and an
     11.8 MB product peak measured by tracemalloc.
 
-    The dense N is charged 8 n^2 bytes, what it holds with one character
-    class.  Split into classes of m_c unknowns (``ClassBlocks``), it
-    holds sum_c 8 m_c^2, a quarter of that for the three spheres on the
-    x axis, so the charge is an upper bound.  The direct solver adds
-    the bordered copy of N (at most six rigid traces), charged in
-    float64.  That is what it takes with one class in the float64 retry
-    of an ill-conditioned system (see ``solve_direct``); the float32 copy
-    it factors first takes half of it, and a class takes less (with four
-    classes of about n/4 unknowns, one class's float64 B holds a
-    sixteenth of it), so that charge is an upper bound too.  GMRES adds
-    its Krylov basis of restart + 1 bordered vectors.
+    The dense N is held as one block per class of ``_character_classes``,
+    sum_c 8 m_c^2 bytes for classes of m_c unknowns (``ClassBlocks``), read
+    from the class layout without assembling: 8 n^2 with one class, and
+    50 MB for the three spheres at N=48 (216 classes).  The direct solver
+    adds the bordered block of one class at a time (at most six rigid
+    traces), charged for the largest class in float64.  That is what it
+    takes in the float64 retry of an ill-conditioned system (see
+    ``solve_direct``); the float32 block it factors first takes half of
+    it, so that charge is an upper bound.  GMRES adds its Krylov basis of
+    restart + 1 bordered vectors.
     """
     dofmap = _dofmap(config)
     n, na = dofmap.size, dofmap.modes_per_sphere
+    # unknowns of the largest class the direct solver borders
+    bordered = n
     if product == "dense":
-        held = 8 * n * n
+        sizes = [rows.size for rows in _character_classes(config, dofmap).classes]
+        held, bordered = sum(8 * m * m for m in sizes), max(sizes)
     elif product == "matrix_free":
         (rep_targets, _, _), (_, _, _, bounds) = _distinct_pairs(config)
         counts, keys_per_count = np.unique(np.diff(bounds), return_counts=True)
@@ -1032,7 +1197,7 @@ def solver_bytes(config: ProblemConfig, product: str) -> int:
     else:
         raise ValueError(f"unknown product {product!r}; expected 'dense' or 'matrix_free'")
     if config.solver.method == "direct":
-        return held + 8 * (n + 6) ** 2
+        return held + 8 * (bordered + 6) ** 2
     # SciPy's GMRES restarts after at most as many steps as the system has unknowns
     restart = min(config.solver.restart, n + 6)
     return held + 8 * (restart + 1) * (n + 6)
@@ -1081,9 +1246,12 @@ _EPS[[0, 1, 2], [2, 0, 1], [1, 2, 0]] = -1.0
 
 def _common_axes(config: ProblemConfig) -> int:
     """Axis pattern on which every sphere centre has exactly the same
-    coordinate: the flip of each such axis about that coordinate maps
-    every sphere onto itself."""
-    return _axes_of(_geometry(config)[0])
+    coordinate, in the configuration's frame (``_geometry``): the flip of
+    each such axis about that coordinate maps every sphere onto itself.
+    A collinear configuration's is x and y with ``_ROTATIONS``: in its axis
+    frame every rotation about the line maps every sphere onto itself."""
+    axes = _axes_of(_centers(config))
+    return 3 | _ROTATIONS if axes in _LINE_FRAMES else axes
 
 
 def _axes_of(centers: np.ndarray) -> int:
@@ -1123,7 +1291,9 @@ def _character_classes(config: ProblemConfig, dofmap: DofMap) -> _ClassLayout:
     Every pair's stabilizer holds those flips, so the blocks of N couple
     only unknowns of one character, and the diagonal blocks are diagonal:
     N is block-diagonal over these classes, up to a reordering.  A
-    configuration with no common flip has one class.
+    configuration with no common flip has one class.  A collinear one's
+    classes are those of its axis frame, of one character under the flips
+    of x and y and one order |m|: 2 N + 2 of them at degree N.
     """
     return _class_layout(dofmap.degree, _common_axes(config), len(dofmap.sphere_ids))
 
@@ -1189,15 +1359,18 @@ def rigid_trace_vectors(config: ProblemConfig, dofmap: DofMap, mode: str) -> np.
     and, after them, the rotations about e_a.
 
     The rotations are taken about a point on every common plane of
-    symmetry (``_common_axes``; the origin when there is none), so that
-    each motion is of one character under the common flips, and so is
-    each orthonormalised column in exact arithmetic.  The QR leaves
-    rounding, up to 7e-17, in the rows of other characters; it is set to
-    zero, so that every column is pure (and orthonormal to rounding).
+    symmetry (the global planes of ``_common_axes``; the origin when there
+    is none), so that each motion is of one character under the common
+    flips, and so is each orthonormalised column in exact arithmetic.  The
+    QR leaves rounding, up to 7e-17, in the rows of other characters; it
+    is set to zero, so that every column is pure (and orthonormal to
+    rounding).  The basis is global; ``solve_direct`` turns it into a
+    collinear configuration's axis frame, where each column, of degree 1,
+    is of one class of ``_character_classes`` too.
     """
     c = sqrt(4.0 * pi / 3.0)
     M, na = len(config.spheres), dofmap.modes_per_sphere
-    centers, radii, _enclosing = _geometry(config)
+    centers, radii = _centers(config), np.array([s.frame.radius for s in config.spheres])
     axes = _axes_of(centers)
     rotations = mode == MODE_SELF_CONSISTENT
     Z = np.zeros((M, na, 6 if rotations else 3))  # (sphere, mode, column)
@@ -1378,8 +1551,11 @@ def _bordered_solve(system: DenseSystem, config: ProblemConfig, Z: np.ndarray, d
     one character class at a time.
 
     N is block-diagonal over the classes of ``system.Nmat``, whose blocks
-    are read in place, and each column of ``Z`` is nonzero in one class
-    only.  Returns the gauge-fixed least-squares x, the consistency floor,
+    are read in place, and each column of ``Z`` (global, as
+    ``rigid_trace_vectors`` gives it) is nonzero in one class only, once
+    turned into the axis frame of ``Nmat`` where it has one.  The solve
+    runs in that frame, and x is turned out of it.  Returns the
+    gauge-fixed least-squares x, the consistency floor,
     the rcond of the block-diagonal bordered matrix and the most
     refinement steps of any class ``{"psi": .., "x": ..}``, or None when
     float32 factors are too ill-conditioned or a refinement does not
@@ -1387,6 +1563,9 @@ def _bordered_solve(system: DenseSystem, config: ProblemConfig, Z: np.ndarray, d
     large array it makes is freed on return.
     """
     D, F, Nmat = system.D, system.F, system.Nmat
+    frame = Nmat.frame
+    if frame is not None:
+        F, Z = frame.turn(F), frame.turn(Z)
     n, k = Z.shape
     rc = _radius_c(config, system.dofmap, system.mode)
     retry = dtype == np.float32
@@ -1448,9 +1627,14 @@ def _bordered_solve(system: DenseSystem, config: ProblemConfig, Z: np.ndarray, d
             if retry and not converged:
                 return None
             steps["psi"] = max(steps["psi"], psi_steps)
-            psi = _orthonormal_columns(psi[:, :m].T)
+            # |part|^2 from psi's Gram matrix: the load's incompatible part
+            # can be 1e-9 of it, and orthonormalising psi moves its largest
+            # entries by an ulp, which moves that part by 1e-10 of itself
+            psi = psi[:, :m]
+            moments = psi @ f
+            incompatible += float(moments @ np.linalg.solve(psi @ psi.T, moments))
+            psi = _orthonormal_columns(psi.T)
             part = psi @ (psi.T @ f)
-            incompatible += float(part @ part)
             compatible = f - part
             del psi
         xc, x_steps, converged = _refine(factors, 1, subtract_product(N.T), compatible,
@@ -1474,7 +1658,7 @@ def _bordered_solve(system: DenseSystem, config: ProblemConfig, Z: np.ndarray, d
     fnorm = np.linalg.norm(F)
     floor = float(sqrt(incompatible) / fnorm) if fnorm > 0 else 0.0
     _check_floor(floor, n, k)
-    return x, floor, rcond, steps
+    return (x if frame is None else frame.turn(x, back=True)), floor, rcond, steps
 
 
 def _check_rcond(rcond: float, k: int) -> None:
@@ -1510,9 +1694,14 @@ def solve_direct(system: DenseSystem, config: ProblemConfig) -> Solution:
     (``ClassBlocks``), so B is block-diagonal up to a reordering, and
     each class's block [[A_c, D_c Z_c], [Z_c^T D_c, 0]] is built from its
     block of N in place, factored and solved on its own, one class at a
-    time: the three-sphere case, on the x axis, has four classes of about
-    n/4 unknowns.  With no common plane, or for a system built from an
-    arbitrary N by ``ClassBlocks.whole``, one class holds every unknown.
+    time.  A collinear configuration is solved in the axis frame of its
+    ``Nmat`` (module docstring), whose classes are also of one order |m|:
+    F and Z are turned into it, where each column of Z, of degree 1, lies
+    in one class, and the traces out of it.  The three-sphere case, on
+    the x axis, has 2N + 2 classes, 42 of at most 180 unknowns at N=20,
+    where the flips alone gave four of about 1 000.  With no common
+    plane, or for a system built from an arbitrary N by
+    ``ClassBlocks.whole``, one class holds every unknown.
     The reported rcond is the 1-norm rcond of the block-diagonal B,
     min_c(rcond_c |B_c|) / max_c |B_c|, and the diagnostics list the
     class sizes (``characters``), the ``product`` ("dense") and the

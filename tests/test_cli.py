@@ -61,11 +61,16 @@ def test_direct_solver_precision_recorded(tmp_path):
     steps = solver["refinement_steps"]
     assert set(steps) == {"psi", "x"}
     assert all(1 <= s <= 30 for s in steps.values())
-    # the centres lie on the x axis: one class per pattern of signs under
-    # the y and z flips (bits 1 and 2 of its number), each holding those
-    # modes of all three spheres
-    signs = harmonics.reflection_signs(8)[[2, 4]][:, system.DofMap(8, (1,)).active_mask()]
-    counts = np.bincount(np.array([2, 4]) @ (signs < 0.0))
+    # the centres lie on the x axis: solved in the frame where that line is
+    # the z axis, one class per pattern of signs under the x and y flips
+    # (bits 0 and 1 of its number) and order |m|, each holding those modes
+    # of all three spheres
+    active = system.DofMap(8, (1,)).active_mask()
+    signs = harmonics.reflection_signs(8)[[1, 2]][:, active]
+    ells = harmonics.per_degree(np.arange(9))
+    orders = np.repeat(np.abs(np.arange(81) - ells * ells - ells), 3)[active]
+    counts = np.bincount(np.array([1, 2]) @ (signs < 0.0) + 4 * orders)
+    assert len(counts[counts > 0]) == 18
     assert solver["characters"] == (3 * counts[counts > 0]).tolist()
     # N is held as one float64 block per class, as the record names
     assert solver["product"] == "dense"
@@ -73,8 +78,11 @@ def test_direct_solver_precision_recorded(tmp_path):
 
 
 def test_dense_memory_refused(table3_path, tmp_path, monkeypatch, capsys):
-    # table3 at N=3 has 138 unknowns: Nmat and the bordered copy need 318 KB
-    monkeypatch.setattr(problem, "available_memory", lambda: 2**18)
+    # table3 at N=3 has 138 unknowns in eight classes of at most 27: their
+    # blocks of Nmat (22 320 bytes) and the largest class's float64 bordered
+    # block (8 * 33^2 = 8 712 bytes) need 31 KB
+    assert system.solver_bytes(problem.load_config(table3_path), "dense") == 31032
+    monkeypatch.setattr(problem, "available_memory", lambda: 2**14)
     rc = main(["solve", "--config", str(table3_path), "--solver", "direct",
                "--out-dir", str(tmp_path / "o")])
     assert rc == EXIT_VALIDATION
@@ -235,6 +243,23 @@ def test_convergence_bad_reference(table3_path, tmp_path):
     rc = main(["convergence", "--config", str(table3_path), "--degrees", "2,4",
                "--reference", "4", "--out-dir", str(tmp_path)])
     assert rc == EXIT_VALIDATION
+
+
+def test_direct_lattice_r5_refused_against_available_memory(tmp_path, monkeypatch, capsys):
+    # one class of 22 356 unknowns, charged 7.45 GiB, against 6 GiB available
+    monkeypatch.setattr(problem, "_mem_available", lambda: 6 * 2**30)
+    monkeypatch.setattr(problem, "_CGROUP_LIMITS", ())
+
+    def refused(*_args, **_kwargs):
+        raise AssertionError("assembled a system that validation should refuse")
+
+    monkeypatch.setattr(system, "assemble", refused)
+    monkeypatch.setattr("elastisph.cli.assemble", refused)
+    rc = main(["solve", "--preset", "lattice_r5", "--solver", "direct", "--out-dir", str(tmp_path / "o")])
+    assert rc == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert any("the dense system of 22356 unknowns needs about 7.45 GiB" in line for line in err["detail"])
 
 
 def test_benchmark_small(tmp_path):

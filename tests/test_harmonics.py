@@ -404,3 +404,52 @@ class TestProjection:
         exp = VshExpansion.zeros(0, 2)
         with pytest.raises(ValueError):
             exp.set(0, 0, Family.W, 1.0)
+
+
+_CYCLIC = [(1, 2, 0), (2, 0, 1)]
+
+
+class TestPermutationRotation:
+    @pytest.mark.parametrize("axes", _CYCLIC)
+    def test_orthogonal(self, axes):
+        for degree in (1, 4, 8, 20):
+            R = harmonics.permutation_rotation(axes, degree, rule_for_degree(2 * degree))
+            assert len(R) == degree + 1
+            for ell, D in enumerate(R):
+                assert D.shape == (2 * ell + 1,) * 2 and not D.flags.writeable
+                assert np.abs(D @ D.T - np.eye(2 * ell + 1)).max() < 1e-14
+
+    @pytest.mark.parametrize("axes", _CYCLIC)
+    def test_rotates_the_vector_basis(self, axes):
+        # F_q(P s) = P sum_p D_qp F_p(s) for V, W and X, (P v)_a = v[axes[a]]
+        degree = 12
+        R = harmonics.permutation_rotation(axes, degree, rule_for_degree(2 * degree))
+        s = np.random.default_rng(9).normal(size=(40, 3))
+        s /= np.linalg.norm(s, axis=1, keepdims=True)
+        here, turned = vsh_basis(s, degree), vsh_basis(s[:, list(axes)], degree)
+        for family in Family:
+            F, Ft = here.family(family), turned.family(family)
+            for ell, D in enumerate(R):
+                sl = slice(ell * ell, (ell + 1) ** 2)
+                expected = np.einsum("qp,ptc->qtc", D, F[sl][:, :, list(axes)])
+                assert np.abs(Ft[sl] - expected).max() <= 1e-13 * max(1.0, np.abs(Ft[sl]).max())
+
+    def test_identity_and_characters(self):
+        degree = 6
+        R = harmonics.permutation_rotation((0, 1, 2), degree, rule_for_degree(2 * degree))
+        assert all(np.abs(D - np.eye(len(D))).max() < 1e-14 for D in R)
+        # the frame's flip of axis a is the flip of axis axes[a]: R maps each
+        # character onto its image with exact zeros elsewhere
+        signs = harmonics.reflection_signs(degree).reshape(8, -1, 3)[[1, 2, 4], :, 0]
+        for axes in _CYCLIC:
+            R = harmonics.permutation_rotation(axes, degree, rule_for_degree(2 * degree))
+            for ell, D in enumerate(R):
+                sl = slice(ell * ell, (ell + 1) ** 2)
+                other = (signs[:, sl, None] != signs[list(axes)][:, None, sl]).any(axis=0)
+                assert np.all(D[other] == 0.0)
+
+    def test_refuses_other_axes_and_weak_rules(self):
+        with pytest.raises(ValueError, match="cyclic"):
+            harmonics.permutation_rotation((1, 0, 2), 3, rule_for_degree(6))
+        with pytest.raises(ValueError, match="below"):
+            harmonics.permutation_rotation((1, 2, 0), 4, rule_for_degree(7))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -196,6 +197,33 @@ class TestValidation:
     def test_available_memory(self):
         have = available_memory()
         assert have is None or have > 0
+
+    def test_refusal_against_mem_available(self, monkeypatch, tmp_path):
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal:       8220000 kB\nMemAvailable:    6291456 kB\n")
+        monkeypatch.setattr(problem, "_MEMINFO", str(meminfo))
+        monkeypatch.setattr(problem, "_CGROUP_LIMITS", ())
+        assert problem._mem_available() == available_memory() == 6 * 2**30
+        direct = SolverOptions(method="direct")
+        # lattice r5 holds one class: Nmat and its float64 bordered copy,
+        # 7.45 GiB, more than the 6 GiB available
+        r5 = dataclasses.replace(lattice_config(5), solver=direct)
+        with pytest.raises(ValidationError, match="needs about 7.45 GiB with the direct solver"):
+            validate(r5)
+        # the three spheres at N=48 hold 216 classes in their axis frame, two
+        # per order |m| >= 1 of 9 (49 - |m|) unknowns, and 291 and 144 at
+        # |m| = 0: 50 MB of blocks, and the float64 bordered block of the
+        # largest class, 0.048 GiB in all, where one class would be 6.96 GiB
+        n48 = dataclasses.replace(three_sphere_config(48), solver=direct)
+        sizes = [291, 144] + [9 * (49 - m) for m in range(1, 49) for _ in range(2)]
+        charge = solver_bytes(n48, "dense")
+        assert charge == sum(8 * m * m for m in sizes) + 8 * (432 + 6) ** 2
+        assert 0.048 < charge / 2**30 < 0.049
+        assert validate(n48) is n48
+        # a file that cannot be read: physical RAM
+        monkeypatch.setattr(problem, "_MEMINFO", str(tmp_path / "missing"))
+        assert problem._mem_available() is None
+        assert available_memory() == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
     def test_sign_bookkeeping(self):
         cfg = three_sphere_config(3)

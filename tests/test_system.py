@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.linalg import LinAlgError
 from numpy.testing import assert_allclose
 from scipy.linalg import lstsq, null_space
@@ -372,9 +372,20 @@ _LAYOUT_CONFIGS = pytest.mark.parametrize("cfg", [
 
 
 def _patterns(cfg, targets, sources):
-    """Reflection pattern of each pair: bit a set where (x_tgt - x_src)_a < 0."""
-    centers = np.array([s.frame.center for s in cfg.spheres])
+    """Reflection pattern of each pair: bit a set where (x_tgt - x_src)_a < 0,
+    in the configuration's frame (a collinear one's axis frame)."""
+    centers = system_module._geometry(cfg)[0]
     return ((centers[targets] - centers[sources] < 0) * [1, 2, 4]).sum(axis=1)
+
+
+def _global_blocks(cfg, blocks):
+    """Blocks (pairs, n_a, n_a) of a collinear configuration's axis frame
+    turned to the global basis, R^T B R; others as they are."""
+    frame = system_module._frame(cfg)
+    if frame is None:
+        return blocks
+    turned = np.stack([frame.turn(b, back=True) for b in blocks])
+    return np.stack([frame.turn(b.T, back=True).T for b in turned])
 
 
 def _reflection_diagonal(rule, degree, flip):
@@ -393,6 +404,11 @@ class TestReflectedBlocks:
     @settings(max_examples=30, deadline=None)
     @given(centers=st.lists(st.tuples(_COORDS, _COORDS, _COORDS), min_size=1, max_size=3, unique=True),
            radius=st.sampled_from([0.05, 0.1]), degree=st.integers(1, 4), pattern=st.integers(1, 7))
+    # collinear configurations, made in their axis frames and compared in the
+    # global basis, with flips that move the line and ones that do not
+    @example(centers=[(0.3, 0.0, 0.0), (-0.6, 0.0, 0.0)], radius=0.1, degree=4, pattern=5)
+    @example(centers=[(0.0, -0.3, 0.0)], radius=0.05, degree=3, pattern=6)
+    @example(centers=[(0.0, 0.0, 0.6)], radius=0.1, degree=2, pattern=3)
     def test_reflected_geometry_gives_the_signed_block(self, centers, radius, degree, pattern):
         # inclusions of one radius (0.3 apart at least) in an enclosing sphere,
         # whose pairs take the 'in' side; every center is reflected
@@ -407,7 +423,7 @@ class TestReflectedBlocks:
             for s in cfg.spheres))
         rule, dofmap = cfg.rule(), system_module._dofmap(cfg)
         pairs = system_module._ordered_pairs(cfg)
-        blocks, mirrored = (_raw_blocks(c, rule, dofmap, *pairs) for c in (cfg, reflected))
+        blocks, mirrored = (_global_blocks(c, _raw_blocks(c, rule, dofmap, *pairs)) for c in (cfg, reflected))
         h = _reflection_diagonal(rule, degree, flip)[dofmap.active_mask()]
         expected = h[:, None] * blocks * h
         assert np.all(np.abs(mirrored - expected).max(axis=(1, 2)) <= 1e-14 * np.abs(blocks).max(axis=(1, 2)))
@@ -428,17 +444,44 @@ def _pair_config(axes, side):
     return ProblemConfig(spheres=(target, source), background=P11, degree=1)
 
 
+def _orders(degree):
+    """|m| of each active mode."""
+    ells = harmonics.per_degree(np.arange(degree + 1))
+    return np.repeat(np.abs(np.arange(ells.size) - ells * ells - ells), 3)[system_module._active_mask(degree)]
+
+
+def _folded_and_full(cfg, rule, degree, side):
+    """The pair's raw block as ``_pair_blocks`` makes it, whole, and the same
+    block summed over every node of the rule with every entry computed, both
+    in the configuration's frame, (n_a, n_a) each; and its classes."""
+    targets, sources = np.array([0]), np.array([1])
+    centers, radii, _enclosing = system_module._geometry(cfg)
+    y = centers[0] + radii[0] * rule.points - centers[1]
+    dofmap = system_module.DofMap(degree=degree, sphere_ids=(1, 2))
+    active = dofmap.active_mask()
+    (_, _, stack, _raw), = system_module._pair_blocks(cfg, rule, dofmap, targets, sources)
+    (folded,) = _raw_blocks(cfg, rule, dofmap, targets, sources)
+    (full,) = system_module._chunk_blocks(
+        cfg.background, degree, harmonics.weighted_basis(rule, degree)[active][None], y,
+        radii[1:], int(side == "in"), system_module._stack(degree, 0))
+    return folded, full[..., 0], stack.classes
+
+
 class TestFolding:
     @pytest.mark.parametrize("rule_degree", [7, 17, 41])
     @pytest.mark.parametrize("side", ["in", "out"])
     def test_folded_block_matches_full_rule(self, rule_degree, side):
+        # a pair on one axis is a collinear configuration, made in its axis
+        # frame (pattern 3, x and y, with the rotations about z): there the
+        # entries between orders |m| != |m'| of one character are not made,
+        # and the full rule's aliasing in them is left out of the comparison
+        # (test_dropped_orders_shrink_as_the_rule_grows)
         rule = rule_for_degree(rule_degree)
         for axes in range(8):
             cfg = _pair_config(axes, side)
-            targets, sources = np.array([0]), np.array([1])
-            centers, radii, _enclosing = system_module._geometry(cfg)
-            y = centers[0] + radii[0] * rule.points - centers[1]
-            flips = harmonics.reflection_signs(8)[[1 << a for a in range(3) if axes >> a & 1]]
+            pattern = system_module._common_axes(cfg)
+            assert ((pattern & system_module._ROTATIONS) != 0) == (axes in (3, 5, 6))
+            flips = harmonics.reflection_signs(8)[[1 << a for a in range(3) if pattern >> a & 1]]
             for degree in range(1, 9):
                 if axes == 7 and rule.degree < 2 * degree:
                     # a concentric pair takes its closed form, which a rule
@@ -447,20 +490,20 @@ class TestFolding:
                     continue
                 dofmap = system_module.DofMap(degree=degree, sphere_ids=(1, 2))
                 active = dofmap.active_mask()
-                (_, _, stack, _raw), = system_module._pair_blocks(cfg, rule, dofmap, targets, sources)
-                classes = stack.classes
-                folded = _raw_blocks(cfg, rule, dofmap, targets, sources)
-                (full,) = system_module._chunk_blocks(
-                    cfg.background, degree, harmonics.weighted_basis(rule, degree)[active][None], y,
-                    radii[1:], int(side == "in"), system_module._stack(degree, 0))
-                full = full.transpose(2, 0, 1)
+                folded, full, classes = _folded_and_full(cfg, rule, degree, side)
                 scale = np.abs(full).max()
                 assert scale > 0.0
-                assert np.abs(folded - full).max() <= 1e-14 * scale
                 # a mode pair whose signs differ under a flip of the pattern
                 signs = flips[:, :3 * (degree + 1) ** 2][:, active]
                 odd = (signs[:, :, None] != signs[:, None, :]).any(axis=0)
                 assert odd.any() == (axes != 0)
+                # and, in an axis frame, one of two orders of one character
+                dropped = np.zeros_like(odd)
+                if pattern & system_module._ROTATIONS:
+                    orders = _orders(degree)
+                    dropped = (orders[:, None] != orders[None, :]) & ~odd
+                    odd |= dropped
+                assert np.abs(folded - full)[~dropped].max() <= 1e-14 * scale
                 # the parts are the blocks of the modes of one sign pattern, which
                 # hold every mode once: the odd entries are the ones not made
                 assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(dofmap.modes_per_sphere))
@@ -468,6 +511,29 @@ class TestFolding:
                 for modes in classes:
                     made[modes[:, None], modes] = True
                 assert np.array_equal(made, ~odd)
+
+    @pytest.mark.parametrize("side", ["in", "out"])
+    def test_dropped_orders_shrink_as_the_rule_grows(self, side):
+        # the entries an axis frame does not make are the rule's aliasing
+        # between orders m = m' (mod 4), zero for the exact integrals: from an
+        # inclusion ('out') they fall as the rule grows, down to rounding; the
+        # enclosing sphere's field inside it ('in') is a polynomial that every
+        # rule integrates, so they are rounding throughout
+        degree = 6
+        cfg = _pair_config(6, side)
+        orders = _orders(degree)
+        largest, made = [], []
+        for rule_degree in (13, 17, 23, 31, 41, 59):
+            folded, full, _classes = _folded_and_full(cfg, rule_for_degree(rule_degree), degree, side)
+            dropped = (orders[:, None] != orders[None, :]) & (folded == 0.0) & (full != 0.0)
+            largest.append(np.abs(full[dropped]).max(initial=0.0) / np.abs(full).max())
+            made.append(folded)
+        if side == "out":
+            assert largest[0] > 1e-5
+            assert all(b < a for a, b in zip(largest, largest[1:]) if a > 1e-14)
+        assert largest[-1] < 1e-14
+        # and the entries that are made converge
+        assert np.abs(made[-2] - made[-1]).max() < 1e-14 * np.abs(made[-1]).max()
 
     @pytest.mark.parametrize("rule_degree", [d for d, _count in LEBEDEV_TABLE])
     def test_orbits_cover_the_rule(self, rule_degree):
@@ -592,6 +658,11 @@ class TestPairClasses:
         raw = _raw_blocks(cfg, cfg.rule(), operator.dofmap, rep_targets, rep_sources)
         signs = harmonics.reflection_signs(cfg.degree)[:, operator.dofmap.active_mask()]
         lam = np.random.default_rng(8).normal(size=(len(cfg.spheres), operator.dofmap.modes_per_sphere))
+        # a collinear configuration's blocks and patterns are its axis frame's:
+        # its product is compared there
+        frame = operator.frame or system_module._Frame((0, 1, 2), ())
+        coupling = frame.turn(operator.coupling(lam.reshape(-1))).reshape(lam.shape)
+        lam = frame.turn(lam.reshape(-1)).reshape(lam.shape)
         expected = operator.diag * lam
         for k, block in enumerate(raw):
             h = signs[rep_patterns[k]]
@@ -599,8 +670,7 @@ class TestPairClasses:
             for n in range(bounds[k], bounds[k + 1]):
                 h = signs[patterns[n]]
                 expected[targets[n]] += (h[:, None] * canonical * h) @ (operator.C * lam)[sources[n]]
-        product = operator.coupling(lam.reshape(-1)).reshape(lam.shape)
-        assert np.abs(product - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert np.abs(coupling - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_equal_configs_share_the_held_operator(self):
         first, second = validate(lattice_config(2)), validate(lattice_config(2))
@@ -809,7 +879,7 @@ class TestBorderedLU:
         finally:
             tracemalloc.stop()
         assert sol.diagnostics["factorisation"] == "float32"
-        assert len(sol.diagnostics["characters"]) == 4
+        assert len(sol.diagnostics["characters"]) == 18
         bordered = 4 * (system.dofmap.size + sol.diagnostics["null_dim"]) ** 2
         assert _largest_class_bytes(cfg, system, 4) < peak < bordered
 
@@ -843,7 +913,7 @@ class TestBorderedLU:
         diag = sol.diagnostics
         assert diag["factorisation"] == "float64"
         assert 1e-13 < diag["rcond"] < 2.0**-20
-        assert len(diag["characters"]) == 4
+        assert len(diag["characters"]) == 18
         dw = np.sqrt(system.D)
         assert np.linalg.norm(dw * (sol.lambda_ - expected)) < 1e-12 * np.linalg.norm(dw * expected)
         # the float32 arrays are freed before the float64 retry, and the
@@ -854,19 +924,28 @@ class TestBorderedLU:
         assert _largest_class_bytes(cfg, system, 8) < peak < bordered
 
 
-def _unknown_characters(cfg):
+def _unknown_characters(cfg, frame=False):
     """Signs of every unknown under the flips of the axes on which all
     sphere centres share their coordinate, (unknowns, flips), from
-    ``reflection_signs``."""
+    ``reflection_signs``.  With ``frame``, a collinear configuration's are
+    those of its axis frame, where the centres share x and y, with each
+    unknown's order |m| as a last column."""
     centers = np.array([s.frame.center for s in cfg.spheres])
+    collinear = frame and system_module._frame(cfg) is not None
+    if collinear:
+        centers = system_module._geometry(cfg)[0]
     flips = [1 << a for a in range(3) if np.all(centers[:, a] == centers[0, a])]
     signs = harmonics.reflection_signs(cfg.degree)[flips][:, system_module._active_mask(cfg.degree)]
+    if collinear:
+        signs = np.vstack([signs, _orders(cfg.degree)])
     return np.tile(signs.T, (len(cfg.spheres), 1))
 
 
+# the three spheres lie on the x axis: in their axis frame, one class per
+# character under the flips of x and y and order |m|, 2 N + 2 of them
 _CHARACTER_CONFIGS = pytest.mark.parametrize("cfg,classes", [
-    (three_sphere_config(8), 4),
-    (three_sphere_config(8, "piecewise"), 4),
+    (three_sphere_config(8), 18),
+    (three_sphere_config(8, "piecewise"), 18),
     (lattice_config(1), 8),
     (one_sphere_config(3, 8), 8),
     (poisson_sweep_config(0.3, SWEEP_NU1_MIN), 8),
@@ -880,7 +959,7 @@ class TestCharacterBlocks:
         # unknowns of different characters are not held, so they are zero
         cfg = validate(cfg)
         system = assemble(cfg)
-        signs = _unknown_characters(cfg)
+        signs = _unknown_characters(cfg, frame=True)
         assert len(np.unique(signs, axis=0)) == classes
         held = system.Nmat.classes
         assert len(held) == classes
@@ -920,7 +999,9 @@ class TestCharacterBlocks:
         monkeypatch.setattr(system_module, "_character_classes", lambda config, dofmap:
                             system_module._class_layout(dofmap.degree, 0, len(dofmap.sphere_ids)))
         one = assemble(cfg, mode=mode)
-        assert np.array_equal(one.Nmat.blocks[0], system.Nmat.toarray())
+        assert len(one.Nmat.blocks) == 1
+        # blocks[0] itself where there is no frame; both turned alike in one
+        assert np.array_equal(one.Nmat.toarray(), system.Nmat.toarray())
         whole = solve_direct(one, cfg)
         assert whole.diagnostics["characters"] == [system.dofmap.size]
         dw = np.sqrt(system.D)
@@ -938,7 +1019,7 @@ class TestCharacterBlocks:
         # corrupted N is a system of one class, solved as one
         cfg = validate(three_sphere_config(3))
         system = assemble(cfg)
-        assert len(system.Nmat.classes) == 4
+        assert len(system.Nmat.classes) == 8
         Z = rigid_trace_vectors(cfg, system.dofmap, system.mode)
         corrupted = _corrupted(system, Z, 11)
         classes = corrupted.Nmat.classes
@@ -1017,7 +1098,7 @@ class TestClassBlocks:
             tracemalloc.stop()
         n = system.dofmap.size
         sizes = [rows.size for rows in system.Nmat.classes]
-        assert sol.diagnostics["characters"] == sizes and len(sizes) == 4
+        assert sol.diagnostics["characters"] == sizes and len(sizes) == 18
         held = sum(8 * m * m for m in sizes)
         assert system.Nmat.nbytes == held == sol.diagnostics["held_block_bytes"]
         bound = held + _largest_class_bytes(cfg, system, 4) + system_module._CHUNK_BYTES
@@ -1166,3 +1247,88 @@ class TestBorderedGMRES:
         assert (sol.residual, sol.iterations) == (0.0, 0)
         assert sol.diagnostics["consistency_floor"] == 0.0
         assert sol.diagnostics["residual_history"] == []
+
+
+def _line_copy(cfg, axes):
+    """The configuration turned by the cyclic permutation (P x)_a = x[axes[a]],
+    which carries the x axis to the y axis ((2, 0, 1)) or the z axis
+    ((1, 2, 0))."""
+    return dataclasses.replace(cfg, spheres=tuple(
+        dataclasses.replace(s, frame=SphereFrame(tuple(np.array(s.frame.center)[list(axes)]), s.frame.radius))
+        for s in cfg.spheres))
+
+
+class TestAxisFrame:
+    def test_line_copies_solve_alike(self):
+        # the three spheres on the x, y and z axes, with loads turned alike:
+        # each is solved in its axis frame, and the traces are turned copies
+        cfg = validate(three_sphere_config(8))
+        sigma = system_module.build_sigma(cfg, cfg.degree, cfg.rule())
+        system = assemble(cfg, sigma=sigma)
+        x = solve_direct(system, cfg).lambda_
+        dw = np.sqrt(system.D)
+        mask = system.dofmap.active_mask()
+        assert system.Nmat.frame.axes == (1, 2, 0)
+        for axes in ((2, 0, 1), (1, 2, 0)):
+            copy = validate(_line_copy(cfg, axes))
+            P = system_module._Frame(axes, system_module._axis_rotation(axes, cfg.degree))
+            turned = {sid: VshExpansion(sid, cfg.degree, np.zeros_like(e.coeffs)) for sid, e in sigma.items()}
+            for sid, e in sigma.items():
+                turned[sid].flat[mask] = P.turn(e.flat[mask])
+            rotated = assemble(copy, sigma=turned)
+            # the y line's frame carries y to z; the z line's is the global one
+            assert rotated.Nmat.frame.axes == ((0, 1, 2) if axes == (1, 2, 0) else (2, 0, 1))
+            # the blocks of the three axis frames are one and the same
+            assert all(np.array_equal(a, b) for a, b in zip(rotated.Nmat.blocks, system.Nmat.blocks))
+            y = solve_direct(rotated, copy).lambda_
+            expected = P.turn(x)
+            assert np.linalg.norm(dw * (y - expected)) <= 1e-13 * np.linalg.norm(dw * expected)
+
+    def test_blocks_are_the_turned_global_blocks(self):
+        # the frame's pair blocks are R B R^T of the blocks summed in the
+        # global frame, every entry computed with the full rule, on the entries
+        # that are made
+        cfg = validate(three_sphere_config(6))
+        rule, dofmap = cfg.rule(), system_module._dofmap(cfg)
+        pairs = system_module._ordered_pairs(cfg)
+        framed = _raw_blocks(cfg, rule, dofmap, *pairs)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(system_module, "_LINE_FRAMES", {})
+            assert system_module._frame(cfg) is None
+            m.setattr(system_module, "_zero_axes", lambda d: np.zeros(len(d), dtype=int))
+            plain = _raw_blocks(cfg, rule, dofmap, *pairs)
+        made = framed != 0.0
+        assert np.abs(_global_blocks(cfg, framed) - plain).max() > 1e-12 * np.abs(plain).max()
+        frame = system_module._frame(cfg)
+        turned = np.stack([frame.turn(frame.turn(b).T).T for b in plain])
+        assert np.abs(turned - framed)[made].max() <= 1e-14 * np.abs(plain).max()
+
+    @pytest.mark.parametrize("cfg", [
+        lattice_config(1), lattice_config(2), lattice_config(3), one_sphere_config(3, 8),
+        poisson_sweep_config(1.0 / 6.0, 0.3), poisson_sweep_config(0.3, SWEEP_NU1_MIN),
+    ], ids=["lattice_r1", "lattice_r2", "lattice_r3", "one_sphere_case3", "poisson", "poisson_nu1_min"])
+    def test_no_frame_off_a_line(self, cfg):
+        # lattices, concentric sets and single spheres take no frame and no
+        # order classes: their N, products and traces are made as before
+        cfg = validate(cfg)
+        assert system_module._frame(cfg) is None
+        assert not system_module._common_axes(cfg) & system_module._ROTATIONS
+        system = assemble(cfg)
+        assert system.Nmat.frame is None and CouplingOperator(cfg, cfg.rule(), system.mode).frame is None
+        targets, sources = system_module._ordered_pairs(cfg)
+        for _ipos, _jpos, stack, _raw in system_module._pair_blocks(cfg, cfg.rule(), system.dofmap,
+                                                                    targets, sources):
+            assert not stack.axes & system_module._ROTATIONS
+
+    def test_turn_round_trip(self):
+        axes = (2, 0, 1)
+        frame = system_module._Frame(axes, system_module._axis_rotation(axes, 5))
+        x = np.random.default_rng(12).normal(size=(3 * (3 * 36 - 2), 4))
+        y = frame.turn(x)
+        assert np.abs(frame.turn(y, back=True) - x).max() < 1e-14 * np.abs(x).max()
+        # column by column as vectors, and F-ordered input alike
+        assert np.array_equal(frame.turn(x[:, 1]), y[:, 1])
+        assert np.array_equal(frame.turn(np.asfortranarray(x)), y)
+        # the norm and the degree-0 entries are kept
+        assert_allclose(np.linalg.norm(y, axis=0), np.linalg.norm(x, axis=0), rtol=1e-14)
+        assert np.array_equal(y[::3 * 36 - 2], x[::3 * 36 - 2])
