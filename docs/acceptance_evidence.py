@@ -39,7 +39,10 @@ Each part prints markdown tables:
   and without it (every pair folded by its flips alone, as before the
   frame): each one's D-weighted trace error against a solve with rule-107
   blocks, the largest entry of N that the frame does not make (relative
-  to N's largest), the trace change between the two, and the classes.
+  to N's largest), the trace change between the two, and the classes;
+  the nodes per pair at which the frame's pair fields are evaluated (C4v
+  representatives, and the flips' alone), and the trace change of the
+  frame's mirror fold against the same frame folded by its flips alone.
 - ``oracle``: criterion 5's worst values (closed-form potentials against
   the kernel oracle, and the jump residuals of its ten l <= 3 modes), the
   single-layer jump-audit records of those ten modes and the full audit of
@@ -67,7 +70,7 @@ from pathlib import Path
 import numpy as np
 
 from elastisph import system
-from elastisph.harmonics import Family, ModeIndex, VshExpansion, project, sh_index
+from elastisph.harmonics import Family, ModeIndex, VshExpansion, project, sh_index, weighted_rows
 from elastisph.kernels_oracle import dl_offsurface, jump_audit, sl_offsurface
 from elastisph.materials import LameParams
 from elastisph.postprocess import norm_difference, one_sphere_reference, relative_error
@@ -330,6 +333,32 @@ def no_axis_frame():
         system._LINE_FRAMES = frames
 
 
+@contextlib.contextmanager
+def flips_fold():
+    """While active, the pairs of an axis frame are folded by the x and y
+    flips alone, as before the mirror x <-> y: each class part is summed
+    over the flips' orbit representatives with their orbit sizes, one
+    product of the class's own rows, with no twin."""
+    folded_table = system._folded_table
+
+    def by_flips(rule, degree, axes):
+        if not axes & system._ROTATIONS:
+            return folded_table(rule, degree, axes)
+        nodes, orbit = system._orbits(rule, axes & ~system._ROTATIONS)
+        stack = system._stack(degree, axes)
+        stack = stack._replace(mirror=tuple((c, np.arange(modes.size), np.ones(modes.size))
+                                            for c, modes in enumerate(stack.classes)))
+        active = weighted_rows(rule.points[nodes], rule.weights[nodes] * orbit, degree)
+        active = active[system._active_mask(degree)]
+        return nodes, tuple(active[modes] for modes in stack.classes), stack
+
+    system._folded_table = by_flips
+    try:
+        yield
+    finally:
+        system._folded_table = folded_table
+
+
 def part_axis() -> None:
     print("## Collinear configurations in their axis frame, one class per order |m|\n")
     print("Each row solves the smooth three-sphere case with `solve_direct`, in the "
@@ -340,16 +369,26 @@ def part_axis() -> None:
           "relative to N's largest, that the frame does not make: the rule's aliasing "
           "between orders m = m' (mod 4), read against the same frame with every "
           "entry summed over the whole rule. The trace change is |x_frame - x_flips|_D "
-          "/ |x_flips|_D.\n")
+          "/ |x_flips|_D. The frame folds each pair by C4v, its flips and the mirror "
+          "x <-> y; the nodes per pair are the C4v representatives at which its pair "
+          "fields are evaluated, and in brackets the flips' alone. The last column is "
+          "|x_frame - x_D2|_D / |x_D2|_D against the same frame folded by its flips "
+          "(D2) alone.\n")
     print("| N | rule | unknowns | classes, flips | classes, frame (largest) | error, flips | "
-          "error, frame | dropped entry | trace change |")
-    print("|---|---|---|---|---|---|---|---|---|")
+          "error, frame | dropped entry | trace change | nodes per pair | "
+          "trace change against the D2 fold |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|")
     reference_rule = rule_for_degree(LEBEDEV_TABLE[-1][0])
     for degree in (3, 4, 6, 8, 12, 20):
         config = validate(three_sphere_config(degree))
         sigma = system.build_sigma(config, degree, config.rule())
-        framed = assemble(config, sigma=sigma)
+        nodes: dict[str, list[int]] = {"C4v": [], "D2": []}
+        with pair_nodes(nodes["C4v"], unfold=False):
+            framed = assemble(config, sigma=sigma)
         x_frame = solve_direct(framed, config).lambda_
+        with pair_nodes(nodes["D2"], unfold=False), flips_fold():
+            x_d2 = solve_direct(assemble(config, sigma=sigma), config).lambda_
+        pairs = len(config.spheres) * (len(config.spheres) - 1)
         with no_axis_frame():
             flips = assemble(config, sigma=sigma)
             x_flips = solve_direct(flips, config).lambda_
@@ -365,7 +404,8 @@ def part_axis() -> None:
         sizes = [rows.size for rows in framed.Nmat.classes]
         print(f"| {degree} | {config.rule().degree} | {framed.dofmap.size} | {len(flips.Nmat.classes)} | "
               f"{len(sizes)} ({max(sizes)}) | {error(x_flips, x_ref):.3e} | {error(x_frame, x_ref):.3e} | "
-              f"{dropped:.1e} | {error(x_frame, x_flips):.1e} |")
+              f"{dropped:.1e} | {error(x_frame, x_flips):.1e} | "
+              f"{sum(nodes['C4v']) // pairs} ({sum(nodes['D2']) // pairs}) | {error(x_frame, x_d2):.1e} |")
     print()
 
 

@@ -183,6 +183,34 @@ def permutation_rotation(axes: tuple[int, int, int], max_degree: int,
 
 
 @lru_cache(maxsize=None)
+def diagonal_mirror(max_degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The action of the mirror sigma: (x, y, z) -> (y, x, z) on the vector
+    harmonics, as the read-only ``(image, signs)``, each (3 (max_degree+1)^2,)
+    in the canonical flat order: F_q(sigma s) = signs[q] sigma F_image[q](s)
+    for every mode q of every family, a signed permutation.
+
+    sigma maps x + i y to i (x - i y), so (x + i y)^|m| to i^|m| times its
+    conjugate: C[|m|] and S[|m|] keep their own mode at even |m| (with the
+    signs (+, -) for |m| = 0 (mod 4) and (-, +) for |m| = 2 (mod 4)) and
+    swap with each other at odd |m| (signs + for |m| = 1 and - for
+    |m| = 3 (mod 4)); Q(z) stays.  V and W take the sign of Y, and X also
+    takes det sigma = -1.  The permutation is an involution with equal
+    signs on both modes of a swap, so it is its own inverse.
+    """
+    ells = per_degree(np.arange(max_degree + 1))
+    ms = np.arange(ells.size) - ells * ells - ells
+    odd = ms % 2 == 1
+    scalar = np.where(odd, ells * ells + ells - ms, np.arange(ells.size))
+    # the sign of Y by |m| (mod 4) (rows) for m >= 0 and m < 0 (columns)
+    h = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])[np.abs(ms) % 4, (ms < 0).astype(int)]
+    image = (3 * scalar[:, None] + np.arange(3)).reshape(-1)
+    signs = (h[:, None] * np.array([1.0, 1.0, -1.0])).reshape(-1)
+    for a in (image, signs):
+        a.setflags(write=False)
+    return image, signs
+
+
+@lru_cache(maxsize=None)
 def _mode_indices(max_degree: int) -> tuple[np.ndarray, ...]:
     """Per scalar mode p = (l, m), as read-only arrays: l; the packed
     Legendre row; the normalisation c_m (sqrt(2) for m != 0) as a column;
@@ -374,13 +402,17 @@ def vsh_basis(points: np.ndarray, max_degree: int) -> VshBasis:
 
 
 # Weighted bases up to this size stay cached (degree 8 and below at the
-# assembly rule).  Larger ones are rebuilt per call: a cached degree-16 or
+# assembly rule).  Larger ones are not kept: a cached degree-16 or
 # degree-20 basis (9 MB and 19 MB) raised the peak memory of a three-sphere
-# solve by as much, while rebuilding it costs little next to that solve.
+# solve by as much.  Projections above it take their moments from the
+# scalar basis (``_scalar_moments``), a third of the values: rebuilding the
+# weighted basis per projection took 27% of the three-sphere operation at
+# N=20 (41 of 153 ms in one process; 13 ms from the scalar basis; 2-core
+# x86-64 host).
 _CACHED_BASIS_BYTES = 2**20
-# Larger projections run over blocks of nodes whose weighted basis is at
-# most this size.
-_PROJECT_BLOCK_BYTES = 2**22
+# Larger projections run over blocks of nodes whose scalar basis (Y and its
+# gradients) is at most this size.
+_PROJECT_BLOCK_BYTES = 2**20
 
 
 def weighted_basis(rule: LebedevRule, max_degree: int) -> np.ndarray:
@@ -596,18 +628,12 @@ def project_fields(fields, max_degree: int, rule: LebedevRule) -> list[VshExpans
     # ``import elastisph`` 14 ms slower (2-core x86-64 host)
     from ._blas import product
 
-    node_bytes = 9 * num_scalar_modes(max_degree) * 8
-    if node_bytes * rule.size <= _CACHED_BASIS_BYTES:
+    L2 = num_scalar_modes(max_degree)
+    if 9 * L2 * 8 * rule.size <= _CACHED_BASIS_BYTES:
         basis = weighted_basis(rule, max_degree)
         raws = [product(basis, v.reshape(-1)) for v in values]
     else:
-        # accumulate the moments over blocks of nodes instead of
-        # materialising the whole weighted basis
-        step = max(1, _PROJECT_BLOCK_BYTES // node_bytes)
-        raws = [0] * len(values)
-        for t in range(0, rule.size, step):
-            rows = weighted_rows(rule.points[t:t + step], rule.weights[t:t + step], max_degree)
-            raws = [raw + product(rows, v[t:t + step].reshape(-1)) for raw, v in zip(raws, values)]
+        raws = _scalar_moments(values, max_degree, rule, product)
     norms = norm_sq_table(max_degree)
     out = []
     for raw in raws:
@@ -615,6 +641,38 @@ def project_fields(fields, max_degree: int, rule: LebedevRule) -> list[VshExpans
         coeffs = np.divide(raw, norms, out=np.zeros_like(raw), where=norms > 0.0)
         out.append(VshExpansion(sphere_id=-1, max_degree=max_degree, coeffs=coeffs))
     return out
+
+
+def _scalar_moments(values: list[np.ndarray], max_degree: int, rule: LebedevRule,
+                    product) -> list[np.ndarray]:
+    """The unnormalised moments of each field of ``values`` (T, 3), at the
+    rule's nodes, as ``weighted_basis`` gives them, (3 L2,) each, from the
+    scalar basis alone.  With g = w f at node s (= n):
+
+        <f, V> = sum g . grad_s Y - (l + 1) Y g . n
+        <f, W> = sum g . grad_s Y + l Y g . n
+        <f, X> = sum grad_s Y . (g x n)
+
+    two contractions of the gradients and one of Y instead of nine of the
+    weighted vector basis, per field, so that a field's moments do not
+    depend on the fields projected with it.  They accumulate over blocks
+    of nodes whose scalar basis is at most ``_PROJECT_BLOCK_BYTES``.
+    """
+    L2 = num_scalar_modes(max_degree)
+    # per field, the contractions with g and with g x n, and with g . n
+    tangential, radial = np.zeros((len(values), L2, 2)), np.zeros((len(values), L2))
+    step = max(1, _PROJECT_BLOCK_BYTES // (4 * L2 * 8))
+    for t in range(0, rule.size, step):
+        s = rule.points[t:t + step]
+        Y, grad = scalar_basis(s, max_degree)
+        grad = grad.reshape(L2, -1)
+        for v, along, normal in zip(values, tangential, radial):
+            g = v[t:t + step] * rule.weights[t:t + step, None]
+            along += product(grad, np.stack((g, np.cross(g, s))).reshape(2, -1).T)
+            normal += product(Y, (g * s).sum(axis=1))
+    ells = _mode_indices(max_degree)[0]
+    return [np.stack((along - (ells + 1.0) * normal, along + ells * normal, across), axis=1).reshape(-1)
+            for (along, across), normal in zip(tangential.transpose(0, 2, 1), radial)]
 
 
 def reconstruct(expansion: VshExpansion, directions: np.ndarray) -> np.ndarray:

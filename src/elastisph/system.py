@@ -29,12 +29,12 @@ size, 2^(its nonzero coordinates on those axes), and computes only the
 even entries, those between modes of one character class (equal signs
 under S), in one product per class; the odd entries are
 exact zeros.  A pair with no zero component takes every node and all
-entries.  The three-sphere pairs, all on the x axis, take 162 of the 590
-nodes of rule 41 and a quarter of the entries.  A pair whose spheres
-share their centre (d = 0) takes no node at all: there the vector
-harmonics are the single layer's eigenfunctions, and its block is the
-closed form diag(<Y, Y>) A_l(r_tgt / r_src), which the assembly rule
-integrates exactly.
+entries.  A pair on the x axis takes 162 of the 590 nodes of rule 41 and
+a quarter of the entries (a pair of an axis frame, below, takes 92).  A
+pair whose spheres share their centre (d = 0) takes no node at all:
+there the vector harmonics are the single layer's eigenfunctions, and
+its block is the closed form diag(<Y, Y>) A_l(r_tgt / r_src), which the
+assembly rule integrates exactly.
 
 When every sphere centre lies on one plane of symmetry, or on several,
 every pair's stabilizer holds the flips about them, so N couples only
@@ -52,10 +52,18 @@ to rounding, with R the block diagonal of the real D^l of that rotation
 (``harmonics.permutation_rotation``).  In that frame every pair lies on
 the z axis, and its stabilizer holds the flips of x and y and every
 rotation about z, which couples only modes of one order |m|.  The rule
-holds only the rotations by quarter turns, so the quadrature couples
-orders m = m' (mod 4) by aliasing; those entries are not made: the axis
-pattern of such a pair takes the bit ``_ROTATIONS``, and its character
-classes (``_characters``) split each character of the flips by |m|.  For
+keeps of these only the group C4v of the square, the flips, the quarter
+turns and the mirrors x <-> y, so the quadrature couples orders
+m = m' (mod 4) by aliasing; those entries are not made: the axis pattern
+of such a pair takes the bit ``_ROTATIONS``, and its character classes
+(``_characters``) split each character of the flips by |m|.  Such a pair
+is folded by all of C4v: it is evaluated at the 92 orbit representatives
+of rule 41's 590 nodes (``_orbits``), where the flips alone leave 162.
+The mirror sigma: (x, y, z) -> (y, x, z) acts on the modes as a signed
+permutation (``harmonics.diagonal_mirror``); it maps each even-|m|
+class onto itself with one sign, and swaps the two classes of each odd
+|m|, whose parts are then one product of both classes' rows and a signed
+permutation of it (``_mirrored_parts``).  For
 the three spheres, the dropped entries are at most 8.9e-5 of N's largest
 entry at N=3-8 and 1.4e-10 at N=20 (they shrink as the rule grows), the
 traces move by 1.3e-11 at N=20 and come no farther from a solve with
@@ -138,8 +146,8 @@ from scipy.sparse._sparsetools import csr_matvecs
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from ._blas import product as _product
-from .harmonics import (Family, VshExpansion, norm_sq_table, num_scalar_modes, per_degree,
-                        permutation_rotation, reflection_signs, vsh_basis, weighted_basis,
+from .harmonics import (Family, VshExpansion, diagonal_mirror, norm_sq_table, num_scalar_modes,
+                        per_degree, permutation_rotation, reflection_signs, vsh_basis, weighted_basis,
                         weighted_rows)
 from .materials import LameParams
 from .problem import ProblemConfig, ROLE_TRANSMISSION, SphereSpec, build_sigma
@@ -517,13 +525,23 @@ def _orbits(rule: LebedevRule, axes: int) -> tuple[np.ndarray, np.ndarray]:
     axes in the pattern ``axes``, and their orbit sizes.
 
     A representative has a nonnegative coordinate on each of those axes;
-    its orbit holds 2^(its nonzero coordinates on them) nodes.  Exact for
-    a rule that each flip maps onto itself, node for node and with equal
-    weights, as every embedded Lebedev rule.
+    its orbit holds 2^(its nonzero coordinates on them) nodes.  With
+    ``_ROTATIONS`` in the pattern (x and y flips in an axis frame), the
+    group is C4v, those flips and the mirror x <-> y: a representative
+    also has y <= x, and its orbit is twice as large unless it lies on
+    the mirror (x = y).  Exact for a rule that each flip and the mirror
+    map onto itself, node for node and with equal weights, as every
+    embedded Lebedev rule.
     """
     flipped = rule.points[:, [a for a in range(3) if axes >> a & 1]]
-    nodes = np.flatnonzero((flipped >= 0.0).all(axis=1))
-    return nodes, 2.0 ** np.count_nonzero(flipped[nodes], axis=1)
+    kept = (flipped >= 0.0).all(axis=1)
+    orbit = 2.0 ** np.count_nonzero(flipped, axis=1)
+    if axes & _ROTATIONS:
+        x, y = rule.points[:, 0], rule.points[:, 1]
+        kept &= y <= x
+        orbit[x != y] *= 2.0
+    nodes = np.flatnonzero(kept)
+    return nodes, orbit[nodes]
 
 
 @lru_cache(maxsize=16)
@@ -564,9 +582,19 @@ class _Stack(NamedTuple):
     one class of all modes).  A chunk's parts are held as one array over
     the classes, each padded to the ``width`` of the largest: ``modes``
     (classes, width) holds the active mode at each slot c width + i, 0 at
-    a pad, ``slots`` (n_a,) the slot of each active mode, ``at`` (L2, 3)
-    that of each (mode, family) row of ``weighted_basis`` (0 where it is
-    not active) and ``pads`` the slots that hold no mode.  Read-only.
+    a pad, ``slots`` (n_a,) the slot of each active mode and ``pads`` the
+    slots that hold no mode.  ``at`` (L2, 3) gives the row of each (mode,
+    family) of ``weighted_basis`` (0 where it is not active) in the fields
+    of ``_chunk_blocks``: its slot, or, with a ``mirror``, its place in
+    the classes' modes one after another, with no pads.
+
+    With ``_ROTATIONS`` in the pattern, ``mirror`` gives per class c the
+    action of the mirror sigma: (x, y, z) -> (y, x, z)
+    (``harmonics.diagonal_mirror``) as ``(twin, where, signs)``: the image
+    of the class's mode i is mode ``where[i]`` of class ``twin`` times
+    ``signs[i]``.  An even-|m| class is its own twin, with ``where`` the
+    identity and one sign; the two classes of each odd |m| are each
+    other's.  Otherwise ``mirror`` is empty.  Read-only.
     """
 
     axes: int
@@ -575,6 +603,7 @@ class _Stack(NamedTuple):
     slots: np.ndarray
     at: np.ndarray
     pads: np.ndarray
+    mirror: tuple[tuple[int, np.ndarray, np.ndarray], ...]
 
 
 @lru_cache(maxsize=16)
@@ -586,10 +615,22 @@ def _stack(degree: int, axes: int) -> _Stack:
         modes[c, :cls.size], filled[c, :cls.size] = cls, True
     slots = np.empty(filled.sum(), dtype=int)
     slots[modes[filled]] = np.flatnonzero(filled)
-    at = np.zeros(3 * num_scalar_modes(degree), dtype=int)
-    at[_active_mask(degree)] = slots
-    out = _Stack(axes, classes, modes, slots, at.reshape(-1, 3), np.flatnonzero(~filled))
-    for a in (*classes, *out[2:]):
+    active = _active_mask(degree)
+    at = np.zeros(active.size, dtype=int)
+    at[active] = slots
+    mirror = ()
+    if axes & _ROTATIONS:
+        at[np.flatnonzero(active)[np.concatenate(classes)]] = np.arange(slots.size)
+        image, signs = diagonal_mirror(degree)
+        # the active index of each active mode's image, and the class of each
+        image, signs = (np.cumsum(active) - 1)[image[active]], signs[active]
+        owner = np.empty(slots.size, dtype=int)
+        for c, cls in enumerate(classes):
+            owner[cls] = c
+        twins = [int(owner[image[cls[0]]]) for cls in classes]
+        mirror = tuple((t, np.searchsorted(classes[t], image[cls]), signs[cls]) for t, cls in zip(twins, classes))
+    out = _Stack(axes, classes, modes, slots, at.reshape(-1, 3), np.flatnonzero(~filled), mirror)
+    for a in (*classes, *out[2:6], *(a for _twin, *pair in mirror for a in pair)):
         a.setflags(write=False)
     return out
 
@@ -603,18 +644,36 @@ def _folded_table(rule: LebedevRule, degree: int, axes: int):
     classes of ``_stack``, and ``rows`` the active rows of
     ``weighted_basis`` at the nodes, each node's columns times its orbit
     size, at the slots of the stack, (classes, width, 3 nodes), zero at
-    its pads.  Read-only.
+    its pads.
+
+    With ``_ROTATIONS`` in the pattern, ``rows`` holds one array per class
+    instead, of its own modes only: an even-|m| class's rows, (m_c, 3
+    nodes); for the first class of each odd-|m| twin pair, [R_c | S R_t]
+    / 2, (m_c, 6 nodes), its own rows R_c beside the twin's rows R_t at
+    the images of its modes times their signs (``_Stack.mirror``); None
+    for the second.  Read-only.
     """
     nodes, orbit = _orbits(rule, axes)
     stack = _stack(degree, axes)
     # orbit sizes are powers of two: the rows are weighted_basis's to the bit
     active = weighted_rows(rule.points[nodes], rule.weights[nodes] * orbit, degree)[_active_mask(degree)]
-    rows = np.zeros((stack.modes.size, active.shape[1]))
-    rows[stack.slots] = active
-    rows = rows.reshape(*stack.modes.shape, -1)
-    for a in (nodes, rows):
-        a.setflags(write=False)
-    return nodes, rows, stack
+    nodes.setflags(write=False)
+    if not stack.mirror:
+        rows = np.zeros((stack.modes.size, active.shape[1]))
+        rows[stack.slots] = active
+        rows = rows.reshape(*stack.modes.shape, -1)
+        rows.setflags(write=False)
+        return nodes, rows, stack
+    rows = []
+    for c, (modes, (twin, where, signs)) in enumerate(zip(stack.classes, stack.mirror)):
+        own = None if twin < c else active[modes]
+        if twin > c:
+            # halved to the bit, as the orbit weights
+            own = 0.5 * np.concatenate((own, signs[:, None] * active[stack.classes[twin][where]]), axis=1)
+        if own is not None:
+            own.setflags(write=False)
+        rows.append(own)
+    return nodes, tuple(rows), stack
 
 
 def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
@@ -659,7 +718,10 @@ def _pair_blocks(config: ProblemConfig, rule: LebedevRule, dofmap: DofMap,
     in its axis frame, every pair lies on the z axis, and its pattern
     takes ``_ROTATIONS``: its parts are those of one character and one
     order |m|, and the entries that the rule's aliasing makes between
-    orders m = m' (mod 4) are not made either (module docstring).
+    orders m = m' (mod 4) are not made either (module docstring).  Such a
+    pair is folded by the mirror x <-> y too, at the representatives of
+    C4v, and the second class of each odd-|m| twin pair is the signed
+    permutation of the first (``_mirrored_parts``).
 
     Each chunk takes one basis evaluation over the evaluated nodes of all
     its pairs, one single-layer evaluation over all degrees per side, and
@@ -763,7 +825,8 @@ def _chunk_blocks(background: LameParams, degree: int, rows: np.ndarray, y: np.n
 
     ``y`` holds x_tgt + r_tgt s_t - x_src pair-major at the T nodes whose
     test rows are ``rows``, at the slots of ``stack`` (classes, width,
-    3 T) and zero at its pads, and the first ``n_in`` pairs take the 'in'
+    3 T) and zero at its pads (with a ``stack.mirror``, the per-class rows
+    of ``_folded_table``), and the first ``n_in`` pairs take the 'in'
     side.  The field of source mode p and density family q at a node is
     sum_k (V, W, X)_k(p) A_kq, A the single-layer matrix at the node.  A
     is structurally zero at (V, X), (W, X), (X, V) and (X, W), where
@@ -772,19 +835,26 @@ def _chunk_blocks(background: LameParams, degree: int, rows: np.ndarray, y: np.n
         V A_VV + W A_WV,   V A_VW + W A_WW,   X A_XX,
 
     each formed by broadcast products straight into the rows of G, at
-    their mode's slot (G's pad rows are zero); at l = 0 only the first,
-    as (l=0, W) and (l=0, X) are not active.  One product per class of
-    its test rows with its rows of G (``_blas.product``, SciPy's dgemm;
-    in an axis frame, of the class's own rows only) then gives every
-    class's part, entry (r, q) of class c and pair n at
-    ``raw[c, r, q, n]``.  A function of its own so
-    that the chunk's temporaries are freed before the next one.
+    their mode's row ``stack.at`` (G's pad rows are zero); at l = 0 only
+    the first, as (l=0, W) and (l=0, X) are not active.  One product per
+    class of its test rows with its rows of G (``_blas.product``, SciPy's
+    dgemm) then gives every class's part, entry (r, q) of class c and pair
+    n at ``raw[c, r, q, n]``; in an axis frame, ``_mirrored_parts`` makes
+    them from each class's own rows.  A function of its own so that the
+    chunk's temporaries are freed before the next one.
     """
-    L2, T, n = num_scalar_modes(degree), rows.shape[2] // 3, src_radii.size
+    L2, n = num_scalar_modes(degree), src_radii.size
+    T = len(y) // n
     C, width = stack.modes.shape
     ells = np.arange(degree + 1)
     dist = np.sqrt((y * y).sum(axis=1))
-    basis = vsh_basis(y / dist[:, None], degree)
+    # a node at the source's centre (one of an inclusion that the enclosing
+    # sphere's centre lies on) sees there only the degree-1 W field, the same
+    # constant in every direction: any unit vector serves
+    unit = y / np.where(dist > 0.0, dist, 1.0)[:, None]
+    unit[dist == 0.0] = (0.0, 0.0, 1.0)
+    basis = vsh_basis(unit, degree)
+    del unit
     V, W, X = basis.V, basis.W, basis.X
     del basis
     rho = dist / np.repeat(src_radii, T)
@@ -793,9 +863,13 @@ def _chunk_blocks(background: LameParams, degree: int, rows: np.ndarray, y: np.n
         if rho[nodes].size:
             A[:, nodes] = single_layer_matrix(ells, background, rho[nodes], side)
     at = stack.at
-    G = np.empty((C * width, n, 3 * T))  # (slot, pair, node and component)
-    G[stack.pads] = 0.0
-    fields = G.reshape(C * width, rho.size, 3)
+    if stack.mirror:
+        # (mode in class order, pair, node and component)
+        G = np.empty((stack.slots.size, n, 3 * T))
+    else:
+        G = np.empty((C * width, n, 3 * T))  # (slot, pair, node and component)
+        G[stack.pads] = 0.0
+    fields = G.reshape(len(G), rho.size, 3)
     for ell in range(degree + 1):
         sl = slice(ell * ell, (ell + 1) * (ell + 1))
         a = A[ell][..., None]  # (nodes, k, q, 1): broadcast over components
@@ -805,22 +879,49 @@ def _chunk_blocks(background: LameParams, degree: int, rows: np.ndarray, y: np.n
             fields[at[sl, 1]] = v * a[:, 0, 1] + w * a[:, 1, 1]
             fields[at[sl, 2]] = X[sl] * a[:, 2, 2]
     del V, W, X, v, w
+    if stack.mirror:
+        return _mirrored_parts(rows, G, stack)
     G = G.reshape(C, width * n, 3 * T)
     raw = np.empty((C, width, width * n))
-    for c, modes in enumerate(stack.classes):
-        m = modes.size
-        if m == width or not stack.axes & _ROTATIONS:
-            _product(rows[c], G[c].T, out=raw[c])
-        else:
-            # the |m| classes of an axis frame hold 3 to 3N modes: products
-            # of each class's own rows and columns make a third of the padded
-            # products' entries at N=20, and the pads are zero.  The classes
-            # of the flips alone differ by a few modes, and each keeps one
-            # padded product, which leaves the lattices' blocks as they are
-            raw[c, m:] = 0.0
-            raw[c, :m, m * n:] = 0.0
-            raw[c, :m, :m * n] = _product(rows[c, :m], G[c, :m * n].T)
+    for c in range(C):
+        _product(rows[c], G[c].T, out=raw[c])
     return raw.reshape(C, width, width, n)
+
+
+def _mirrored_parts(rows: tuple, G: np.ndarray, stack: _Stack) -> np.ndarray:
+    """``raw`` of ``_chunk_blocks`` for the pairs of an axis frame, from
+    their fields G (n_a, pairs, 3 T), the classes' modes one after another
+    (``_Stack.at``), at the representatives of the frame's C4v
+    (``_orbits``), and the rows of ``_folded_table``.
+
+    The mirror sigma (``_Stack.mirror``, S its signed permutation of the
+    modes) maps the pair and the rule onto themselves, so the block is
+    B = S B S^T.  The sum A over the representatives, weighted by orbit
+    size, gives B = (A + S A S^T) / 2 on each class.  S is +-1 on an
+    even-|m| class, whose part is then A's: one product of its own rows
+    and columns.  The part of the first class c of an odd-|m| twin pair
+    (c, t) is (A_c + S A_t S^T) / 2, one product of its rows [R_c | S R_t]
+    / 2 with the stacked fields [G_c | S G_t]; the twin's part is S B_c
+    S^T, its signed permutation, with no product.  Each product takes a
+    class's own rows and columns, and the pads are zero.
+    """
+    C, width = stack.modes.shape
+    n = G.shape[1]
+    starts = [0, *accumulate(modes.size for modes in stack.classes)]
+    raw = np.zeros((C, width, width, n))
+    for c, (modes, (twin, where, signs)) in enumerate(zip(stack.classes, stack.mirror)):
+        m = modes.size
+        if twin < c:
+            continue
+        fields = G[starts[c]:starts[c] + m]
+        if twin > c:
+            fields = np.concatenate((fields, signs[:, None, None] * G[starts[twin] + where]), axis=2)
+        part = _product(rows[c], fields.reshape(m * n, -1).T).reshape(m, m, n)
+        raw[c, :m, :m] = part
+        if twin > c:
+            _, back, back_signs = stack.mirror[twin]
+            raw[twin, :m, :m] = (back_signs[:, None] * back_signs)[..., None] * part[back[:, None], back]
+    return raw
 
 
 @lru_cache(maxsize=1)
@@ -1699,7 +1800,11 @@ def solve_direct(system: DenseSystem, config: ProblemConfig) -> Solution:
     F and Z are turned into it, where each column of Z, of degree 1, lies
     in one class, and the traces out of it.  The three-sphere case, on
     the x axis, has 2N + 2 classes, 42 of at most 180 unknowns at N=20,
-    where the flips alone gave four of about 1 000.  With no common
+    where the flips alone gave four of about 1 000.  The two classes of
+    each odd |m| there hold blocks of N that are signed permutations of
+    each other (the mirror x <-> y of the frame, module docstring), but F
+    need not be symmetric under it: each is factored and solved on its
+    own.  With no common
     plane, or for a system built from an arbitrary N by
     ``ClassBlocks.whole``, one class holds every unknown.
     The reported rcond is the 1-norm rcond of the block-diagonal B,

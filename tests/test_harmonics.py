@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from elastisph import harmonics
+from elastisph._blas import product
 from elastisph.harmonics import (
     Family,
     ModeIndex,
@@ -24,6 +25,7 @@ from elastisph.harmonics import (
     weighted_basis,
 )
 from elastisph.materials import LameParams
+from elastisph.presets import three_sphere_config
 from elastisph.quadrature import SphereFrame, rule_for_degree
 
 RNG = np.random.default_rng(42)
@@ -372,10 +374,47 @@ class TestProjection:
         rule = rule_for_degree(24)
         whole = project(fn, frame, 12, rule)
         monkeypatch.setattr(harmonics, "_CACHED_BASIS_BYTES", 0)
-        monkeypatch.setattr(harmonics, "_PROJECT_BLOCK_BYTES", 2**18)  # 21 nodes of 230
+        monkeypatch.setattr(harmonics, "_PROJECT_BLOCK_BYTES", 2**18)  # 48 nodes of 230
         blocked = project(fn, frame, 12, rule)
         assert_allclose(blocked.coeffs, whole.coeffs, rtol=0,
                         atol=1e-14 * np.abs(whole.coeffs).max())
+
+    @pytest.mark.parametrize("degree", [12, 20, 32])
+    def test_scalar_route_matches_weighted_rows(self, degree):
+        # above the cache bound the moments come from the scalar basis; they
+        # are weighted_basis's moments up to rounding, on the three-sphere
+        # data and on a field of random coefficients
+        rule = rule_for_degree(2 * degree + 2)
+        assert 9 * (degree + 1) ** 2 * rule.size * 8 > harmonics._CACHED_BASIS_BYTES
+        coeffs = np.random.default_rng(degree).normal(size=((degree + 1) ** 2, 3))
+        coeffs[0, 1:] = 0.0
+        random = VshExpansion(0, degree, coeffs)
+        data = three_sphere_config(degree).spheres[1]
+        fields = [(data.data, data.frame),
+                  (lambda pts: reconstruct(random, pts - np.array([0.2, 0.0, 0.0])), SphereFrame((0.2, 0.0, 0.0), 1.0))]
+        projected = harmonics.project_fields(fields, degree, rule)
+        rows = harmonics.weighted_rows(rule.points, rule.weights, degree)
+        norms = harmonics.norm_sq_table(degree)
+        for (fn, frame), expansion in zip(fields, projected):
+            moments = (rows @ fn(frame.surface_points(rule)).reshape(-1)).reshape(-1, 3)
+            expected = np.divide(moments, norms, out=np.zeros_like(moments), where=norms > 0.0)
+            assert np.abs(expansion.coeffs - expected).max() <= 1e-14 * np.abs(expected).max()
+            assert np.all(expansion.coeffs[0, 1:] == 0.0)
+        assert np.abs(projected[1].coeffs - coeffs).max() < 1e-12
+
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_cached_branch_at_the_assembly_rule(self, degree):
+        # up to degree 8 the assembly rule's weighted basis is cached, and the
+        # moments are its products with the data, bitwise
+        rule = three_sphere_config(degree).rule()
+        assert 9 * (degree + 1) ** 2 * rule.size * 8 <= harmonics._CACHED_BASIS_BYTES
+        assert weighted_basis(rule, degree) is weighted_basis(rule, degree)
+        data = three_sphere_config(degree).spheres[1]
+        moments = product(weighted_basis(rule, degree), data.data(data.frame.surface_points(rule)).reshape(-1))
+        moments = moments.reshape(-1, 3)
+        norms = harmonics.norm_sq_table(degree)
+        expected = np.divide(moments, norms, out=np.zeros_like(moments), where=norms > 0.0)
+        assert np.array_equal(project(data.data, data.frame, degree, rule).coeffs, expected)
 
     def test_rule_too_weak_rejected(self):
         frame = SphereFrame((0.0, 0.0, 0.0), 1.0)
@@ -453,3 +492,30 @@ class TestPermutationRotation:
             harmonics.permutation_rotation((1, 0, 2), 3, rule_for_degree(6))
         with pytest.raises(ValueError, match="below"):
             harmonics.permutation_rotation((1, 2, 0), 4, rule_for_degree(7))
+
+
+class TestDiagonalMirror:
+    @pytest.mark.parametrize("degree", range(1, 21))
+    def test_mirrors_the_vector_basis(self, degree):
+        # F_q(sigma s) = signs[q] sigma F_image[q](s), sigma: (x, y, z) -> (y, x, z)
+        image, signs = harmonics.diagonal_mirror(degree)
+        s = unit_vectors(30, np.random.default_rng(degree))
+        here, mirrored = vsh_basis(s, degree), vsh_basis(s[:, [1, 0, 2]], degree)
+        for family in Family:
+            F, Fm = here.family(family), mirrored.family(family)
+            rows = image[family::3] // 3
+            expected = signs[family::3, None, None] * F[rows][:, :, [1, 0, 2]]
+            assert np.abs(Fm - expected).max() <= 1e-14 * np.abs(F).max()
+
+    def test_signed_involution(self):
+        degree = 9
+        image, signs = harmonics.diagonal_mirror(degree)
+        assert not image.flags.writeable and not signs.flags.writeable
+        assert np.array_equal(image[image], np.arange(image.size))
+        assert np.array_equal(signs[image], signs) and np.all(np.abs(signs) == 1.0)
+        # families stay, and the orders: even |m| keep their mode, odd |m| swap m and -m
+        assert np.array_equal(image % 3, np.arange(image.size) % 3)
+        ells, ms = (np.array(a) for a in zip(*(sh_degree_order(p) for p in image[::3] // 3)))
+        own = [sh_degree_order(p) for p in range(ells.size)]
+        for (ell, m), e, mm in zip(own, ells, ms):
+            assert e == ell and mm == (m if m % 2 == 0 else -m)

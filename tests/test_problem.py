@@ -296,9 +296,9 @@ class TestBuildSigma:
         assert high > 1e-4  # discontinuous data keeps significant high content
 
     def test_one_basis_pass_for_all_spheres(self, monkeypatch):
-        # the weighted rows depend only on the rule and the degree: each
-        # block of nodes is evaluated once for every projected sphere, and
-        # each sphere's moments are those of its own projection
+        # the basis depends only on the rule and the degree: each block of
+        # nodes is evaluated once for every projected sphere, and each
+        # sphere's moments are those of its own projection
         cfg = three_sphere_config(8)
         rule = cfg.rule()
         monkeypatch.setattr(harmonics, "_CACHED_BASIS_BYTES", 0)
@@ -306,13 +306,13 @@ class TestBuildSigma:
         loaded = [s for s in cfg.spheres if not s.data.is_zero()]
         expected = {s.id: harmonics.project(s.data, s.frame, 8, rule) for s in loaded}
         nodes = []
-        original = harmonics.weighted_rows
+        original = harmonics.scalar_basis
 
-        def counting(points, weights, max_degree):
+        def counting(points, max_degree):
             nodes.append(len(points))
-            return original(points, weights, max_degree)
+            return original(points, max_degree)
 
-        monkeypatch.setattr(harmonics, "weighted_rows", counting)
+        monkeypatch.setattr(harmonics, "scalar_basis", counting)
         sigma = build_sigma(cfg, 8, rule)
         assert len(loaded) == 2 and len(nodes) > 1 and sum(nodes) == rule.size
         assert list(sigma) == [s.id for s in cfg.spheres]

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -77,6 +78,21 @@ class TestRuleTable:
             flipped, flipped_weights = canonical(rule.points * flip)
             assert_array_equal(flipped, points)
             assert_array_equal(flipped_weights, weights)
+
+    @pytest.mark.parametrize("degree", [degree for degree, _count in LEBEDEV_TABLE])
+    def test_closed_under_axis_permutations(self, degree):
+        # an axis frame turns the rule by a cyclic permutation of the axes,
+        # and its pairs fold by the mirror x <-> y: each of the six maps the
+        # rule onto itself, bitwise in points and weights
+        rule = rule_for_degree(degree)
+
+        def canonical(points):
+            order = np.lexsort(points.T[::-1])
+            return points[order].tobytes(), rule.weights[order].tobytes()
+
+        points = canonical(rule.points)
+        for axes in itertools.permutations(range(3)):
+            assert canonical(rule.points[:, list(axes)]) == points
 
 
 def test_import_leaves_out_scipy_integrate():

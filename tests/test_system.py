@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.linalg import LinAlgError
 from numpy.testing import assert_allclose
 from scipy.linalg import lstsq, null_space
@@ -537,19 +537,95 @@ class TestFolding:
 
     @pytest.mark.parametrize("rule_degree", [d for d, _count in LEBEDEV_TABLE])
     def test_orbits_cover_the_rule(self, rule_degree):
-        # the folding is exact only for a rule that each flip maps onto
-        # itself, node for node and with equal weights
+        # the folding is exact only for a rule that each flip (and, in an axis
+        # frame, the mirror x <-> y) maps onto itself, node for node and with
+        # equal weights
         rule = rule_for_degree(rule_degree)
-        for axes in range(1, 8):
+        for axes in (*range(1, 8), 3 | system_module._ROTATIONS):
             nodes, orbit = system_module._orbits(rule, axes)
             assert np.isclose((rule.weights[nodes] * orbit).sum(), rule.weights.sum(), rtol=1e-14, atol=0)
             flipped = [a for a in range(3) if axes >> a & 1]
             canonical = rule.points.copy()
             canonical[:, flipped] = np.abs(canonical[:, flipped])
+            if axes & system_module._ROTATIONS:
+                canonical[:, :2] = np.sort(canonical[:, :2], axis=1)[:, ::-1]
             position = {tuple(rule.points[n]): k for k, n in enumerate(nodes)}
             image = np.array([position[tuple(p)] for p in canonical])
             assert np.array_equal(rule.weights, rule.weights[nodes][image])
             assert np.array_equal(np.bincount(image, minlength=nodes.size), orbit)
+
+
+class TestMirrorFold:
+    def test_nodes_of_rule_41(self):
+        # C4v leaves 92 of the 590 nodes, 22 of them on the mirror; the flips
+        # alone leave 162
+        rule = rule_for_degree(41)
+        nodes, _orbit = system_module._orbits(rule, 3 | system_module._ROTATIONS)
+        points = rule.points[nodes]
+        assert nodes.size == 92 and np.count_nonzero(points[:, 0] == points[:, 1]) == 22
+        assert system_module._orbits(rule, 3)[0].size == 162
+        assert np.all((points[:, 0] >= points[:, 1]) & (points[:, 1] >= 0.0))
+
+    @pytest.mark.parametrize("degree", [1, 2, 5, 8, 20])
+    def test_twins_of_the_stack(self, degree):
+        # the mirror maps each even-|m| class onto itself with one sign and
+        # swaps the two classes of each odd |m|, as a signed permutation
+        stack = system_module._stack(degree, 3 | system_module._ROTATIONS)
+        orders = _orders(degree)
+        image, signs = harmonics.diagonal_mirror(degree)
+        active = system_module._active_mask(degree)
+        index = np.cumsum(active) - 1
+        for c, (modes, (twin, where, h)) in enumerate(zip(stack.classes, stack.mirror)):
+            order = orders[modes[0]]
+            assert np.array_equal(np.sort(where), np.arange(modes.size))
+            assert np.array_equal(stack.classes[twin][where], index[image[active]][modes])
+            assert np.array_equal(h, signs[active][modes])
+            if order % 2 == 0:
+                assert twin == c and np.array_equal(where, np.arange(modes.size)) and np.all(h == h[0])
+            else:
+                assert twin != c and orders[stack.classes[twin][0]] == order and stack.mirror[twin][0] == c
+
+    @pytest.mark.parametrize("degree", [8, 20])
+    def test_mirror_fold_matches_the_flips_fold(self, degree):
+        # each class part of table3 against the same pair folded by the flips
+        # alone (the 162 nodes of rule 41 with their orbit sizes, one padded
+        # product per flip class), on the entries that are made
+        cfg = validate(three_sphere_config(degree))
+        rule, dofmap = cfg.rule(), system_module._dofmap(cfg)
+        centers, radii, enclosing = system_module._geometry(cfg)
+        nodes, rows, flips = system_module._folded_table(rule, degree, 3)
+        for i, j in zip(*system_module._ordered_pairs(cfg)):
+            (_, _, stack, raw), = system_module._pair_blocks(cfg, rule, dofmap, np.array([i]), np.array([j]))
+            assert stack.mirror
+            y = centers[i] + radii[i] * rule.points[nodes] - centers[j]
+            parts = system_module._chunk_blocks(cfg.background, degree, rows, y, radii[[j]], int(enclosing[j]), flips)
+            block = np.zeros((dofmap.modes_per_sphere,) * 2)
+            for modes, part in zip(flips.classes, parts):
+                block[modes[:, None], modes] = part[:modes.size, :modes.size, 0]
+            scale = np.abs(block).max()
+            for modes, part in zip(stack.classes, raw):
+                m = modes.size
+                assert np.abs(part[:m, :m, 0] - block[modes[:, None], modes]).max() <= 1e-14 * scale
+                assert np.all(part[m:] == 0.0) and np.all(part[:, m:] == 0.0)
+
+    @pytest.mark.parametrize("degree", [3, 8])
+    def test_twins_are_signed_permutations(self, degree):
+        # exactly, in every pair's parts and in the assembled N
+        cfg = validate(three_sphere_config(degree))
+        rule, dofmap = cfg.rule(), system_module._dofmap(cfg)
+        system = assemble(cfg)
+        M = len(cfg.spheres)
+        for _, _, stack, raw in system_module._pair_blocks(cfg, rule, dofmap, *system_module._ordered_pairs(cfg)):
+            for c, (modes, (twin, where, h)) in enumerate(zip(stack.classes, stack.mirror)):
+                m = modes.size
+                expected = (h[:, None] * h)[..., None] * raw[twin][where[:, None], where]
+                assert np.array_equal(raw[c, :m, :m], expected)
+        blocks = system.Nmat.blocks
+        for c, (twin, where, h) in enumerate(system_module._stack(degree, 3 | system_module._ROTATIONS).mirror):
+            # a class's unknowns are the same modes of every sphere, sphere-major
+            rows = (np.arange(M)[:, None] * where.size + where).reshape(-1)
+            signs = np.tile(h, M)
+            assert np.array_equal(blocks[c], signs[:, None] * blocks[twin][rows[:, None], rows] * signs)
 
 
 def _reference_blocks(background, degree, rows, y, src_radii, n_in):
@@ -607,6 +683,22 @@ class TestChunkKernel:
             filled[stack.slots] = True
             filled = filled.reshape(stack.modes.shape)
             assert np.all(raw[~filled] == 0.0) and np.all(raw.transpose(0, 2, 1, 3)[~filled] == 0.0)
+
+    @pytest.mark.parametrize("offset", [(0.0, 0.0), (0.3, -0.2)], ids=["collinear", "off_the_line"])
+    def test_node_at_the_source_centre(self, offset):
+        # an inclusion whose surface passes through the enclosing sphere's
+        # centre has a node there: its block is finite, and the limit of the
+        # blocks of inclusions moved off that point
+        def system(shift):
+            spheres = (SphereSpec(id=1, frame=SphereFrame((0.25 + shift, 0.0, 0.0), 0.25), role="neumann"),
+                       SphereSpec(id=2, frame=SphereFrame((0.0, 0.0, 0.0), 2.0), role="neumann", enclosing=True),
+                       SphereSpec(id=3, frame=SphereFrame((-1.0, *offset), 0.2), role="neumann"))
+            return assemble(validate(ProblemConfig(spheres=spheres, background=P11, degree=4))).Nmat.toarray()
+
+        at = system(0.0)
+        assert np.isfinite(at).all()
+        for shift in (1e-9, -1e-9):
+            assert np.abs(system(shift) - at).max() <= 1e-8 * np.abs(at).max()
 
     def test_concentric_pairs_take_the_closed_form(self, monkeypatch):
         # lattice r1 is an inclusion at its enclosing sphere's centre: no
@@ -1319,6 +1411,43 @@ class TestAxisFrame:
         for _ipos, _jpos, stack, _raw in system_module._pair_blocks(cfg, cfg.rule(), system.dofmap,
                                                                     targets, sources):
             assert not stack.axes & system_module._ROTATIONS
+
+    @settings(max_examples=25, deadline=None)
+    @given(axis=st.integers(0, 2), offset=st.sampled_from([(0.0, 0.0), (0.25, -0.1)]),
+           inclusions=st.lists(st.tuples(st.floats(-1.4, 1.4), st.floats(0.05, 0.4), st.booleans()),
+                               min_size=1, max_size=3),
+           degree=st.integers(1, 6), enclosing_at=st.sampled_from([0.0, 0.3]))
+    # an inclusion with a node at the enclosing sphere's centre
+    @example(axis=0, offset=(0.0, 0.0), inclusions=[(0.25, 0.25, False)], degree=1, enclosing_at=0.0)
+    def test_collinear_products_agree(self, axis, offset, inclusions, degree, enclosing_at):
+        # random collinear configurations along x, y or z: 2-4 spheres, one of
+        # them the radius-2 enclosing sphere, with positive gaps; the class
+        # blocks and the matrix-free operator agree to criterion 10's 1e-13
+        positions = [t for t, _r, _k in inclusions]
+        radii = [r for _t, r, _k in inclusions]
+        for a in range(len(inclusions)):
+            assume(abs(positions[a] - enclosing_at) + radii[a] < 1.95)
+            for b in range(a):
+                assume(abs(positions[a] - positions[b]) > radii[a] + radii[b] + 0.05)
+
+        def point(t):
+            coords = [*offset]
+            coords.insert(axis, t)
+            return tuple(coords)
+
+        spheres = [SphereSpec(id=k + 1, frame=SphereFrame(point(t), r),
+                              **({"role": "transmission", "material": LameParams(2.0, 1.5)} if soft
+                                 else {"role": "neumann"}))
+                   for k, (t, r, soft) in enumerate(inclusions)]
+        spheres.append(SphereSpec(id=len(spheres) + 1, frame=SphereFrame(point(enclosing_at), 2.0),
+                                  role="neumann", enclosing=True))
+        cfg = validate(ProblemConfig(spheres=tuple(spheres), background=P11, degree=degree))
+        system = assemble(cfg)
+        # distinct centres on one line take its axis frame
+        assert (system.Nmat.frame is None) == (len({*positions, enclosing_at}) == 1)
+        x = np.random.default_rng(degree).normal(size=system.dofmap.size)
+        dense = system.D * x - system.Nmat @ x
+        assert np.abs(apply_operator(cfg, x) - dense).max() <= 1e-13 * max(np.abs(dense).max(), 1.0)
 
     def test_turn_round_trip(self):
         axes = (2, 0, 1)
